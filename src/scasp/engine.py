@@ -18,6 +18,18 @@ Loops on the call path are classified before a goal is resolved:
   negations succeeds coinductively;
 * a goal that is a variant of an already-proved atom succeeds immediately.
 
+These checks read indexes kept in step with the call path and the registry
+instead of scanning them.  A call's ground key is its resolved argument
+tuple, or None while an unbound variable remains; a ground term never
+changes, so a key taken when a frame is pushed or an atom is registered
+stays valid while that entry lives.  Frames are indexed per (name, arity),
+by (name, ground key) for the topmost frame with that key, and, when they
+were not ground at push, in a per-predicate open list that is still checked
+term by term (its terms may have been bound since).  Each frame records
+the running count of negation markers up to itself, so the number between
+an ancestor and the goal costs one subtraction.  The registry counts ground
+keys and keeps its non-ground entries in open lists checked the same way.
+
 Universal quantification (forall) evaluates its goal against a worklist of
 single-variable constraint views: each iteration commits to the first
 answer for a fresh copy of the quantified variable, and either the answer
@@ -93,14 +105,19 @@ class Answer:
         return [(lit.pred, lit.args) for lit in self.model if lit.pred != "nmr_check"]
 
 
-class _Frame:
-    __slots__ = ("name", "args", "info", "marker")
+_ONCE = (None,)
 
-    def __init__(self, name, args, info):
-        self.name = name
-        self.args = args
-        self.info = info
-        self.marker = info.marker if info is not None else name.startswith("not_")
+
+class _Frame:
+    # key: (name, arity); gkey: ground key at push; mk: markers up to and
+    # including this frame; below: next frame down with the same gkey.
+    __slots__ = ("name", "args", "key", "marker", "gkey", "mk", "below")
+
+    def __init__(self, goal, info):
+        self.name = goal.pred
+        self.args = goal.args
+        self.key = goal.key
+        self.marker = info.marker if info is not None else goal.pred.startswith("not_")
 
 
 class Engine:
@@ -122,8 +139,13 @@ class Engine:
         self.forbid = {}  # vid -> frozenset of excluded ground terms
         self.lin = LinearStore.empty()
         self.proved = {}  # (name, arity) -> [args, ...]
+        self._proved_keys = {}  # (name, ground key) -> count
+        self._proved_open = {}  # (name, arity) -> [args not ground when proved]
         self.events = []
         self.frames = []
+        self._by_pred = {}  # (name, arity) -> [frame, ...]
+        self._open = {}  # (name, arity) -> [frame not ground at push, ...]
+        self._by_key = {}  # (name, ground key) -> topmost frame
         self.trail = []
         self.forall_trace = []  # diagnostic: (goal pred, view) per iteration
 
@@ -147,7 +169,14 @@ class Engine:
             elif tag == "lin":
                 self.lin = entry[1]
             elif tag == "proved":
-                self.proved[entry[1]].pop()
+                key, pk = entry[1], entry[2]
+                self.proved[key].pop()
+                if pk is None:
+                    self._proved_open[key].pop()
+                elif self._proved_keys[pk] == 1:
+                    del self._proved_keys[pk]
+                else:
+                    self._proved_keys[pk] -= 1
             else:  # 'ev'
                 self.events.pop()
 
@@ -180,13 +209,20 @@ class Engine:
             return any(self._occurs(vid, a) for a in t.args)
         return False
 
-    def _is_ground(self, t):
-        t = self.deref(t)
-        if isinstance(t, Var):
-            return False
-        if isinstance(t, Struct):
-            return all(self._is_ground(a) for a in t.args)
-        return True
+    def _ground_args(self, args):
+        """Resolved copy of a tuple of terms; None if any is not ground."""
+        out = []
+        for a in args:
+            a = self.deref(a)
+            if isinstance(a, Var):
+                return None
+            if isinstance(a, Struct):
+                sub = self._ground_args(a.args)
+                if sub is None:
+                    return None
+                a = Struct(a.functor, sub)
+            out.append(a)
+        return tuple(out)
 
     def _bind_raw(self, vid, t):
         self.cells[vid] = t
@@ -235,14 +271,11 @@ class Engine:
 
         yield from seq(0)
 
-    def _lin_vars(self):
-        return self.lin.vars()
-
     def _bind(self, var, t):
         """Bind an unbound variable, re-checking its accumulated constraints."""
         if self._occurs(var.id, t):
             return
-        if var.id in self._lin_vars():
+        if var.id in self.lin.vars():
             yield from self._bind_linear(var, t)
             return
         if isinstance(t, Var):
@@ -253,9 +286,9 @@ class Engine:
             self._bind_raw(var.id, t)
             yield
             return
-        if self._is_ground(t):
-            rt = self.resolve(t)
-            if rt in fb:
+        g = self._ground_args((t,))
+        if g is not None:
+            if g[0] in fb:
                 return
             self._bind_raw(var.id, t)
             yield
@@ -280,7 +313,7 @@ class Engine:
 
     def _bind_vars(self, a, b):
         """Alias two unbound variables, merging a's exclusions onto b."""
-        if b.id in self._lin_vars():
+        if b.id in self.lin.vars():
             yield from self._bind_linear(a, b)
             return
         fa = self.forbid.get(a.id)
@@ -305,7 +338,7 @@ class Engine:
             return
         if isinstance(t, Var):
             # Keep whichever variable the store constrains as the root.
-            root, other = (var, t) if var.id in self._lin_vars() else (t, var)
+            root, other = (var, t) if var.id in self.lin.vars() else (t, var)
             m = self.mark()
             try:
                 fb = self.forbid.get(other.id)
@@ -321,7 +354,7 @@ class Engine:
                             ):
                                 ok = False
                                 break
-                if ok and other.id in self._lin_vars():
+                if ok and other.id in self.lin.vars():
                     ok = self._assert_linear_forms(
                         "=", form_var(root.id), form_var(other.id)
                     )
@@ -347,7 +380,7 @@ class Engine:
         if isinstance(b, Var):
             a, b = b, a
         if isinstance(a, Var):
-            if a.id in self._lin_vars() and isinstance(b, Const) and b.is_number:
+            if a.id in self.lin.vars() and isinstance(b, Const) and b.is_number:
                 m = self.mark()
                 try:
                     if self._assert_linear("!=", a, b):
@@ -355,11 +388,12 @@ class Engine:
                 finally:
                     self.undo_to(m)
                 return
-            if self._is_ground(b):
+            g = self._ground_args((b,))
+            if g is not None:
                 m = self.mark()
                 try:
                     fb = self.forbid.get(a.id, frozenset())
-                    self._set_forbid(a.id, fb | {self.resolve(b)})
+                    self._set_forbid(a.id, fb | {g[0]})
                     yield
                 finally:
                     self.undo_to(m)
@@ -401,7 +435,7 @@ class Engine:
         if isinstance(t, Const):
             return t.is_number
         if isinstance(t, Var):
-            return t.id in self._lin_vars()
+            return t.id in self.lin.vars()
         return False
 
     def _to_form(self, t, seen_vars):
@@ -504,7 +538,7 @@ class Engine:
     # -- loop classification ------------------------------------------------------
 
     def _constrained_var(self, vid):
-        return bool(self.forbid.get(vid)) or vid in self._lin_vars()
+        return bool(self.forbid.get(vid)) or vid in self.lin.vars()
 
     def _variant_args(self, xs, ys):
         fwd, bwd = {}, {}
@@ -544,54 +578,78 @@ class Engine:
             gen.close()
             self.undo_to(m)
 
+    def _proved_variant(self, key, args, gkey):
+        """Is args (ground key gkey) a variant of a registered atom of key?"""
+        if gkey is not None and (key[0], gkey) in self._proved_keys:
+            return True
+        return any(self._variant_args(args, p) for p in self._proved_open.get(key, ()))
+
     def classify_loop(self, goal: Lit):
         """How a goal relates to the in-flight call path (and proof registry)."""
         info = self.cp.pred_info.get(goal.pred)
         kind = info.kind if info is not None else "user"
         marker = info.marker if info is not None else goal.pred.startswith("not_")
         n = len(goal.args)
+        gkey = self._ground_args(goal.args)
         # Contradiction with an ancestor: the same user atom in the opposite
         # polarity that could be the very instance being evaluated.
         comp = None
         if kind == "user":
-            comp = ("umbrella", goal.pred)
+            comp = self.neg_of.get((goal.pred, n))
         elif kind == "umbrella":
-            comp = ("user", info.base)
+            comp = info.base
         if comp is not None:
-            want_kind, want_base = comp
-            for fr in self.frames:
-                finfo = fr.info
-                fkind = finfo.kind if finfo is not None else "user"
-                if fkind != want_kind or len(fr.args) != n:
-                    continue
-                fbase = finfo.base if finfo is not None else fr.name
-                if fbase != want_base:
-                    continue
+            for fr in self._by_pred.get((comp, n), ()):
                 if self._unifiable_args(goal.args, fr.args):
                     return "fail_odd"
             # A completed proof of the complement also contradicts this goal:
             # everything established earlier in the derivation stays in force
             # for the partial model under construction.
-            comp_name = self.neg_of.get((goal.pred, n)) if kind == "user" else want_base
-            if comp_name is not None:
-                for args in self.proved.get((comp_name, n), ()):
-                    if self._variant_args(goal.args, args):
-                        return "fail_odd"
-        k = 1 if marker else 0
-        for fr in reversed(self.frames):
-            if fr.name == goal.pred and len(fr.args) == n:
-                if k == 0:
-                    if self._variant_args(goal.args, fr.args):
-                        return "fail_positive"
-                elif k % 2 == 0:
-                    if self._unifiable_args(goal.args, fr.args):
-                        return "succeed_coinductive"
-            if fr.marker:
-                k += 1
-        for args in self.proved.get(goal.key, ()):
-            if self._variant_args(goal.args, args):
-                return "succeed_proved"
+            if self._proved_variant((comp, n), goal.args, gkey):
+                return "fail_odd"
+        # k, the negations between an ancestor fr and the goal, is
+        # marker + total - fr.mk; it never falls going down the stack.
+        total = self.frames[-1].mk if self.frames else 0
+        if not marker:
+            if gkey is not None:
+                fr = self._by_key.get((goal.pred, gkey))
+                if fr is not None and fr.mk == total:
+                    return "fail_positive"
+            for fr in reversed(self._open.get(goal.key, ())):
+                if fr.mk != total:
+                    break
+                if self._variant_args(goal.args, fr.args):
+                    return "fail_positive"
+        k0 = marker + total
+        for fr in reversed(self._by_pred.get(goal.key, ())):
+            k = k0 - fr.mk
+            if k >= 2 and k % 2 == 0 and self._unifiable_args(goal.args, fr.args):
+                return "succeed_coinductive"
+        if self._proved_variant(goal.key, goal.args, gkey):
+            return "succeed_proved"
         return "continue"
+
+    def _push(self, fr):
+        frames = self.frames
+        fr.mk = (frames[-1].mk if frames else 0) + fr.marker
+        frames.append(fr)
+        self._by_pred.setdefault(fr.key, []).append(fr)
+        if fr.gkey is None:
+            self._open.setdefault(fr.key, []).append(fr)
+        else:
+            k = (fr.name, fr.gkey)
+            fr.below = self._by_key.get(k)
+            self._by_key[k] = fr
+
+    def _pop(self):
+        fr = self.frames.pop()
+        self._by_pred[fr.key].pop()
+        if fr.gkey is None:
+            self._open[fr.key].pop()
+        elif fr.below is None:
+            del self._by_key[(fr.name, fr.gkey)]
+        else:
+            self._by_key[(fr.name, fr.gkey)] = fr.below
 
     # -- resolution ---------------------------------------------------------------
 
@@ -603,27 +661,13 @@ class Engine:
         else:
             yield from self.c_forall(goal.var, goal.goal)
 
-    def solve(self, goals):
-        """Solutions of a conjunction of goals."""
-
-        def seq(i):
-            if i == len(goals):
-                yield
-                return
-            for _ in self.solve_goal(goals[i]):
-                yield from seq(i + 1)
-
-        yield from seq(0)
-
-    def _solve_body(self, body, hide):
-        def seq(i):
-            if i == len(body):
-                yield
-                return
-            for _ in self.solve_goal(body[i], quiet=i < hide):
-                yield from seq(i + 1)
-
-        yield from seq(0)
+    def solve(self, goals, i=0, quiet=False):
+        """Solutions of the conjunction goals[i:]."""
+        if i == len(goals):
+            yield
+            return
+        for _ in self.solve_goal(goals[i], quiet):
+            yield from self.solve(goals, i + 1, quiet)
 
     def solve_call(self, goal: Lit):
         rules = self.cp.rules.get(goal.key)
@@ -652,36 +696,47 @@ class Engine:
                 self.log(("proved", goal))
                 yield
                 return
-            info = self.cp.pred_info.get(goal.pred)
+            fr = _Frame(goal, self.cp.pred_info.get(goal.pred))
             for rule in rules:
                 m = self.mark()
                 try:
                     mapping = {}
                     head_args = tuple(rename_term(a, mapping) for a in rule.head.args)
                     body = tuple(rename_goal(g, mapping) for g in rule.body)
+                    hide = rule.hide_prefix
+                    # The hidden head unifications run before the frame is
+                    # pushed, so a clause whose head does not match costs
+                    # no frame.
                     for _ in self._unify_pairs(goal.args, head_args):
-                        self.log(("call", goal))
-                        fr = _Frame(goal.pred, goal.args, info)
-                        self.frames.append(fr)
-                        try:
-                            for _ in self._solve_body(body, rule.hide_prefix):
-                                self.frames.pop()
-                                self.log(("exit",))
-                                self._register_proved(goal)
-                                try:
-                                    yield
-                                finally:
-                                    self.frames.append(fr)
-                        finally:
-                            self.frames.pop()
+                        for _ in self.solve(body[:hide], 0, True) if hide else _ONCE:
+                            self.log(("call", goal))
+                            fr.gkey = self._ground_args(goal.args)
+                            self._push(fr)
+                            try:
+                                for _ in self.solve(body, hide):
+                                    self._pop()
+                                    self.log(("exit",))
+                                    self._register_proved(goal)
+                                    try:
+                                        yield
+                                    finally:
+                                        self._push(fr)
+                            finally:
+                                self._pop()
                 finally:
                     self.undo_to(m)
         finally:
             self.undo_to(m0)
 
     def _register_proved(self, goal: Lit):
+        gkey = self._ground_args(goal.args)
+        pk = None if gkey is None else (goal.pred, gkey)
         self.proved.setdefault(goal.key, []).append(goal.args)
-        self.trail.append(("proved", goal.key))
+        if pk is None:
+            self._proved_open.setdefault(goal.key, []).append(goal.args)
+        else:
+            self._proved_keys[pk] = self._proved_keys.get(pk, 0) + 1
+        self.trail.append(("proved", goal.key, pk))
 
     # -- universal quantification ----------------------------------------------
 
@@ -707,7 +762,7 @@ class Engine:
             fb = self.forbid.get(t.id)
             if fb:
                 return ("neq", frozenset(fb))
-            if t.id in self._lin_vars():
+            if t.id in self.lin.vars():
                 return store_mod.lin_canon(self.lin.project(t.id))
             return store_mod.TOP
         return ("eq", self.resolve(t))

@@ -198,26 +198,31 @@ def _tighten(cons):
 class LinearStore:
     """Immutable conjunction of linear constraints."""
 
-    __slots__ = ("subst", "ineqs", "neqs")
+    __slots__ = ("subst", "ineqs", "neqs", "_vars")
 
     def __init__(self, subst=None, ineqs=(), neqs=()):
         self.subst = subst or {}
         self.ineqs = tuple(ineqs)
         self.neqs = tuple(neqs)
+        self._vars = None
 
     @classmethod
     def empty(cls) -> "LinearStore":
         return _EMPTY
 
     def vars(self) -> set:
-        out = set(self.subst)
-        for form in self.subst.values():
-            out |= form_vars(form)
-        for form, _ in self.ineqs:
-            out |= form_vars(form)
-        for form in self.neqs:
-            out |= form_vars(form)
-        return out
+        """Ids of the variables the store mentions, computed once per store;
+        the set is shared, so callers must not mutate it."""
+        if self._vars is None:
+            out = set(self.subst)
+            for form in self.subst.values():
+                out |= form_vars(form)
+            for form, _ in self.ineqs:
+                out |= form_vars(form)
+            for form in self.neqs:
+                out |= form_vars(form)
+            self._vars = out
+        return self._vars
 
     def is_empty(self) -> bool:
         return not (self.subst or self.ineqs or self.neqs)

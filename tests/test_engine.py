@@ -1,13 +1,21 @@
 """Engine behavior: unification, disequality, loops, and consistency checks."""
 
+import importlib.util
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from scasp.engine import Engine
 from scasp.errors import SolverError
+from scasp.parser import parse_query
+from scasp.render import render_answer
 from scasp.terms import Const, Struct, Var, fresh_var
 
-from helpers import answers, binding, engine_for, num
+from helpers import answers, binding, compiled, engine_for, num
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def f(*args):
@@ -203,6 +211,93 @@ def test_grounded_recursion_still_counts():
     text = "nat(0). nat(X) :- nat(Y), X .=. Y + 1."
     ans = answers(text, "?- nat(X).", n=1)
     assert binding(ans[0], "X") == num(0)
+
+
+def test_ancestor_bound_after_its_call_still_stops_a_variant():
+    # p(X) is called with X unbound; q(X) then binds it, so the inner p(a)
+    # is a variant of its ancestor and fails: only the second clause answers.
+    text = "p(X) :- q(X), p(a). p(Y) :- r(Y). q(a). r(a)."
+    got = answers(text, "?- p(X).")
+    assert len(got) == 1
+    assert got[0].model_atoms() == [("p", (Const("a"),)), ("r", (Const("a"),))]
+
+
+def test_registry_entry_bound_after_its_proof_is_reused():
+    (ans,) = answers("p(X).", "?- p(X), X = a, p(a).")
+    assert [node.kind for node in ans.justification] == ["atom", "constraint", "proved", "atom"]
+
+
+def test_constrained_variable_is_not_a_variant_of_a_fresh_one():
+    # p(X) is proved with X .>. 1; p(Y) must be solved again, not reused,
+    # so that Y carries its own bound.
+    (ans,) = answers("p(X) :- X .>. 1.", "?- p(X), p(Y).")
+    assert [node.kind for node in ans.justification] == ["atom", "atom", "atom"]
+    y = binding(ans, "Y")
+    assert ans.views[y.id] == ("lin", ((">", Fraction(1)),))
+
+
+def test_odd_loop_fails_against_a_proved_complement():
+    # a(c) leaves not b(c) proved; b(c) then contradicts the registry.
+    text = "a(X) :- not b(X). b(X) :- not a(X). q(X) :- a(X), b(X)."
+    assert len(answers(text, "?- a(c).")) == 1
+    assert answers(text, "?- q(c).") == []
+    assert answers(text, "?- q(X).") == []
+
+
+CNT = "cnt(0). cnt(N) :- N .>. 0, M .=. N-1, cnt(M)."
+
+
+@pytest.mark.parametrize(
+    "text, query, limit",
+    [
+        (CNT, "?- cnt(300).", 300),
+        ((ROOT / "tests" / "programs" / "hanoi.pl").read_text(), "?- hanoi(7, T).", 2000),
+    ],
+    ids=["cnt300", "hanoi7"],
+)
+def test_loop_check_compares_terms_only_for_open_entries(monkeypatch, text, query, limit):
+    # Ground calls are looked up by key; a term-by-term variant check runs
+    # only against frames and proofs that were not ground when recorded.
+    calls = []
+    orig = Engine._variant_args
+
+    def counting(self, xs, ys):
+        calls.append(1)
+        return orig(self, xs, ys)
+
+    monkeypatch.setattr(Engine, "_variant_args", counting)
+    assert len(answers(text, query, n=1)) == 1
+    assert len(calls) <= limit
+
+
+def _rendered(cp, query):
+    return [
+        re.sub(r"in [0-9.]+ ms", "", render_answer(a, cp.pred_info, cp.shows))
+        for a in Engine(cp).run_query(parse_query(query))
+    ]
+
+
+def test_benchmark_tracing_hooks_the_engine():
+    # perfbench/tracing.py patches Engine methods by name and reads its
+    # attributes; renaming one must fail here, not only in a traced run.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    cp = compiled((ROOT / "tests" / "programs" / "hanoi.pl").read_text())
+    plain = _rendered(cp, "?- hanoi(5, T).")
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        traced = _rendered(cp, "?- hanoi(5, T).")
+    finally:
+        undo()
+    assert traced == plain and len(plain) == 1
+    counts = tracer.counts
+    assert counts["engine.loop.continue"] > 0
+    assert counts["engine.loop.succeed_coinductive"] > 0
+    assert tracer.self_s["classify_loop"] > 0
 
 
 # -- queries and answers ---------------------------------------------------------
