@@ -9,7 +9,9 @@ ground program computed by the brute-force reference semantics.
 
 Exit codes: 0 when at least one answer was found (or ``-n 0`` exhausted
 an empty search without error), 1 when answers were requested but none
-exist, 2 for usage, file, parse, compile, or solver-restriction errors.
+exist, 2 for usage, file, parse, compile, or solver-restriction errors,
+and for any internal error (reported as one ``scasp: internal error:``
+line on stderr).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import CompileError, SolverError
 from .oracle import atom_key, ground, stable_models
 from .parser import ParseError, parse_program, parse_query
 from .render import render_answer, render_answer_json
-from .terms import Program, format_goal, format_term
+from .terms import Lit, Program, format_goal
 
 __all__ = ["main"]
 
@@ -70,6 +72,16 @@ def _load(paths):
 
 
 def main(argv=None) -> int:
+    try:
+        return _main(argv)
+    except (ParseError, CompileError, SolverError, OSError):
+        raise
+    except Exception as e:  # never let a crash pass as "no answers" (exit 1)
+        print(f"scasp: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
+
+
+def _main(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -94,10 +106,7 @@ def main(argv=None) -> int:
             print(str(e), file=sys.stderr)
             return 2
         for m in models:
-            atoms = [
-                "%s(%s)" % (p, ",".join(format_term(a) for a in t)) if t else p
-                for p, t in sorted(m, key=atom_key)
-            ]
+            atoms = [format_goal(Lit(p, t)) for p, t in sorted(m, key=atom_key)]
             print("{ %s }" % ", ".join(atoms))
         if not models:
             print("no")

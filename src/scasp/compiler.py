@@ -12,21 +12,28 @@ Three passes:
    positive prefix of the body up to that literal, then the literal's
    negation (comparison operators flip; `.=.` splits into `.<.` and `.>.`).
    Variables appearing only in a clause body are universally quantified
-   inside the sub-rule through a `..._body` helper predicate.
+   inside the sub-rule through a `..._body` helper predicate.  A name used
+   at several arities gets its arity in the generated names (`not_p__2`).
 
 3. Global consistency checks: denials and rules that can reach their own
    head through an odd number of negations become `chk_i` predicates built
    the same way as duals (plus a re-derivation alternative for headed
    rules), all called from `nmr_check`, which is appended to every query.
 
-After compilation every body literal is a positive call; negated user
-literals are rewritten to their `not_`-prefixed duals.
+After compilation every body literal is a positive call: a negated user
+literal calls its dual, found in `CompiledProgram.neg_of`.  `synth_name`
+spells every generated name and returns its `PredInfo`, which is how the
+rest of the system tells a dual from a user predicate and prints it as
+`not <base>`; the reserved-name check rejects every user name that one of
+its shapes could take.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import re
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from .errors import CompileError
@@ -38,10 +45,9 @@ from .terms import (
     Query,
     Rule,
     Var,
-    format_term,
+    format_rule,
     fresh_var,
     goal_vars,
-    term_vars,
 )
 
 __all__ = [
@@ -57,7 +63,8 @@ __all__ = [
 ]
 
 RESERVED_NOTE = (
-    "names 'nmr_check', 'forall', 'chk_<n>', and the prefix 'not_' are reserved"
+    "names 'nmr_check', 'forall' and 'not', the prefixes 'not_' and "
+    "'chk_<n>', and '__' anywhere in a name are reserved"
 )
 
 _DUAL_OP = {
@@ -83,8 +90,7 @@ class CompiledRule:
 class PredInfo:
     kind: str  # 'user' | 'umbrella' | 'dual' | 'chk' | 'nmr'
     base: str  # display name without the negation wrapper
-    negated: bool  # displayed behind 'not'
-    marker: bool  # counts as a negation boundary on the call path
+    marker: bool  # displayed behind 'not'; a negation boundary on the call path
 
 
 @dataclass
@@ -94,22 +100,44 @@ class CompiledProgram:
     dual_rules: list = field(default_factory=list)
     nmr_rules: list = field(default_factory=list)
     pred_info: dict = field(default_factory=dict)
+    neg_of: dict = field(default_factory=dict)  # (name, arity) -> dual's name
     shows: set = field(default_factory=set)
     query: Optional[Query] = None
 
-    def user_pred(self, name: str) -> Optional[PredInfo]:
-        return self.pred_info.get(name)
+
+def synth_name(kind, user="", arity=None, index=0, body=False):
+    """Name and PredInfo of a generated predicate; the only place one is spelled.
+
+    'umbrella' is the negation of user predicate `user` (not_p) and 'dual'
+    its sub-rule for clause `index` (not_p__1); arity is passed only when
+    the user name has several arities (not_p__2, not_p__2__1).  'chk' is
+    the check of the index-th constrained rule (chk_1) and 'nmr' the rule
+    calling every check.  body names the helper quantifying a rule's body
+    variables (not_p__1_body, chk_1_body).
+    """
+    if kind == "nmr":
+        base = "nmr_check"
+    elif kind == "chk":
+        base = f"chk_{index}"
+    else:
+        base = user if arity is None else f"{user}__{arity}"
+        if kind == "dual":
+            base += f"__{index}"
+    if body:
+        base += "_body"
+    neg = kind in ("umbrella", "dual")
+    info = PredInfo(kind, user if kind == "umbrella" else base, neg)
+    return ("not_" + base if neg else base), info
 
 
 def _is_reserved(name: str) -> bool:
-    if name in ("nmr_check", "forall", "not"):
-        return True
-    if name.startswith("not_"):
-        return True
-    if name.startswith("chk_"):
-        tail = name[4:]
-        return tail.isdigit()
-    return False
+    """Could name clash with a shape synth_name emits?"""
+    return (
+        name in ("nmr_check", "forall", "not")
+        or name.startswith("not_")
+        or "__" in name
+        or re.match(r"chk_\d", name) is not None
+    )
 
 
 def _check_reserved(program: Program):
@@ -177,64 +205,60 @@ def _clause_pieces(body):
     return pieces
 
 
-def _emit_pieces(head_name, head_vars, body_vars, pieces, out, allow_inline=False):
+def _emit_pieces(spell, head_vars, body_vars, pieces, out, infos, allow_inline=False):
     """Emit clauses for a dual-style predicate, quantifying body variables.
 
-    head_vars are the predicate's arguments; body_vars get wrapped in
-    forall() -- through a '<name>_body' helper unless a lone single-literal
-    alternative can sit in the forall directly.
+    spell(body=False) is the synth_name of the predicate (or, with
+    body=True, of its helper); names and infos go into infos.  head_vars
+    are the predicate's arguments; body_vars get wrapped in forall() --
+    through the helper unless a lone single-literal alternative can sit in
+    the forall directly.
     """
+    head_name, infos[head_name] = spell()
     head = Lit(head_name, tuple(head_vars))
     if not body_vars:
         for piece in pieces:
             out.append(CompiledRule(head, tuple(piece)))
-        return [head_name]
+        return
     if allow_inline and len(pieces) == 1 and len(pieces[0]) == 1:
         out.append(CompiledRule(head, (_wrap_foralls(body_vars, pieces[0][0]),)))
-        return [head_name]
-    body_name = head_name + "_body"
+        return
+    body_name, infos[body_name] = spell(body=True)
     inner = Lit(body_name, tuple(head_vars) + tuple(body_vars))
     out.append(CompiledRule(head, (_wrap_foralls(body_vars, inner),)))
     for piece in pieces:
         out.append(CompiledRule(inner, tuple(piece)))
-    return [head_name, body_name]
 
 
 def _clause_body_vars(head_vars, body):
-    head_ids = {v.id for v in head_vars}
-    seen = set(head_ids)
-    out = []
+    found, seen = [], {v.id for v in head_vars}
     for goal in body:
-        for v in goal_vars(goal):
-            if v.id not in seen:
-                seen.add(v.id)
-                out.append(v)
-    return out
+        goal_vars(goal, found, seen)
+    return found
 
 
-def dualize_predicate(name, arity, clauses, mangled):
+def dualize_predicate(name, arity, clauses, multi=False):
     """Dual rules for one predicate: an umbrella plus per-clause sub-duals.
 
-    clauses are normalized rules.  Returns (rules, generated names) with the
-    umbrella first; a predicate without clauses gets an umbrella fact.
+    clauses are normalized rules; multi says the name has several arities.
+    Returns (rules, {generated name: PredInfo}) with the umbrella rule
+    first; a predicate without clauses gets an umbrella fact.
     """
+    spelled = arity if multi else None
     out = []
-    names = []
+    infos = {}
     umbrella_vars = [fresh_var("_") for _ in range(arity)]
-    umbrella_head = Lit("not_" + mangled, tuple(umbrella_vars))
-    if not clauses:
-        out.append(CompiledRule(umbrella_head))
-        return out, ["not_" + mangled]
-    sub_names = [f"not_{mangled}__{i}" for i in range(1, len(clauses) + 1)]
-    umbrella_body = tuple(Lit(sub, tuple(umbrella_vars)) for sub in sub_names)
+    umbrella, infos[umbrella] = synth_name("umbrella", name, spelled)
+    umbrella_head = Lit(umbrella, tuple(umbrella_vars))
+    spells = [partial(synth_name, "dual", name, spelled, i) for i in range(1, len(clauses) + 1)]
+    umbrella_body = tuple(Lit(spell()[0], tuple(umbrella_vars)) for spell in spells)
     out.append(CompiledRule(umbrella_head, umbrella_body))
-    names.append("not_" + mangled)
-    for sub, rule in zip(sub_names, clauses):
-        head_vars = [a for a in rule.head.args]  # distinct vars after normalization
+    for spell, rule in zip(spells, clauses):
+        head_vars = list(rule.head.args)  # distinct vars after normalization
         body_vars = _clause_body_vars(head_vars, rule.body)
         pieces = _clause_pieces(rule.body)
-        names.extend(_emit_pieces(sub, head_vars, body_vars, pieces, out))
-    return out, names
+        _emit_pieces(spell, head_vars, body_vars, pieces, out, infos)
+    return out, infos
 
 
 def _dependency_graph(rules):
@@ -268,9 +292,12 @@ def _odd_loop(adj, neg_key, head_key) -> bool:
 
 
 def generate_nmr_checks(normalized, adj):
-    """chk_i rules for denials and odd-loop rules, plus the nmr_check rule."""
+    """chk_i rules for denials and odd-loop rules, plus the nmr_check rule.
+
+    Returns (rules, {generated name: PredInfo}).
+    """
     out = []
-    names = []
+    infos = {}
     chk_calls = []
     idx = 0
     for rule in normalized:
@@ -284,8 +311,8 @@ def generate_nmr_checks(normalized, adj):
         if not constrained:
             continue
         idx += 1
-        chk_name = f"chk_{idx}"
-        head_vars = [a for a in rule.head.args] if rule.head is not None else []
+        spell = partial(synth_name, "chk", index=idx)
+        head_vars = list(rule.head.args) if rule.head is not None else []
         body_vars = _clause_body_vars(head_vars, rule.body)
         pieces = _clause_pieces(rule.body)
         if rule.head is not None:
@@ -298,23 +325,12 @@ def generate_nmr_checks(normalized, adj):
             )
             if rederive:
                 pieces.append(_positive_prefix(rule.body) + [Lit(rule.head.pred, rule.head.args)])
-        names.extend(_emit_pieces(chk_name, head_vars, body_vars, pieces, out, allow_inline=True))
+        _emit_pieces(spell, head_vars, body_vars, pieces, out, infos, allow_inline=True)
         call_vars = [fresh_var("_") for _ in head_vars]
-        chk_calls.append(_wrap_foralls(call_vars, Lit(chk_name, tuple(call_vars))))
-    out.append(CompiledRule(Lit("nmr_check"), tuple(chk_calls)))
-    names.append("nmr_check")
-    return out, names
-
-
-def _mangler(pred_keys):
-    arities = {}
-    for name, ar in pred_keys:
-        arities.setdefault(name, set()).add(ar)
-
-    def mangled(name, ar):
-        return name if len(arities.get(name, {ar})) == 1 else f"{name}_{ar}"
-
-    return mangled
+        chk_calls.append(_wrap_foralls(call_vars, Lit(spell()[0], tuple(call_vars))))
+    nmr, infos[nmr] = synth_name("nmr")
+    out.append(CompiledRule(Lit(nmr), tuple(chk_calls)))
+    return out, infos
 
 
 def compile_program(program: Program) -> CompiledProgram:
@@ -348,9 +364,9 @@ def compile_program(program: Program) -> CompiledProgram:
             if isinstance(g, Lit):
                 note(g.key)
 
-    mangled = _mangler(pred_keys)
-    for name, ar in pred_keys:
-        cp.pred_info.setdefault(name, PredInfo("user", name, False, False))
+    arities = Counter(name for name, _ in pred_keys)
+    for name, _ in pred_keys:
+        cp.pred_info.setdefault(name, PredInfo("user", name, False))
 
     clauses_of = {}
     for nrule, hidden in normalized:
@@ -361,87 +377,40 @@ def compile_program(program: Program) -> CompiledProgram:
     # Dual rules.
     for key in pred_keys:
         name, ar = key
-        rules, gen_names = dualize_predicate(name, ar, clauses_of.get(key, []), mangled(name, ar))
+        rules, infos = dualize_predicate(name, ar, clauses_of.get(key, []), arities[name] > 1)
         cp.dual_rules.extend(rules)
-        for gname in gen_names:
-            kind = "umbrella" if gname == "not_" + mangled(name, ar) else "dual"
-            base = gname[len("not_"):]
-            if kind == "umbrella":
-                base = name
-            cp.pred_info.setdefault(gname, PredInfo(kind, base, True, True))
+        cp.pred_info.update(infos)
+        cp.neg_of[key] = rules[0].head.pred
 
     # Consistency checks.
     adj = _dependency_graph([r for r, _ in normalized])
-    nmr, nmr_names = generate_nmr_checks([r for r, _ in normalized], adj)
-    cp.nmr_rules.extend(nmr)
-    for gname in nmr_names:
-        if gname == "nmr_check":
-            cp.pred_info.setdefault(gname, PredInfo("nmr", gname, False, False))
-        else:
-            cp.pred_info.setdefault(gname, PredInfo("chk", gname, False, False))
+    cp.nmr_rules, infos = generate_nmr_checks([r for r, _ in normalized], adj)
+    cp.pred_info.update(infos)
 
     # Rewrite all bodies to positive calls and index the database.
-    def rewrite(goal):
-        return rewrite_goal(goal, mangled)
-
-    def add_rule(cr: CompiledRule):
-        body = tuple(rewrite(g) for g in cr.body)
-        cp.rules.setdefault(cr.head.key, []).append(
-            CompiledRule(cr.head, body, cr.hide_prefix)
-        )
-
-    for cr in cp.source_rules:
+    for cr in cp.source_rules + cp.dual_rules + cp.nmr_rules:
         if cr.head is not None:
-            add_rule(cr)
-    for cr in cp.dual_rules:
-        add_rule(cr)
-        cp.rules.setdefault(cr.head.key, [])
-    for cr in cp.nmr_rules:
-        add_rule(cr)
-
-    # Generated predicates referenced but never given clauses still need a
-    # database entry so calls to them fail rather than look undefined.
-    for key, rs in list(cp.rules.items()):
-        for cr in rs:
-            for g in cr.body:
-                for lit in _goal_lits(g):
-                    if lit.pred in cp.pred_info and cp.pred_info[lit.pred].kind != "user":
-                        cp.rules.setdefault(lit.key, [])
+            body = tuple(rewrite_goal(g, cp.neg_of) for g in cr.body)
+            cp.rules.setdefault(cr.head.key, []).append(
+                CompiledRule(cr.head, body, cr.hide_prefix)
+            )
     return cp
 
 
-def _goal_lits(goal):
+def rewrite_goal(goal, neg_of):
+    """Replace negated literals with calls to their duals (neg_of maps a
+    literal's (name, arity) to its dual); one with no dual stays negated."""
     if isinstance(goal, Lit):
-        yield goal
-    elif isinstance(goal, Forall):
-        yield from _goal_lits(goal.goal)
-
-
-def rewrite_goal(goal, mangled):
-    """Replace negated literals with calls to their dual predicates."""
-    if isinstance(goal, Lit):
-        if goal.neg:
-            return Lit("not_" + mangled(goal.pred, len(goal.args)), goal.args)
-        return goal
+        dual = neg_of.get(goal.key) if goal.neg else None
+        return goal if dual is None else Lit(dual, goal.args)
     if isinstance(goal, Forall):
-        return Forall(goal.var, rewrite_goal(goal.goal, mangled))
+        return Forall(goal.var, rewrite_goal(goal.goal, neg_of))
     return goal
 
 
 def rewrite_query(query: Query, cp: CompiledProgram) -> Query:
     """Rewrite a query's negated goals against a compiled program."""
-
-    def mg(name, ar):
-        # Prefer whichever dual name the compiled program actually defines.
-        plain = f"not_{name}"
-        if (plain, ar) in cp.rules:
-            return name
-        suffixed = f"not_{name}_{ar}"
-        if (suffixed, ar) in cp.rules:
-            return f"{name}_{ar}"
-        return name
-
-    return Query(tuple(rewrite_goal(g, mg) for g in query.goals), query.vars)
+    return Query(tuple(rewrite_goal(g, cp.neg_of) for g in query.goals), query.vars)
 
 
 # ---------------------------------------------------------------------------
@@ -449,59 +418,13 @@ def rewrite_query(query: Query, cp: CompiledProgram) -> Query:
 # #show directives verbatim, generated rules as comments.
 
 
-def _display_names(rules):
-    names = {}
-
-    def visit_term(t):
-        for v in term_vars(t):
-            if v.id not in names:
-                idx = len(names)
-                names[v.id] = chr(65 + idx) if idx < 26 else f"V{idx + 1}"
-
-    def visit_goal(g):
-        if isinstance(g, Lit):
-            for a in g.args:
-                visit_term(a)
-        elif isinstance(g, CmpLit):
-            visit_term(g.lhs)
-            visit_term(g.rhs)
-        else:
-            visit_term(g.var)
-            visit_goal(g.goal)
-
-    for cr in rules:
-        if cr.head is not None:
-            visit_goal(cr.head)
-        for g in cr.body:
-            visit_goal(g)
-    return names
-
-
-def display_goal(goal, pred_info, names=None):
-    """Render a goal using user-facing predicate names."""
-    if isinstance(goal, Lit):
-        info = pred_info.get(goal.pred)
-        shown = info.base if info is not None else goal.pred
-        neg = goal.neg or (info.negated if info is not None else False)
-        atom = shown
-        if goal.args:
-            atom += "(" + ",".join(format_term(a, names) for a in goal.args) + ")"
-        return f"not {atom}" if neg else atom
-    if isinstance(goal, CmpLit):
-        return format_term(goal.lhs, names, 1) + goal.op + format_term(goal.rhs, names, 1)
-    return (
-        f"forall({format_term(goal.var, names)},"
-        f"{display_goal(goal.goal, pred_info, names)})"
-    )
-
-
 def display_rule(cr: CompiledRule, pred_info) -> str:
-    names = _display_names([cr])
-    body = ", ".join(display_goal(g, pred_info, names) for g in cr.body)
-    if cr.head is None:
-        return f":- {body}."
-    head = display_goal(cr.head, pred_info, names)
-    return f"{head} :- {body}." if body else f"{head}."
+    """A rule with its variables lettered A, B, ... by first occurrence."""
+    found, seen = [], set()
+    for g in ((cr.head,) if cr.head is not None else ()) + cr.body:
+        goal_vars(g, found, seen)
+    names = {v.id: chr(65 + i) if i < 26 else f"V{i + 1}" for i, v in enumerate(found)}
+    return format_rule(cr, names, pred_info)
 
 
 def dump_compiled(cp: CompiledProgram) -> str:

@@ -8,6 +8,13 @@ reconstruct their justification.  Generators drive the search: every
 choice point is a Python generator that restores the trail between its
 alternatives, so backtracking is ordinary generator control flow.
 
+The log holds one (kind, goal) event per step -- an 'atom' call, a
+'constraint', a 'chs' or 'proved' shortcut, a 'forall' -- plus an 'exit'
+closing each atom and forall; an answer turns it into a tree of Nodes,
+each carrying one resolved goal.  A goal's polarity is read from its
+PredInfo (duals are negation markers) and a user predicate's complement
+from the compiled program's neg_of table, never from predicate names.
+
 Loops on the call path are classified before a goal is resolved:
 
 * a goal that unifies with a complementary (negated vs. positive) ancestor
@@ -61,9 +68,11 @@ from .terms import (
     Var,
     format_term,
     fresh_var,
+    goal_vars,
     rename_goal,
     rename_term,
     subst_goal,
+    term_vars,
 )
 
 __all__ = ["Engine", "Answer", "Node", "run_query"]
@@ -84,10 +93,10 @@ _LIN_OP = {
 
 @dataclass
 class Node:
-    """One step of a justification tree."""
+    """One step of a justification tree: a resolved goal and its subproof."""
 
     kind: str  # 'atom' | 'constraint' | 'chs' | 'proved' | 'forall'
-    payload: tuple = ()
+    goal: object = None  # Lit, CmpLit or Forall; None only at the root
     children: list = field(default_factory=list)
 
 
@@ -104,6 +113,21 @@ class Answer:
         """(pred, args) pairs of the model, nmr marker excluded."""
         return [(lit.pred, lit.args) for lit in self.model if lit.pred != "nmr_check"]
 
+    def variables(self):
+        """Unbound variables by first occurrence: justification (pre-order),
+        then model, then bindings -- the order answers name them in."""
+        found, seen = [], set()
+        stack = self.justification[::-1]
+        while stack:
+            node = stack.pop()
+            goal_vars(node.goal, found, seen)
+            stack.extend(reversed(node.children))
+        for lit in self.model:
+            goal_vars(lit, found, seen)
+        for _, t in self.bindings:
+            term_vars(t, found, seen)
+        return found
+
 
 _ONCE = (None,)
 
@@ -117,7 +141,7 @@ class _Frame:
         self.name = goal.pred
         self.args = goal.args
         self.key = goal.key
-        self.marker = info.marker if info is not None else goal.pred.startswith("not_")
+        self.marker = info.marker
 
 
 class Engine:
@@ -125,13 +149,9 @@ class Engine:
 
     def __init__(self, cp: CompiledProgram):
         self.cp = cp
-        # Name of the synthesized negation for each user predicate, so the
-        # proof registry can be searched for a goal's complement.
-        self.neg_of = {}
-        for name, arity in cp.rules:
-            info = cp.pred_info.get(name)
-            if info is not None and info.kind == "umbrella":
-                self.neg_of[(info.base, arity)] = name
+        # The dual of each user predicate, so the call path and the proof
+        # registry can be searched for a goal's complement.
+        self.neg_of = cp.neg_of
         self.reset()
 
     def reset(self):
@@ -517,7 +537,7 @@ class Engine:
         m = self.mark()
         try:
             if not quiet:
-                self.log(("constraint", c.op, c.lhs, c.rhs))
+                self.log(("constraint", c))
             l, r = c.lhs, c.rhs
             if c.op in ("=", "\\="):
                 if self._contains_arith(l) or self._contains_arith(r) or (
@@ -586,9 +606,8 @@ class Engine:
 
     def classify_loop(self, goal: Lit):
         """How a goal relates to the in-flight call path (and proof registry)."""
-        info = self.cp.pred_info.get(goal.pred)
-        kind = info.kind if info is not None else "user"
-        marker = info.marker if info is not None else goal.pred.startswith("not_")
+        info = self.cp.pred_info[goal.pred]
+        kind, marker = info.kind, info.marker
         n = len(goal.args)
         gkey = self._ground_args(goal.args)
         # Contradiction with an ancestor: the same user atom in the opposite
@@ -671,18 +690,20 @@ class Engine:
 
     def solve_call(self, goal: Lit):
         rules = self.cp.rules.get(goal.key)
-        if rules is None:
-            # A call to a predicate with no rules at all: its negation holds
-            # vacuously; the positive call simply fails.
-            if goal.pred.startswith("not_") and (goal.pred[4:], len(goal.args)) not in self.cp.rules:
+        if goal.neg:
+            # A negation rewrite_query found no dual for: the predicate is
+            # not in the program, so it holds vacuously.
+            if rules is None:
                 m = self.mark()
                 try:
-                    self.log(("call", goal))
+                    self.log(("atom", goal))
                     self.log(("exit",))
                     yield
                 finally:
                     self.undo_to(m)
             return
+        if rules is None:
+            return  # a call to a predicate with no rules fails
         act = self.classify_loop(goal)
         if act == "fail_odd" or act == "fail_positive":
             return
@@ -696,7 +717,7 @@ class Engine:
                 self.log(("proved", goal))
                 yield
                 return
-            fr = _Frame(goal, self.cp.pred_info.get(goal.pred))
+            fr = _Frame(goal, self.cp.pred_info[goal.pred])
             for rule in rules:
                 m = self.mark()
                 try:
@@ -709,7 +730,7 @@ class Engine:
                     # no frame.
                     for _ in self._unify_pairs(goal.args, head_args):
                         for _ in self.solve(body[:hide], 0, True) if hide else _ONCE:
-                            self.log(("call", goal))
+                            self.log(("atom", goal))
                             fr.gkey = self._ground_args(goal.args)
                             self._push(fr)
                             try:
@@ -771,9 +792,9 @@ class Engine:
         m0 = self.mark()
         kept = []
         try:
-            self.log(("forall", var, goal))
+            self.log(("forall", Forall(var, goal)))
             if self._forall_loop(var, goal, kept):
-                self.log(("forall_exit",))
+                self.log(("exit",))
                 yield
         finally:
             for gen in reversed(kept):
@@ -781,13 +802,12 @@ class Engine:
             self.undo_to(m0)
 
     def _forall_loop(self, var, goal, kept) -> bool:
-        pending = [store_mod.empty_store()]
+        pending = [store_mod.TOP]
         while pending:
             piece = pending.pop(0)
             nv = fresh_var("_")
             goal2 = subst_goal(goal, {var.id: nv})
             self.forall_trace.append((_goal_label(goal), piece))
-            self.log(("forall_iter", piece))
             if not self.apply(piece, nv):
                 continue  # the piece itself is unsatisfiable: nothing to cover
             gen = self.solve_goal(goal2)
@@ -797,7 +817,7 @@ class Engine:
                 return False
             kept.append(gen)
             ans = self.dump(nv)
-            if store_mod.equal(ans, piece):
+            if ans == piece:
                 continue
             pending = store_mod.add(store_mod.dual(ans), piece) + pending
         return True
@@ -828,69 +848,28 @@ class Engine:
         roots = self._build_tree()
         model = self._collect_model(roots)
         bindings = [(name, self.resolve(v)) for name, v in query.vars]
-        views = {}
-        for _, term in bindings:
-            self._collect_views(term, views)
-        for lit in model:
-            for a in lit.args:
-                self._collect_views(a, views)
-        for node in roots:
-            self._collect_node_views(node, views)
-        return Answer(number, elapsed, bindings, model, roots, views)
-
-    def _collect_views(self, t, views):
-        if isinstance(t, Var):
-            if t.id not in views:
-                views[t.id] = self.dump(t)
-        elif isinstance(t, Struct):
-            for a in t.args:
-                self._collect_views(a, views)
-
-    def _collect_node_views(self, node, views):
-        for piece in node.payload:
-            if isinstance(piece, (Var, Const, Struct)):
-                self._collect_views(piece, views)
-            elif isinstance(piece, Lit):
-                for a in piece.args:
-                    self._collect_views(a, views)
-        for child in node.children:
-            self._collect_node_views(child, views)
+        ans = Answer(number, elapsed, bindings, model, roots, {})
+        ans.views = {v.id: self.dump(v) for v in ans.variables()}
+        return ans
 
     def _build_tree(self):
+        """Justification nodes from the event log; 'atom' and 'forall'
+        events open a node that the matching 'exit' closes."""
         root = Node("root")
         stack = [root]
         for ev in self.events:
-            tag = ev[0]
-            if tag == "call":
-                lit = ev[1]
-                node = Node("atom", (Lit(lit.pred, tuple(self.resolve(a) for a in lit.args)),))
-                stack[-1].children.append(node)
-                stack.append(node)
-            elif tag == "exit":
+            if ev[0] == "exit":
                 stack.pop()
-            elif tag == "constraint":
-                op, l, r = ev[1], ev[2], ev[3]
-                stack[-1].children.append(
-                    Node("constraint", (op, self.resolve(l), self.resolve(r)))
-                )
-            elif tag == "chs" or tag == "proved":
-                lit = ev[1]
-                stack[-1].children.append(
-                    Node(tag, (Lit(lit.pred, tuple(self.resolve(a) for a in lit.args)),))
-                )
-            elif tag == "forall":
-                var, goal = ev[1], ev[2]
-                node = Node("forall", (var, self._resolve_goal(goal)))
-                stack[-1].children.append(node)
+                continue
+            node = Node(ev[0], self._resolve_goal(ev[1]))
+            stack[-1].children.append(node)
+            if ev[0] == "atom" or ev[0] == "forall":
                 stack.append(node)
-            elif tag == "forall_exit":
-                stack.pop()
-            # forall_iter markers carry no tree structure
         return root.children
 
     def _resolve_goal(self, goal):
         if isinstance(goal, Lit):
-            return Lit(goal.pred, tuple(self.resolve(a) for a in goal.args))
+            return Lit(goal.pred, tuple(self.resolve(a) for a in goal.args), goal.neg)
         if isinstance(goal, CmpLit):
             return CmpLit(goal.op, self.resolve(goal.lhs), self.resolve(goal.rhs))
         return Forall(goal.var, self._resolve_goal(goal.goal))
@@ -901,7 +880,7 @@ class Engine:
 
         def consider(lit):
             info = self.cp.pred_info.get(lit.pred)
-            if info is None or info.kind != "user":
+            if lit.neg or info is None or info.kind != "user":
                 return
             key = (lit.pred, lit.args)
             if key not in seen:
@@ -910,7 +889,7 @@ class Engine:
 
         def walk(node):
             if node.kind == "atom" or node.kind == "chs":
-                consider(node.payload[0])
+                consider(node.goal)
             for child in node.children:
                 walk(child)
 

@@ -288,11 +288,12 @@ class LinearStore:
         return True
 
     def project(self, vid: int):
-        """Constraints on a single variable, as ordered (op, value) pairs.
+        """Constraints on a single variable, as (op, value) pairs.
 
         An exactly-determined variable yields ``[('=', v)]``; otherwise the
-        tightest lower bound, tightest upper bound, and excluded points are
-        listed in that order.  Unconstrained variables yield [].
+        tightest lower bound, the tightest upper bound, and the excluded
+        points in ascending order; unconstrained variables yield [].
+        ``store.lin_canon`` turns the list into a canonical view.
         """
         cons = list(self.ineqs)
         sub = self.subst.get(vid)
@@ -302,34 +303,19 @@ class LinearStore:
             cons.append((form_neg(diff), False))
         lo, hi = _bounds(cons, vid)
         if lo and hi and lo[0] == hi[0]:
-            if lo[1] or hi[1]:
-                return []  # unsatisfiable point; callers check store validity first
-            return [("=", lo[0])]
+            return [("=", lo[0])]  # the store is satisfiable: both bounds are closed
         excluded = set()
         for form in self.neqs:
             if form_vars(form) == {vid}:
                 excluded.add(-form[0] / form_coef(form, vid))
             else:
                 excluded |= self._forced_zero_points(cons, vid, form)
-        # An excluded point sitting on a closed bound just strictens the bound.
-        if lo and not lo[1] and lo[0] in excluded:
-            excluded.discard(lo[0])
-            lo = (lo[0], True)
-        if hi and not hi[1] and hi[0] in excluded:
-            excluded.discard(hi[0])
-            hi = (hi[0], True)
         out = []
         if lo:
             out.append((">" if lo[1] else ">=", lo[0]))
         if hi:
             out.append(("<" if hi[1] else "<=", hi[0]))
-        for val in sorted(excluded):
-            if lo and (val < lo[0] or (val == lo[0] and lo[1])):
-                continue
-            if hi and (val > hi[0] or (val == hi[0] and hi[1])):
-                continue
-            out.append(("!=", val))
-        return out
+        return out + [("!=", val) for val in sorted(excluded)]
 
     def _forced_zero_points(self, cons, vid, form):
         """Values of vid at which the inequalities force ``form = 0``.

@@ -17,21 +17,11 @@ from __future__ import annotations
 import json
 
 from .engine import Answer, Node
-from .terms import CmpLit, Lit, Struct, Var, format_number, format_term
+from .terms import format_goal, format_number, format_term
 
 __all__ = ["Renderer", "render_answer", "render_answer_json"]
 
 _LIN_TEXT = {"<": ".<.", "<=": ".=<.", ">": ".>.", ">=": ".>=.", "!=": ".\\=."}
-
-
-def _display_pred(pred, pred_info):
-    """User-facing spelling of a predicate: duals show as 'not' goals."""
-    info = pred_info.get(pred) if pred_info else None
-    if info is not None and info.negated:
-        return "not ", pred[len("not_"):]
-    if info is None and pred.startswith("not_"):
-        return "not ", pred[len("not_"):]
-    return "", pred
 
 
 class _StoreNames:
@@ -54,50 +44,8 @@ class Renderer:
         self.answer = answer
         self.pred_info = pred_info or {}
         self.shows = shows or set()
-        self.names = {}
+        self.names = {v.id: _name_for(i) for i, v in enumerate(answer.variables())}
         self._store_names = _StoreNames(self)
-        for node in answer.justification:
-            self._walk_node(node)
-        for lit in answer.model:
-            for a in lit.args:
-                self._walk_term(a)
-        for _, t in answer.bindings:
-            self._walk_term(t)
-
-    # -- naming ------------------------------------------------------------
-
-    def _walk_term(self, t):
-        if isinstance(t, Var):
-            if t.id not in self.names:
-                self.names[t.id] = _name_for(len(self.names))
-        elif isinstance(t, Struct):
-            for a in t.args:
-                self._walk_term(a)
-
-    def _walk_goal(self, g):
-        if isinstance(g, Lit):
-            for a in g.args:
-                self._walk_term(a)
-        elif isinstance(g, CmpLit):
-            self._walk_term(g.lhs)
-            self._walk_term(g.rhs)
-        else:
-            self._walk_term(g.var)
-            self._walk_goal(g.goal)
-
-    def _walk_node(self, node: Node):
-        if node.kind == "forall":
-            var, goal = node.payload
-            self._walk_term(var)
-            self._walk_goal(goal)
-        elif node.kind == "constraint":
-            self._walk_term(node.payload[1])
-            self._walk_term(node.payload[2])
-        else:
-            for a in node.payload[0].args:
-                self._walk_term(a)
-        for child in node.children:
-            self._walk_node(child)
 
     # -- terms with inline stores -------------------------------------------
 
@@ -120,30 +68,13 @@ class Renderer:
     def term_str(self, t):
         return format_term(t, names=self._store_names)
 
-    def goal_str(self, g):
-        if isinstance(g, Lit):
-            prefix, shown = _display_pred(g.pred, self.pred_info)
-            if not g.args:
-                return prefix + shown
-            return "%s%s(%s)" % (prefix, shown, ",".join(self.term_str(a) for a in g.args))
-        if isinstance(g, CmpLit):
-            return "%s%s%s" % (self.term_str(g.lhs), g.op, self.term_str(g.rhs))
-        return "forall(%s,%s)" % (self.term_str(g.var), self.goal_str(g.goal))
-
     # -- sections -----------------------------------------------------------
 
     def _node_label(self, node: Node):
-        if node.kind == "atom":
-            return self.goal_str(node.payload[0])
-        if node.kind == "constraint":
-            op, l, r = node.payload
-            return "%s%s%s" % (self.term_str(l), op, self.term_str(r))
-        if node.kind == "chs":
-            return "chs(%s)" % self.goal_str(node.payload[0])
-        if node.kind == "proved":
-            return "proved(%s)" % self.goal_str(node.payload[0])
-        var, goal = node.payload
-        return "forall(%s,%s)" % (self.term_str(var), self.goal_str(goal))
+        label = format_goal(node.goal, self._store_names, self.pred_info)
+        if node.kind == "chs" or node.kind == "proved":
+            return "%s(%s)" % (node.kind, label)
+        return label
 
     def _node_lines(self, node: Node, depth, last, out):
         pad = "   " * depth
@@ -162,20 +93,14 @@ class Renderer:
             self._node_lines(node, 0, i == len(roots) - 1, out)
         return "\n".join(out)
 
-    def _shown_model(self):
+    def _model_labels(self):
         atoms = self.answer.model
         if self.shows:
-            return [
-                lit
-                for lit in atoms
-                if (_display_pred(lit.pred, self.pred_info)[1], len(lit.args))
-                in self.shows
-            ]
-        return atoms
+            atoms = [lit for lit in atoms if lit.key in self.shows]
+        return [format_goal(lit, self._store_names, self.pred_info) for lit in atoms]
 
     def model_text(self):
-        parts = [self.goal_str(lit) for lit in self._shown_model()]
-        return "[ %s ]" % ", ".join(parts)
+        return "[ %s ]" % ", ".join(self._model_labels())
 
     def bindings_text(self):
         items = [(n, t) for n, t in self.answer.bindings if not n.startswith("_")]
@@ -198,7 +123,7 @@ class Renderer:
             },
         }
         if with_model:
-            obj["model"] = [self.goal_str(lit) for lit in self._shown_model()]
+            obj["model"] = self._model_labels()
         if with_justification:
             obj["justification"] = [
                 self._json_node(n) for n in self.answer.justification

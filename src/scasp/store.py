@@ -11,9 +11,11 @@ tuples:
     ('lin', ((op, value), ...))    rational bounds/exclusions, canonically
                                    ordered lower, upper, then excluded points
 
-dual() negates a view into a covering list of disjoint views, add() conjoins
-a list of candidate views with a base view dropping inconsistent results, and
-equal() decides mutual entailment (canonical views make it structural).
+lin_canon() is the one canonical form of rational bounds: the engine passes
+a variable's raw projection through it, so two views entail each other
+exactly when they compare equal with ``==``.  dual() negates a view into a
+covering list of disjoint views, and add() conjoins a list of candidate
+views with a base view, dropping inconsistent results.
 """
 
 from __future__ import annotations
@@ -22,16 +24,11 @@ from fractions import Fraction
 
 from .errors import SolverError
 from .linear import complement
-from .terms import Const, format_term
+from .terms import Const, format_term, term_vars
 
-__all__ = ["TOP", "empty_store", "view_conj", "dual", "add", "equal", "lin_canon"]
+__all__ = ["TOP", "view_conj", "dual", "add", "lin_canon"]
 
-TOP = ("top",)
-
-
-def empty_store():
-    """The view that says nothing about the variable."""
-    return TOP
+TOP = ("top",)  # the view that says nothing about the variable
 
 
 def _is_num(t) -> bool:
@@ -143,7 +140,7 @@ def dual(view):
         t = view[1]
         if _is_num(t):
             return [("lin", (("!=", t.value),))]
-        if _is_ground(t):
+        if not term_vars(t):
             return [("neq", frozenset((t,)))]
         raise SolverError(
             "nonground_disequality",
@@ -173,18 +170,3 @@ def add(pieces, base):
         if merged is not None:
             out.append(merged)
     return out
-
-
-def equal(a, b) -> bool:
-    """Mutual entailment of two canonical views."""
-    return a == b
-
-
-def _is_ground(t) -> bool:
-    from .terms import Struct, Var
-
-    if isinstance(t, Var):
-        return False
-    if isinstance(t, Struct):
-        return all(_is_ground(a) for a in t.args)
-    return True

@@ -270,22 +270,25 @@ def format_term(t: Term, names=None, prec: int = 0, right: bool = False) -> str:
     return f"{t.functor}({inner})" if t.args else f"{t.functor}()"
 
 
-def format_goal(g: Goal, names=None) -> str:
+def format_goal(g: Goal, names=None, pred_info=None) -> str:
+    """Print a goal; with a compiled program's pred_info, a generated
+    negation prints as 'not <base>'."""
     if isinstance(g, Lit):
-        atom = g.pred
+        info = pred_info.get(g.pred) if pred_info else None
+        atom = g.pred if info is None else info.base
         if g.args:
             atom += "(" + ",".join(format_term(a, names) for a in g.args) + ")"
-        return f"not {atom}" if g.neg else atom
+        return f"not {atom}" if g.neg or (info is not None and info.marker) else atom
     if isinstance(g, CmpLit):
-        return format_term(g.lhs, names, 1) + g.op + format_term(g.rhs, names, 1)
-    return f"forall({format_term(g.var, names)},{format_goal(g.goal, names)})"
+        return format_term(g.lhs, names) + g.op + format_term(g.rhs, names)
+    return f"forall({format_term(g.var, names)},{format_goal(g.goal, names, pred_info)})"
 
 
-def format_rule(rule: Rule, names=None) -> str:
-    body = ", ".join(format_goal(g, names) for g in rule.body)
+def format_rule(rule: Rule, names=None, pred_info=None) -> str:
+    body = ", ".join(format_goal(g, names, pred_info) for g in rule.body)
     if rule.head is None:
         return f":- {body}."
-    head = format_goal(rule.head, names)
+    head = format_goal(rule.head, names, pred_info)
     if not rule.body:
         return f"{head}."
     return f"{head} :- {body}."

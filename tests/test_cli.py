@@ -179,3 +179,42 @@ def test_runs_are_deterministic(capsys):
     rc2, out2, _ = run(capsys, str(PROGRAMS / "stream.pl"))
     assert rc1 == rc2 == 0
     assert mask_time(out1) == mask_time(out2)
+
+
+def test_negated_query_goal_on_an_unknown_predicate_holds(tmp_path, capsys):
+    path = write(tmp_path, "p.pl", "p(a).")
+    rc, out, err = run(capsys, path, "-q", "?- not zz(a).")
+    assert rc == 0 and err == ""
+    assert mask_time(out) == (
+        "?- not zz(a).\n\n"
+        "Answer 1\t(in _ ms):\n\n"
+        "not zz(a),\n"
+        "nmr_check.\n\n"
+        "[ nmr_check ]\n\n"
+        "no\n"
+    )
+
+
+def test_dual_labels_of_a_multi_arity_predicate_match_the_dump(tmp_path, capsys):
+    path = write(
+        tmp_path, "p.pl",
+        "p(a). p(X,Y) :- q(X), not r(Y). q(a). r(b).\n"
+        "w(Y) :- not p(Y), not p(Y, c).\n",
+    )
+    rc, out, _ = run(capsys, path, "-q", "?- w(b).")
+    assert rc == 0
+    rc, dump, _ = run(capsys, path, "--dump-compiled")
+    assert rc == 0
+    labels = set(re.findall(r"not \w+\(", out))
+    assert {"not p(", "not q("} <= labels
+    for label in labels:
+        assert label in dump, label
+
+
+def test_internal_error_exits_2_with_one_line(tmp_path, capsys):
+    deep = "s(" * 60000 + "z" + ")" * 60000
+    path = write(tmp_path, "deep.pl", f"p({deep}).")
+    rc, out, err = run(capsys, path, "-q", "?- p(X).")
+    assert rc == 2
+    assert err.startswith("scasp: internal error: RecursionError: ")
+    assert err.count("\n") == 1

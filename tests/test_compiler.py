@@ -9,7 +9,7 @@ from scasp.errors import CompileError
 from scasp.parser import parse_program
 from scasp.terms import CmpLit, Const, Forall, Lit, Var
 
-from helpers import compiled
+from helpers import answers, compiled
 
 
 # -- name and structure canonicalization -----------------------------------------
@@ -147,9 +147,10 @@ def test_equality_constraint_negates_to_two_strict_pieces():
 def test_same_name_different_arities_get_distinct_negations():
     cp = compiled("p(a). p(a,b).")
     names = {name for name, _ in cp.rules}
-    assert "not_p_1" in names and "not_p_2" in names
-    assert cp.pred_info["not_p_1"].base == "p"
-    assert cp.pred_info["not_p_2"].base == "p"
+    assert "not_p__1" in names and "not_p__2" in names
+    assert cp.pred_info["not_p__1"].base == "p"
+    assert cp.pred_info["not_p__2"].base == "p"
+    assert cp.neg_of == {("p", 1): "not_p__1", ("p", 2): "not_p__2"}
 
 
 def test_marker_flags_on_synthesized_predicates():
@@ -257,6 +258,24 @@ def test_compilation_is_deterministic():
 
 
 def test_reserved_names_are_rejected():
-    for text in ["not_p(a).", "nmr_check :- p.", "chk_1.", "p :- forall(x)."]:
+    for text in [
+        "not_p(a).",
+        "nmr_check :- p.",
+        "chk_1.",
+        "p :- forall(x).",
+        # Every shape of a generated name: p's sub-dual is not_p__1 and
+        # chk_1's helper chk_1_body.
+        "p(a). p__1(b).",
+        "q :- p__2(a).",
+        "r(a). s(a). :- r(X), not s(X). chk_1_body(c).",
+        "chk_12x.",
+    ]:
         with pytest.raises(CompileError):
             compiled(text)
+
+
+def test_arity_spelling_keeps_duals_of_distinct_predicates_apart():
+    # p/1's dual (not_p__1) and p_1/1's dual (not_p_1) must stay apart.
+    assert answers("p(a). p(a,b). p_1(b).", "?- not p_1(b).") == []
+    assert len(answers("p(a). p(a,b). p_1(b).", "?- not p_1(c).")) == 1
+

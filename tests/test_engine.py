@@ -278,26 +278,37 @@ def _rendered(cp, query):
 
 
 def test_benchmark_tracing_hooks_the_engine():
-    # perfbench/tracing.py patches Engine methods by name and reads its
-    # attributes; renaming one must fail here, not only in a traced run.
+    # perfbench/tracing.py patches Engine methods and store/linear functions
+    # by name and reads engine attributes; renaming one must fail here, not
+    # only in a traced run.
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
     )
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    cp = compiled((ROOT / "tests" / "programs" / "hanoi.pl").read_text())
-    plain = _rendered(cp, "?- hanoi(5, T).")
-    tracer = tracing.Tracer()
-    undo = tracing.install(tracer)
-    try:
-        traced = _rendered(cp, "?- hanoi(5, T).")
-    finally:
-        undo()
-    assert traced == plain and len(plain) == 1
+
+    def traced_run(program, query):
+        cp = compiled((ROOT / "tests" / "programs" / program).read_text())
+        plain = _rendered(cp, query)
+        tracer = tracing.Tracer()
+        undo = tracing.install(tracer)
+        try:
+            traced = _rendered(cp, query)
+        finally:
+            undo()
+        assert traced == plain and plain
+        return tracer
+
+    tracer = traced_run("hanoi.pl", "?- hanoi(5, T).")
     counts = tracer.counts
     assert counts["engine.loop.continue"] > 0
     assert counts["engine.loop.succeed_coinductive"] > 0
     assert tracer.self_s["classify_loop"] > 0
+    # The stream query reaches the layers hanoi(5) does not: forall, the
+    # projection of rational stores, and the view algebra.
+    tracer = traced_run("stream.pl", "?- valid_stream(Pr, Data).")
+    for span in ("forall", "linear.project", "store.lin_canon", "store.dual"):
+        assert tracer.calls[span] >= 1, span
 
 
 # -- queries and answers ---------------------------------------------------------

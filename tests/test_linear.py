@@ -13,6 +13,7 @@ from scasp.linear import (
     form_sub,
     form_var,
 )
+from scasp.store import lin_canon
 
 from helpers import sat_entry
 
@@ -88,7 +89,7 @@ def test_entailed_disequalities_are_dropped():
 
 def test_projection_strictens_excluded_endpoint():
     s = store_of((">=", v(X), c(2)), ("!=", v(X), c(2)))
-    assert s.project(X) == [(">", Fraction(2))]
+    assert lin_canon(s.project(X)) == ("lin", ((">", Fraction(2)),))
 
 
 def test_projection_eliminates_middle_variables():

@@ -135,6 +135,7 @@ def test_round_trip_through_formatter():
         "travel(A, D, [A | P]) :- D .=. D1 + 1, leg(A, B), travel(B, D1, P).",
         "p([a, b | T]) :- member(a, [a, b | T]).",
         "q(X) :- X \\= g(a, b).",
+        ":- p(X), X .>. -3.",
     ]
     for text in texts:
         first = parse_program(text).rules[0]

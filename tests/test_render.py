@@ -92,8 +92,8 @@ def test_every_model_atom_appears_in_the_justification():
     )
     r = Renderer(ans, cp.pred_info, cp.shows)
     tree = r.justification_text()
-    for lit in ans.model:
-        assert r.goal_str(lit) in tree
+    for label in r.json_object()["model"]:
+        assert label in tree
 
 
 def test_json_record_round_trips():
