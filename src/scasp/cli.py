@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .compiler import compile_program, dump_compiled
+from .compiler import check_query, compile_program, dump_compiled
 from .engine import Engine
 from .errors import CompileError, SolverError
 from .oracle import atom_key, ground, stable_models
@@ -127,8 +127,12 @@ def _main(argv) -> int:
     if args.query:
         try:
             query = parse_query(args.query)
+            check_query(query)
         except ParseError as e:
             print(str(e), file=sys.stderr)
+            return 2
+        except CompileError as e:
+            print(f"<query>:{e.line}:{e.col}: {e.message}", file=sys.stderr)
             return 2
     else:
         query = cp.query

@@ -21,7 +21,9 @@ Three passes:
    rules), all called from `nmr_check`, which is appended to every query.
 
 After compilation every body literal is a positive call: a negated user
-literal calls its dual, found in `CompiledProgram.neg_of`.  `synth_name`
+literal calls its dual, found in `CompiledProgram.neg_of`.  The rules are
+indexed by predicate and, for user predicates, by the first argument of
+each source head (`CompiledProgram.first_arg`).  `synth_name`
 spells every generated name and returns its `PredInfo`, which is how the
 rest of the system tells a dual from a user predicate and prints it as
 `not <base>`; the reserved-name check rejects every user name that one of
@@ -38,12 +40,15 @@ from typing import Optional
 
 from .errors import CompileError
 from .terms import (
+    ARITH_OPS,
     CmpLit,
+    Const,
     Forall,
     Lit,
     Program,
     Query,
     Rule,
+    Struct,
     Var,
     format_rule,
     fresh_var,
@@ -58,6 +63,8 @@ __all__ = [
     "dualize_predicate",
     "generate_nmr_checks",
     "rewrite_goal",
+    "check_query",
+    "first_arg_key",
     "dump_compiled",
     "RESERVED_NOTE",
 ]
@@ -101,6 +108,12 @@ class CompiledProgram:
     nmr_rules: list = field(default_factory=list)
     pred_info: dict = field(default_factory=dict)
     neg_of: dict = field(default_factory=dict)  # (name, arity) -> dual's name
+    # First-argument index of the user predicates that have a clause whose
+    # head's first argument has a first_arg_key: (name, arity) ->
+    # ({key: that key's clauses and the wildcard clauses}, wildcard
+    # clauses), each a tuple of rules from `rules` in source order.  A call
+    # whose first argument has a key needs only the clauses listed under it.
+    first_arg: dict = field(default_factory=dict)
     shows: set = field(default_factory=set)
     query: Optional[Query] = None
 
@@ -140,19 +153,28 @@ def _is_reserved(name: str) -> bool:
     )
 
 
+def _check_goals(goals, line, col):
+    """Reject goals (forall bodies included) that name a generated predicate."""
+    for g in goals:
+        while isinstance(g, Forall):
+            g = g.goal
+        if isinstance(g, Lit) and _is_reserved(g.pred):
+            raise CompileError(
+                f"predicate name {g.pred!r} is reserved ({RESERVED_NOTE})", line, col
+            )
+
+
 def _check_reserved(program: Program):
     for rule in program.rules:
-        lits = []
-        if rule.head is not None:
-            lits.append(rule.head)
-        lits.extend(g for g in rule.body if isinstance(g, Lit))
-        for lit in lits:
-            if _is_reserved(lit.pred):
-                raise CompileError(
-                    f"predicate name {lit.pred!r} is reserved ({RESERVED_NOTE})",
-                    rule.line,
-                    rule.col,
-                )
+        heads = () if rule.head is None else (rule.head,)
+        _check_goals(heads + rule.body, rule.line, rule.col)
+    if program.query is not None:
+        check_query(program.query)
+
+
+def check_query(query: Query):
+    """Reject a query that calls a generated predicate (a dual, a check)."""
+    _check_goals(query.goals, query.line, query.col)
 
 
 def normalize_rule(rule: Rule):
@@ -394,7 +416,46 @@ def compile_program(program: Program) -> CompiledProgram:
             cp.rules.setdefault(cr.head.key, []).append(
                 CompiledRule(cr.head, body, cr.hide_prefix)
             )
+    # Generated heads have only variable arguments, and no generated name is
+    # a user name, so a user predicate's rules are its source clauses in
+    # order and only they can carry a first-argument key.
+    keys_of = {}
+    for rule in program.rules:
+        if rule.head is not None:
+            first = rule.head.args[0] if rule.head.args else None
+            keys_of.setdefault(rule.head.key, []).append(first_arg_key(first))
+    for pred, keys in keys_of.items():
+        if any(k is not None for k in keys):
+            cp.first_arg[pred] = _first_arg_entry(cp.rules[pred], keys)
     return cp
+
+
+def first_arg_key(t):
+    """Clause-selection key of a head's (or a dereferenced goal's) first
+    argument: a constant is its own key, a non-arithmetic structure keys on
+    (functor, arity); None -- a variable, an arithmetic term -- matches any."""
+    if isinstance(t, Const):
+        return t
+    if isinstance(t, Struct) and not (t.functor in ARITH_OPS and len(t.args) == 2):
+        return t.key
+    return None
+
+
+def _first_arg_entry(clauses, keys):
+    """(key -> its clauses plus the wildcards, wildcards), in clause order."""
+    by_key = {}
+    wild = []
+    for cr, k in zip(clauses, keys):
+        if k is None:
+            wild.append(cr)
+            for selected in by_key.values():
+                selected.append(cr)
+        else:
+            selected = by_key.get(k)
+            if selected is None:
+                selected = by_key[k] = list(wild)
+            selected.append(cr)
+    return {k: tuple(v) for k, v in by_key.items()}, tuple(wild)
 
 
 def rewrite_goal(goal, neg_of):
@@ -409,7 +470,9 @@ def rewrite_goal(goal, neg_of):
 
 
 def rewrite_query(query: Query, cp: CompiledProgram) -> Query:
-    """Rewrite a query's negated goals against a compiled program."""
+    """Rewrite a query's negated goals against a compiled program; a query
+    naming a generated predicate raises the reserved-name CompileError."""
+    check_query(query)
     return Query(tuple(rewrite_goal(g, cp.neg_of) for g in query.goals), query.vars)
 
 

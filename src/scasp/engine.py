@@ -37,6 +37,13 @@ the running count of negation markers up to itself, so the number between
 an ancestor and the goal costs one subtraction.  The registry counts ground
 keys and keeps its non-ground entries in open lists checked the same way.
 
+A call resolves only the clauses the compiled program's first-argument
+index lists for its dereferenced first argument: a constant or a
+non-arithmetic structure selects the clauses whose source head has the
+same constant or functor and arity there, plus those with a variable or
+arithmetic there, in source order.  Every other clause would fail in its
+hidden head unification anyway, so answers and their order are unchanged.
+
 Universal quantification (forall) evaluates its goal against a worklist of
 single-variable constraint views: each iteration commits to the first
 answer for a fresh copy of the quantified variable, and either the answer
@@ -54,7 +61,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import store as store_mod
-from .compiler import CompiledProgram, rewrite_query
+from .compiler import CompiledProgram, first_arg_key, rewrite_query
 from .errors import SolverError
 from .linear import LinearStore, form_add, form_const, form_scale, form_sub, form_var
 from .terms import (
@@ -717,6 +724,21 @@ class Engine:
                 self.log(("proved", goal))
                 yield
                 return
+            index = self.cp.first_arg.get(goal.key)
+            if index is not None:
+                key = first_arg_key(self.deref(goal.args[0]))
+                if key is not None:
+                    # A skipped clause's head has a first argument with
+                    # another key, so its first hidden `=` fails quietly,
+                    # before any event, frame or lasting trail entry:
+                    # - differing functors or symbols fail in unify;
+                    # - two numbers meet in a linear `=`, unsatisfiable
+                    #   exactly when their Fraction values differ;
+                    # - arithmetic below a top functor sends `=` to the
+                    #   linear store, where _to_form returns None (it never
+                    #   raises on a non-arithmetic top), so it fails too.
+                    by_key, wildcards = index
+                    rules = by_key.get(key, wildcards)
             fr = _Frame(goal, self.cp.pred_info[goal.pred])
             for rule in rules:
                 m = self.mark()

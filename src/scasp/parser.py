@@ -342,7 +342,7 @@ class _Parser:
                     self.error("query must contain at least one goal")
                 goals = self.parse_body()
                 self.expect(".", "'.'")
-                program.query = Query(tuple(goals), self._query_vars())
+                program.query = Query(tuple(goals), self._query_vars(), tok.line, tok.col)
                 continue
             if tok.kind == "ARROW":
                 self.next()
@@ -366,7 +366,8 @@ class _Parser:
 
     def parse_query(self):
         self.new_clause_scope()
-        if self.peek().kind == "QUERY":
+        tok = self.peek()
+        if tok.kind == "QUERY":
             self.next()
         if self.peek().kind in (".", "EOF"):
             self.error("query must contain at least one goal")
@@ -374,7 +375,7 @@ class _Parser:
         if self.peek().kind == ".":
             self.next()
         self.expect("EOF", "end of query")
-        return Query(tuple(goals), self._query_vars())
+        return Query(tuple(goals), self._query_vars(), tok.line, tok.col)
 
 
 def parse_program(text: str, filename: str = "<program>") -> Program:

@@ -123,6 +123,8 @@ class Query:
 
     goals: tuple
     vars: tuple = ()
+    line: int = field(default=0, compare=False)  # source position, for errors
+    col: int = field(default=0, compare=False)
 
 
 @dataclass

@@ -218,3 +218,19 @@ def test_internal_error_exits_2_with_one_line(tmp_path, capsys):
     assert rc == 2
     assert err.startswith("scasp: internal error: RecursionError: ")
     assert err.count("\n") == 1
+
+
+def test_queries_may_not_call_generated_predicates(tmp_path, capsys):
+    path = write(tmp_path, "p.pl", "p(a).")
+    for query in ("?- not_p(b).", "?- nmr_check.", "?- p(a), chk_1.",
+                  "?- not not_p(a).", "?- p__1(a)."):
+        rc, out, err = run(capsys, path, "-q", query)
+        assert rc == 2 and out == "", query
+        assert err.startswith("<query>:1:1: predicate name") and "reserved" in err, query
+    rc, out, err = run(capsys, path, "-q", "?- not q(X).")
+    assert rc == 0 and err == ""
+    assert "not q(A)" in out
+    embedded = write(tmp_path, "q.pl", "p(a).\n?- not_p(b).")
+    rc, out, err = run(capsys, embedded)
+    assert rc == 2 and out == ""
+    assert err.startswith(f"{embedded}:2:1: predicate name") and "reserved" in err

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from scasp.engine import Engine
 from scasp.errors import CompileError
-from scasp.parser import parse_program
-from scasp.terms import CmpLit, Const, Forall, Lit, Var
+from scasp.parser import parse_program, parse_query
+from scasp.terms import CmpLit, Const, Forall, Lit, Query, Var, fresh_var
 
 from helpers import answers, compiled
 
@@ -272,6 +273,19 @@ def test_reserved_names_are_rejected():
     ]:
         with pytest.raises(CompileError):
             compiled(text)
+
+
+def test_reserved_names_are_rejected_in_queries():
+    cp = compiled("p(a).")
+    x = fresh_var("X")
+    for query in [
+        parse_query("?- p(a), not_p(b)."),
+        Query((Forall(x, Lit("nmr_check", (x,))),)),
+    ]:
+        with pytest.raises(CompileError):
+            list(Engine(cp).run_query(query))
+    with pytest.raises(CompileError):
+        compiled("p(a). ?- forall(X, not_p(X)).")
 
 
 def test_arity_spelling_keeps_duals_of_distinct_predicates_apart():

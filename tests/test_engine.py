@@ -1,17 +1,20 @@
 """Engine behavior: unification, disequality, loops, and consistency checks."""
 
 import importlib.util
+import json
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from scasp.compiler import compile_program
 from scasp.engine import Engine
 from scasp.errors import SolverError
 from scasp.parser import parse_query
-from scasp.render import render_answer
-from scasp.terms import Const, Struct, Var, fresh_var
+from scasp.render import render_answer, render_answer_json
+from scasp.terms import Const, Lit, Program, Query, Rule, Struct, Var, fresh_var, rename_term
 
 from helpers import answers, binding, compiled, engine_for, num
 
@@ -309,6 +312,144 @@ def test_benchmark_tracing_hooks_the_engine():
     tracer = traced_run("stream.pl", "?- valid_stream(Pr, Data).")
     for span in ("forall", "linear.project", "store.lin_canon", "store.dual"):
         assert tracer.calls[span] >= 1, span
+
+
+# -- first-argument clause selection ------------------------------------------------
+
+
+def _selected(cp, query):
+    """Answers of query, with the rendered text checked against a run that
+    tries every clause (the first-argument index emptied)."""
+    def run():
+        got = list(Engine(cp).run_query(query))
+        texts = [
+            re.sub(r"in [0-9.]+ ms", "", render_answer(a, cp.pred_info, cp.shows))
+            for a in got
+        ]
+        return got, texts
+
+    got, texts = run()
+    index = dict(cp.first_arg)
+    cp.first_arg.clear()
+    try:
+        assert run()[1] == texts
+    finally:
+        cp.first_arg.update(index)
+    return got
+
+
+def _bindings(cp, query, name):
+    return [binding(a, name) for a in _selected(cp, parse_query(query))]
+
+
+def test_mixed_heads_keep_source_order():
+    cp = compiled("p(a,1). p(X,2). p(b,3). p(a,4).")
+    rules = cp.rules[("p", 2)]
+    assert cp.first_arg[("p", 2)] == (
+        {Const("a"): (rules[0], rules[1], rules[3]), Const("b"): (rules[1], rules[2])},
+        (rules[1],),
+    )
+    assert _bindings(cp, "?- p(a,N).", "N") == [num(1), num(2), num(4)]
+    assert _bindings(cp, "?- p(c,N).", "N") == [num(2)]
+    got = _selected(cp, parse_query("?- p(Y,N)."))
+    assert [binding(a, "N") for a in got] == [num(1), num(2), num(3), num(4)]
+    assert binding(got[2], "Y") == Const("b")
+    assert isinstance(binding(got[1], "Y"), Var)
+
+
+def test_rational_literal_hits_a_numeric_key():
+    cp = compiled("q(3). q(a).")
+    assert len(cp.first_arg[("q", 1)][0][num(3)]) == 1
+    assert len(_selected(cp, parse_query("?- q(6/2)."))) == 1
+    assert _selected(cp, parse_query("?- q(7/2).")) == []
+
+
+def test_first_argument_determined_by_the_linear_store():
+    cp = compiled("r(0). r(N) :- N .>. 0.")
+    assert _bindings(cp, "?- X .=. 2-2, r(X).", "X") == [num(0)]
+    assert _bindings(cp, "?- X .=. 1, r(X).", "X") == [num(1)]
+    # Constrained but unbound: no key, every clause is tried.
+    (ans,) = _selected(cp, parse_query("?- X .>. 0, r(X)."))
+    x = binding(ans, "X")
+    assert ans.views[x.id] == ("lin", ((">", Fraction(0)),))
+
+
+def test_structure_keys_and_constant_keys_stay_apart():
+    cp = compiled("s(f(a)). s(a). s(f(b,c)). s(g(a)). s(f(d)).")
+    assert _bindings(cp, "?- s(f(X)).", "X") == [Const("a"), Const("d")]
+    assert len(_selected(cp, parse_query("?- s(a)."))) == 1
+    assert len(_selected(cp, parse_query("?- s(f(X,Y))."))) == 1
+    assert len(_selected(cp, parse_query("?- s(X)."))) == 5
+    assert _selected(cp, parse_query("?- s(h(a)).")) == []
+
+
+def test_arithmetic_structures_are_wildcards():
+    # Heads and goals built through the API may hold arithmetic, which the
+    # parser never puts in a plain term: q(1+2) matches any first argument
+    # that equals 3, and q(f(1+2)) is keyed on f/1 but never unifies.
+    three = Struct("+", (num(1), num(2)))
+    program = Program(rules=[
+        Rule(Lit("q", (three,))),
+        Rule(Lit("q", (Const("a"),))),
+        Rule(Lit("q", (Struct("f", (three,)),))),
+        Rule(Lit("q", (num(3),))),
+    ])
+    cp = compile_program(program)
+    by_key, wild = cp.first_arg[("q", 1)]
+    assert wild == (cp.rules[("q", 1)][0],)
+    assert set(by_key) == {Const("a"), ("f", 1), num(3)}
+
+    def count(arg):
+        return len(_selected(cp, Query((Lit("q", (arg,)),))))
+
+    assert count(num(3)) == 2
+    assert count(Const("a")) == 1
+    assert count(three) == 2
+    assert count(Struct("f", (num(3),))) == 0
+    assert count(Struct("f", (three,))) == 0
+
+
+def test_a_point_query_tries_a_handful_of_clauses(monkeypatch):
+    # Each clause tried renames its head arguments once; without the index
+    # all 1,000 facts would be renamed and unified.
+    cp = compiled("".join(f"f(c{i}). " for i in range(1000)))
+    calls = []
+
+    def counting(t, mapping):
+        calls.append(1)
+        return rename_term(t, mapping)
+
+    monkeypatch.setattr("scasp.engine.rename_term", counting)
+    assert len(list(Engine(cp).run_query(parse_query("?- f(c500).")))) == 1
+    assert len(calls) <= 5
+
+
+def _perfbench(name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    # Dataclasses look their module up while the module executes.
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_wide_queries_pass_their_checks(monkeypatch):
+    # The wide workload's point queries, checked against the references the
+    # benchmark computes from its generated facts.
+    workloads = _perfbench("workloads", monkeypatch)
+    checks = _perfbench("checks", monkeypatch)
+    wl = workloads.wide(41)
+    assert len(wl.queries) == 50
+    cp = compiled(wl.programs["family"])
+    engine = Engine(cp)
+    for q in wl.queries:
+        got = [
+            json.loads(render_answer_json(a, cp.pred_info, cp.shows))
+            for a in engine.run_query(parse_query(q.text), q.bound)
+        ]
+        assert checks.check(q.expect, got) is None, q.key
 
 
 # -- queries and answers ---------------------------------------------------------
