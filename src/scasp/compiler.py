@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter, deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
@@ -110,9 +111,10 @@ class CompiledProgram:
     neg_of: dict = field(default_factory=dict)  # (name, arity) -> dual's name
     # First-argument index of the user predicates that have a clause whose
     # head's first argument has a first_arg_key: (name, arity) ->
-    # ({key: that key's clauses and the wildcard clauses}, wildcard
-    # clauses), each a tuple of rules from `rules` in source order.  A call
-    # whose first argument has a key needs only the clauses listed under it.
+    # (ClauseRuns {key: that key's clauses and the wildcard clauses},
+    # wildcard clauses), tuples of rules from `rules` in source order.  A
+    # call whose first argument has a key needs only the clauses listed
+    # under it.
     first_arg: dict = field(default_factory=dict)
     shows: set = field(default_factory=set)
     query: Optional[Query] = None
@@ -441,21 +443,69 @@ def first_arg_key(t):
     return None
 
 
+class ClauseRuns(Mapping):
+    """First-argument key -> the clauses a call with that key must try.
+
+    As a WAM's switch instructions do, the clause list is cut into maximal
+    runs of keyed clauses and of wildcard clauses, and each clause is stored
+    once: a key's clauses are, run by run in source order, its own clauses
+    in a keyed run and the whole of a wildcard run.  A key that no clause
+    has is not in the mapping (its clauses are the wildcards alone).
+    """
+
+    __slots__ = ("runs",)
+
+    def __init__(self, runs):
+        self.runs = runs  # tuple of {key: clauses} and (wildcard clauses)
+
+    def get(self, key, default=None):
+        # Not Mapping.get: a KeyError raised deep in the solver's generators
+        # costs time in proportion to their depth.
+        runs = self.runs
+        if len(runs) == 1:
+            return runs[0].get(key, default)  # keyed clauses only: one dict hit
+        out, hit = [], False
+        for run in runs:
+            if isinstance(run, dict):
+                own = run.get(key)
+                if own is not None:
+                    out.extend(own)
+                    hit = True
+            else:
+                out.extend(run)
+        return tuple(out) if hit else default
+
+    def __getitem__(self, key):
+        got = self.get(key)
+        if got is None:
+            raise KeyError(key)
+        return got
+
+    def __iter__(self):
+        return iter(dict.fromkeys(k for run in self.runs if isinstance(run, dict) for k in run))
+
+    def __len__(self):
+        return sum(1 for _ in self)
+
+
 def _first_arg_entry(clauses, keys):
-    """(key -> its clauses plus the wildcards, wildcards), in clause order."""
-    by_key = {}
-    wild = []
+    """(ClauseRuns of the clauses, the wildcard clauses), in clause order."""
+    runs = []
     for cr, k in zip(clauses, keys):
         if k is None:
-            wild.append(cr)
-            for selected in by_key.values():
-                selected.append(cr)
+            if not runs or isinstance(runs[-1], dict):
+                runs.append([])
+            runs[-1].append(cr)
         else:
-            selected = by_key.get(k)
-            if selected is None:
-                selected = by_key[k] = list(wild)
-            selected.append(cr)
-    return {k: tuple(v) for k, v in by_key.items()}, tuple(wild)
+            if not runs or not isinstance(runs[-1], dict):
+                runs.append({})
+            runs[-1].setdefault(k, []).append(cr)
+    runs = tuple(
+        {k: tuple(v) for k, v in run.items()} if isinstance(run, dict) else tuple(run)
+        for run in runs
+    )
+    wild = tuple(cr for run in runs if not isinstance(run, dict) for cr in run)
+    return ClauseRuns(runs), wild
 
 
 def rewrite_goal(goal, neg_of):

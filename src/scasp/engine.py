@@ -29,13 +29,22 @@ These checks read indexes kept in step with the call path and the registry
 instead of scanning them.  A call's ground key is its resolved argument
 tuple, or None while an unbound variable remains; a ground term never
 changes, so a key taken when a frame is pushed or an atom is registered
-stays valid while that entry lives.  Frames are indexed per (name, arity),
-by (name, ground key) for the topmost frame with that key, and, when they
-were not ground at push, in a per-predicate open list that is still checked
-term by term (its terms may have been bound since).  Each frame records
-the running count of negation markers up to itself, so the number between
-an ancestor and the goal costs one subtraction.  The registry counts ground
-keys and keeps its non-ground entries in open lists checked the same way.
+stays valid while that entry lives.  Each call builds its key once, in
+classify_loop, and its frame and registry entry reuse it; only a key that
+was None is taken again, since head unification may have made the call
+ground.  Frames are indexed per (name, arity), by (name, ground key) for
+the topmost frame with that key, and, when they were not ground at push,
+in a per-predicate open list that is still checked term by term (its terms
+may have been bound since).  Each frame records the running count of
+negation markers up to itself, so the number between an ancestor and the
+goal costs one subtraction.  The registry counts ground keys and keeps its
+non-ground entries in open lists checked the same way.
+
+Ground terms are shared, not copied: resolving a term (for a ground key,
+a binding or an answer snapshot) returns every part with nothing bound
+beneath it as it is, and a structure keeps its hash and whether it is
+ground once computed, so keys, bindings and snapshots neither walk nor
+copy a deep ground argument.
 
 A call resolves only the clauses the compiled program's first-argument
 index lists for its dereferenced first argument: a constant or a
@@ -57,8 +66,10 @@ from __future__ import annotations
 
 import sys
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
 from . import store as store_mod
 from .compiler import CompiledProgram, first_arg_key, rewrite_query
@@ -137,6 +148,7 @@ class Answer:
 
 
 _ONCE = (None,)
+_MK = attrgetter("mk")
 
 
 class _Frame:
@@ -174,6 +186,7 @@ class Engine:
         self._open = {}  # (name, arity) -> [frame not ground at push, ...]
         self._by_key = {}  # (name, ground key) -> topmost frame
         self.trail = []
+        self.call_gkey = None  # ground key of the goal classify_loop saw last
         self.forall_trace = []  # diagnostic: (goal pred, view) per iteration
 
     # -- trail ---------------------------------------------------------------
@@ -222,34 +235,45 @@ class Engine:
         return t
 
     def resolve(self, t):
-        """Deep copy of a term with every bound variable replaced."""
-        t = self.deref(t)
-        if isinstance(t, Struct):
-            return Struct(t.functor, tuple(self.resolve(a) for a in t.args))
-        return t
+        """A term with every bound variable replaced by its value."""
+        return self._resolved((t,), False)[0]
+
+    def _resolved(self, args, ground):
+        """A tuple of terms with every bound variable replaced by its value,
+        or None when ground is set and an unbound variable remains.  A
+        tuple or structure with nothing bound beneath it comes back as it
+        is, so ground terms are shared, not copied."""
+        out = None
+        for i, a in enumerate(args):
+            t = self.deref(a)
+            if isinstance(t, Var):
+                if ground:
+                    return None
+            elif isinstance(t, Struct) and not t.ground:
+                sub = self._resolved(t.args, ground)
+                if sub is None:
+                    return None
+                if sub is not t.args:
+                    t = Struct(t.functor, sub)
+            if out is None:
+                if t is a:
+                    continue
+                out = list(args[:i])
+            out.append(t)
+        return args if out is None else tuple(out)
 
     def _occurs(self, vid, t):
         t = self.deref(t)
         if isinstance(t, Var):
             return t.id == vid
-        if isinstance(t, Struct):
+        if isinstance(t, Struct) and not t.ground:
             return any(self._occurs(vid, a) for a in t.args)
         return False
 
     def _ground_args(self, args):
-        """Resolved copy of a tuple of terms; None if any is not ground."""
-        out = []
-        for a in args:
-            a = self.deref(a)
-            if isinstance(a, Var):
-                return None
-            if isinstance(a, Struct):
-                sub = self._ground_args(a.args)
-                if sub is None:
-                    return None
-                a = Struct(a.functor, sub)
-            out.append(a)
-        return tuple(out)
+        """Resolved tuple of terms (args itself when nothing in it is
+        bound); None if any is not ground."""
+        return self._resolved(args, True)
 
     def _bind_raw(self, vid, t):
         self.cells[vid] = t
@@ -452,9 +476,9 @@ class Engine:
     def _contains_arith(self, t):
         t = self.deref(t)
         if isinstance(t, Struct):
-            if t.functor in ARITH_OPS and len(t.args) == 2:
+            if t.arith:
                 return True
-            return any(self._contains_arith(a) for a in t.args)
+            return not t.ground and any(self._contains_arith(a) for a in t.args)
         return False
 
     def _numericish(self, t):
@@ -529,6 +553,8 @@ class Engine:
         new_store, determined = res
         if new_store is not self.lin:
             self._set_lin(new_store)
+        # Each variable is reported once, by the call that fixes it, and is
+        # bound here at once; one aliased to another is already bound.
         for vid, val in determined:
             if vid not in self.cells:
                 c = Const(val)
@@ -612,11 +638,13 @@ class Engine:
         return any(self._variant_args(args, p) for p in self._proved_open.get(key, ()))
 
     def classify_loop(self, goal: Lit):
-        """How a goal relates to the in-flight call path (and proof registry)."""
+        """How a goal relates to the in-flight call path (and proof registry).
+
+        Leaves the call's ground key in call_gkey for solve_call."""
         info = self.cp.pred_info[goal.pred]
         kind, marker = info.kind, info.marker
         n = len(goal.args)
-        gkey = self._ground_args(goal.args)
+        gkey = self.call_gkey = self._ground_args(goal.args)
         # Contradiction with an ancestor: the same user atom in the opposite
         # polarity that could be the very instance being evaluated.
         comp = None
@@ -646,10 +674,13 @@ class Engine:
                     break
                 if self._variant_args(goal.args, fr.args):
                     return "fail_positive"
+        # The frames with k >= 2, the only ones that can close an even
+        # loop, are a bottom part of the stack: found by binary search.
         k0 = marker + total
-        for fr in reversed(self._by_pred.get(goal.key, ())):
-            k = k0 - fr.mk
-            if k >= 2 and k % 2 == 0 and self._unifiable_args(goal.args, fr.args):
+        stack = self._by_pred.get(goal.key, ())
+        for i in range(bisect_right(stack, k0 - 2, key=_MK) - 1, -1, -1):
+            fr = stack[i]
+            if (k0 - fr.mk) % 2 == 0 and self._unifiable_args(goal.args, fr.args):
                 return "succeed_coinductive"
         if self._proved_variant(goal.key, goal.args, gkey):
             return "succeed_proved"
@@ -714,6 +745,7 @@ class Engine:
         act = self.classify_loop(goal)
         if act == "fail_odd" or act == "fail_positive":
             return
+        gkey = self.call_gkey
         m0 = self.mark()
         try:
             if act == "succeed_coinductive":
@@ -753,13 +785,15 @@ class Engine:
                     for _ in self._unify_pairs(goal.args, head_args):
                         for _ in self.solve(body[:hide], 0, True) if hide else _ONCE:
                             self.log(("atom", goal))
-                            fr.gkey = self._ground_args(goal.args)
+                            # A ground key never changes: only a call that
+                            # was not ground may have become ground since.
+                            fr.gkey = self._ground_args(goal.args) if gkey is None else gkey
                             self._push(fr)
                             try:
                                 for _ in self.solve(body, hide):
                                     self._pop()
                                     self.log(("exit",))
-                                    self._register_proved(goal)
+                                    self._register_proved(goal, fr.gkey)
                                     try:
                                         yield
                                     finally:
@@ -771,8 +805,9 @@ class Engine:
         finally:
             self.undo_to(m0)
 
-    def _register_proved(self, goal: Lit):
-        gkey = self._ground_args(goal.args)
+    def _register_proved(self, goal: Lit, gkey):
+        if gkey is None:
+            gkey = self._ground_args(goal.args)
         pk = None if gkey is None else (goal.pred, gkey)
         self.proved.setdefault(goal.key, []).append(goal.args)
         if pk is None:
@@ -891,7 +926,8 @@ class Engine:
 
     def _resolve_goal(self, goal):
         if isinstance(goal, Lit):
-            return Lit(goal.pred, tuple(self.resolve(a) for a in goal.args), goal.neg)
+            args = self._resolved(goal.args, False)
+            return goal if args is goal.args else Lit(goal.pred, args, goal.neg)
         if isinstance(goal, CmpLit):
             return CmpLit(goal.op, self.resolve(goal.lhs), self.resolve(goal.rhs))
         return Forall(goal.var, self._resolve_goal(goal.goal))

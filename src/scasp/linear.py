@@ -1,10 +1,19 @@
 """Conjunctions of linear constraints over exact rationals.
 
-A store keeps a triangular substitution for solved equalities, normalized
-weak/strict inequalities, and held disequalities.  Satisfiability, variable
-bounds, and projection all run through Fourier-Motzkin elimination, which is
-exact over the rationals, so every constraint the solver reports has been
-decided rather than approximated.
+A store keeps a substitution for solved equalities, normalized weak/strict
+inequalities, and held disequalities.  Satisfiability, variable bounds, and
+projection all run through Fourier-Motzkin elimination, which is exact over
+the rationals, so every constraint the solver reports has been decided
+rather than approximated.
+
+A variable whose value the store has fixed leaves the substitution for a
+separate ``fixed`` map (vid -> Fraction), as a CLP system hands a solved
+variable back to the engine: later assertions substitute it in once, where
+it appears, and otherwise touch only the live rows, so a long derivation
+that fixes one value per step does not slow each step down.  The store
+still answers for a fixed variable (``value_of``, ``project``, ``entails``,
+``vars``).  ``assert_constraint`` reports as determined only the variables
+that the call itself fixed; the engine binds each one when it is reported.
 
 Linear forms are plain tuples ``(constant, ((vid, coeff), ...))`` with the
 variable ids sorted; an inequality entry ``(form, strict)`` means
@@ -77,10 +86,14 @@ def form_is_const(a: tuple) -> bool:
     return not a[1]
 
 
-def form_apply(a: tuple, subst: dict) -> tuple:
-    """Replace every substituted variable in a form by its solved value."""
-    out = (a[0], tuple((v, c) for v, c in a[1] if v not in subst))
+def form_apply(a: tuple, subst: dict, fixed: dict) -> tuple:
+    """Replace every solved (subst) or fixed variable in a form by its value."""
+    out = (a[0], tuple((v, c) for v, c in a[1] if v not in subst and v not in fixed))
     for vid, coef in a[1]:
+        val = fixed.get(vid)
+        if val is not None:
+            out = (out[0] + coef * val, out[1])
+            continue
         repl = subst.get(vid)
         if repl is not None:
             out = form_add(out, form_scale(repl, coef))
@@ -196,12 +209,17 @@ def _tighten(cons):
 
 
 class LinearStore:
-    """Immutable conjunction of linear constraints."""
+    """Immutable conjunction of linear constraints.
 
-    __slots__ = ("subst", "ineqs", "neqs", "_vars")
+    subst maps a solved variable to a form over live variables only; no
+    form in the store mentions a solved or a fixed variable.
+    """
 
-    def __init__(self, subst=None, ineqs=(), neqs=()):
+    __slots__ = ("subst", "fixed", "ineqs", "neqs", "_vars")
+
+    def __init__(self, subst=None, ineqs=(), neqs=(), fixed=None):
         self.subst = subst or {}
+        self.fixed = fixed or {}
         self.ineqs = tuple(ineqs)
         self.neqs = tuple(neqs)
         self._vars = None
@@ -211,10 +229,12 @@ class LinearStore:
         return _EMPTY
 
     def vars(self) -> set:
-        """Ids of the variables the store mentions, computed once per store;
-        the set is shared, so callers must not mutate it."""
+        """Ids of the variables the store mentions, fixed ones included,
+        computed once per store; the set is shared, so callers must not
+        mutate it."""
         if self._vars is None:
-            out = set(self.subst)
+            out = set(self.fixed)
+            out.update(self.subst)
             for form in self.subst.values():
                 out |= form_vars(form)
             for form, _ in self.ineqs:
@@ -225,27 +245,29 @@ class LinearStore:
         return self._vars
 
     def is_empty(self) -> bool:
-        return not (self.subst or self.ineqs or self.neqs)
+        return not (self.fixed or self.subst or self.ineqs or self.neqs)
 
     # -- assertion ----------------------------------------------------------
 
     def assert_constraint(self, op: str, lhs: tuple, rhs: tuple):
         """Conjoin ``lhs op rhs``; returns (store, determined) or None.
 
-        determined lists (vid, value) pairs for every variable the new store
-        fixes to a single rational, including ones fixed before this call.
+        determined lists (vid, value) pairs for the variables this call
+        fixed to a single rational, in the order it fixed them; variables
+        fixed by earlier calls are not repeated.
         """
-        diff = form_apply(form_sub(lhs, rhs), self.subst)
+        diff = form_apply(form_sub(lhs, rhs), self.subst, self.fixed)
         subst = dict(self.subst)
         ineqs = list(self.ineqs)
         neqs = list(self.neqs)
+        newly = {}
         if op == "=":
             if form_is_const(diff):
-                return (self, self._determined()) if diff[0] == 0 else None
-            _solve_eq(subst, diff)
+                return (self, []) if diff[0] == 0 else None
+            _solve_eq(subst, newly, diff)
         elif op == "!=":
             if form_is_const(diff):
-                return (self, self._determined()) if diff[0] != 0 else None
+                return (self, []) if diff[0] != 0 else None
             neqs.append(diff)
         else:
             if op == "<":
@@ -261,24 +283,19 @@ class LinearStore:
             form, strict = entry
             if form_is_const(form):
                 if form[0] < 0 or (form[0] == 0 and not strict):
-                    return (self, self._determined())
+                    return (self, [])
                 return None
             ineqs.append(entry)
-        store = _normalize(subst, ineqs, neqs)
-        if store is None:
+        got = _normalize(subst, newly, ineqs, neqs)
+        if got is None:
             return None
-        return store, store._determined()
-
-    def _determined(self):
-        return [(vid, form[0]) for vid, form in self.subst.items() if form_is_const(form)]
+        fixed = {**self.fixed, **newly} if newly else self.fixed
+        return LinearStore(subst, got[0], got[1], fixed), list(newly.items())
 
     # -- queries --------------------------------------------------------------
 
     def value_of(self, vid: int) -> Optional[Fraction]:
-        form = self.subst.get(vid)
-        if form is not None and form_is_const(form):
-            return form[0]
-        return None
+        return self.fixed.get(vid)
 
     def entails(self, op: str, lhs: tuple, rhs: tuple) -> bool:
         """True when every solution of the store satisfies ``lhs op rhs``."""
@@ -295,10 +312,13 @@ class LinearStore:
         points in ascending order; unconstrained variables yield [].
         ``store.lin_canon`` turns the list into a canonical view.
         """
+        val = self.fixed.get(vid)
+        if val is not None:
+            return [("=", val)]
         cons = list(self.ineqs)
         sub = self.subst.get(vid)
         if sub is not None:
-            diff = form_sub(form_var(vid), form_apply(sub, self.subst))
+            diff = form_sub(form_var(vid), sub)
             cons.append((diff, False))
             cons.append((form_neg(diff), False))
         lo, hi = _bounds(cons, vid)
@@ -354,14 +374,23 @@ class LinearStore:
         return forced
 
 
-def _solve_eq(subst, diff):
-    """Extend the substitution with diff = 0 solved for its smallest variable."""
+def _solve_eq(subst, newly, diff):
+    """Extend the substitution with diff = 0 solved for its smallest
+    variable; a variable whose form becomes constant moves to newly."""
     vid, coef = diff[1][0]
     rest = (diff[0], diff[1][1:])
     repl = form_scale(rest, _F1 / -coef)
-    for k in list(subst):
-        subst[k] = form_subst_one(subst[k], vid, repl)
-    subst[vid] = repl
+    for k, form in list(subst.items()):
+        form = form_subst_one(form, vid, repl)
+        if form_is_const(form):
+            del subst[k]
+            newly[k] = form[0]
+        else:
+            subst[k] = form
+    if form_is_const(repl):
+        newly[vid] = repl[0]
+    else:
+        subst[vid] = repl
 
 
 def form_subst_one(form, vid, repl):
@@ -372,30 +401,35 @@ def form_subst_one(form, vid, repl):
     return form_add(base, form_scale(repl, coef))
 
 
-def _normalize(subst, ineqs, neqs):
-    """Re-establish store invariants; None when the conjunction is empty."""
+def _normalize(subst, newly, ineqs, neqs):
+    """Re-establish store invariants after subst and newly were extended;
+    (ineqs, neqs) of the new store, or None when the conjunction is empty.
+
+    The incoming forms mention no variable that was solved or fixed before
+    this call, so only subst and newly need substituting into them.
+    """
     while True:
-        cons = [(form_apply(f, subst), s) for f, s in ineqs]
+        cons = [(form_apply(f, subst, newly), s) for f, s in ineqs]
         cons = _ground_split(cons)
         if cons is None:
             return None
         cons = _tighten(cons)
         if not _fm_sat(cons):
             return None
-        fixed = None
+        pinched = None
         for vid in sorted({v for form, _ in cons for v in form_vars(form)}):
             lo, hi = _bounds(cons, vid)
             if lo and hi and lo[0] == hi[0] and not lo[1] and not hi[1]:
-                fixed = (vid, lo[0])
+                pinched = (vid, lo[0])
                 break
-        if fixed is None:
+        if pinched is None:
             ineqs = cons
             break
-        _solve_eq(subst, form_sub(form_var(fixed[0]), form_const(fixed[1])))
+        _solve_eq(subst, newly, form_sub(form_var(pinched[0]), form_const(pinched[1])))
         ineqs = cons
     out_neqs = []
     for form in neqs:
-        form = form_apply(form, subst)
+        form = form_apply(form, subst, newly)
         if form_is_const(form):
             if form[0] == 0:
                 return None
@@ -417,7 +451,7 @@ def _normalize(subst, ineqs, neqs):
         if form not in seen:
             seen.add(form)
             uniq.append(form)
-    return LinearStore(subst, tuple(ineqs), tuple(uniq))
+    return ineqs, uniq
 
 
 _EMPTY = LinearStore()

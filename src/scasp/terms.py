@@ -55,6 +55,51 @@ class Struct:
     functor: str
     args: tuple
 
+    # The hash and the two flags are computed on first use and kept, so
+    # that walks skip a ground subterm in one step.  None of them raises or
+    # abandons a generator (any() over one would): Python charges both in
+    # proportion to the depth of the solver's generators.
+
+    def __hash__(self):
+        # A deep ground term is hashed on every index lookup it is a key of.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.functor, self.args))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    @property
+    def ground(self) -> bool:
+        """True when no variable occurs in the term."""
+        g = self.__dict__.get("_ground")
+        if g is None:
+            g = True
+            for a in self.args:
+                if isinstance(a, Var) or (isinstance(a, Struct) and not a.ground):
+                    g = False
+                    break
+            object.__setattr__(self, "_ground", g)
+        return g
+
+    @property
+    def arith(self) -> bool:
+        """True when an arithmetic structure (+ - * / of two arguments)
+        occurs in the term, not looking through variables."""
+        found = self.__dict__.get("_arith")
+        if found is None:
+            found = self.functor in ARITH_OPS and len(self.args) == 2
+            for a in self.args:
+                if found:
+                    break
+                found = isinstance(a, Struct) and a.arith
+            object.__setattr__(self, "_arith", found)
+        return found
+
+    def __getstate__(self):
+        # String hashes differ between processes, so the cached hash is not
+        # pickled (nor the flags, which are cheap to recompute).
+        return {"functor": self.functor, "args": self.args}
+
     @property
     def key(self):
         return (self.functor, len(self.args))
@@ -159,7 +204,7 @@ def term_vars(t: Term, acc=None, seen=None):
         if t.id not in seen:
             seen.add(t.id)
             acc.append(t)
-    elif isinstance(t, Struct):
+    elif isinstance(t, Struct) and not t.ground:
         for a in t.args:
             term_vars(a, acc, seen)
     return acc
@@ -189,7 +234,7 @@ def rename_term(t: Term, mapping: dict) -> Term:
             v = fresh_var(t.name)
             mapping[t.id] = v
         return v
-    if isinstance(t, Struct):
+    if isinstance(t, Struct) and not t.ground:
         return Struct(t.functor, tuple(rename_term(a, mapping) for a in t.args))
     return t
 

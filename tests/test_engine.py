@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import pickle
 import re
 import sys
 from fractions import Fraction
@@ -12,6 +13,7 @@ import pytest
 from scasp.compiler import compile_program
 from scasp.engine import Engine
 from scasp.errors import SolverError
+from scasp.linear import LinearStore
 from scasp.parser import parse_query
 from scasp.render import render_answer, render_answer_json
 from scasp.terms import Const, Lit, Program, Query, Rule, Struct, Var, fresh_var, rename_term
@@ -273,6 +275,64 @@ def test_loop_check_compares_terms_only_for_open_entries(monkeypatch, text, quer
     assert len(calls) <= limit
 
 
+def test_countdown_keeps_no_fixed_value_in_the_substitution(monkeypatch):
+    # Each step fixes M; a fixed value leaves the store's substitution, so
+    # later asserts do not copy and rewrite one row per earlier step.
+    rows = []
+    orig = LinearStore.assert_constraint
+
+    def recording(self, op, lhs, rhs):
+        res = orig(self, op, lhs, rhs)
+        if res is not None:
+            rows.append(len(res[0].subst))
+        return res
+
+    monkeypatch.setattr(LinearStore, "assert_constraint", recording)
+    assert len(answers(CNT, "?- cnt(300).")) == 1
+    assert len(rows) >= 300
+    assert max(rows) <= 5
+
+
+def test_deep_ground_argument_is_shared_not_copied(monkeypatch):
+    # nat(s^200(z)) renames one s(X) per call; ground keys, frames, the
+    # registry and the answer snapshot share the query's term, and the
+    # occurs check and the arithmetic test step over it without a walk.
+    cp = compiled("nat(z). nat(s(X)) :- nat(X).")
+    query = parse_query("?- nat(" + "s(" * 200 + "z" + ")" * 200 + ").")
+    built, walked = [], []
+    init = Struct.__init__
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    def counting(method):
+        def step(self, *args):
+            walked.append(1)
+            return method(self, *args)
+        return step
+
+    monkeypatch.setattr(Struct, "__init__", counting_init)
+    for name in ("_occurs", "_contains_arith"):
+        monkeypatch.setattr(Engine, name, counting(getattr(Engine, name)))
+    (ans,) = Engine(cp).run_query(query)
+    assert len(ans.model) == 202
+    assert len(built) <= 1000
+    assert len(walked) <= 2000
+
+
+def test_structures_keep_their_hash_and_flags_out_of_pickles():
+    x = fresh_var("X")
+    three = Struct("+", (num(1), num(2)))
+    t = f(Const("a"), f(three))
+    assert (t.ground, t.arith) == (True, True)
+    assert (f(x).ground, f(x).arith, f(x, three).arith) == (False, False, True)
+    assert hash(t) == hash(f(Const("a"), f(three)))
+    copy = pickle.loads(pickle.dumps(t))
+    assert copy == t and "_hash" not in copy.__dict__
+    assert hash(copy) == hash(t)
+
+
 def _rendered(cp, query):
     return [
         re.sub(r"in [0-9.]+ ms", "", render_answer(a, cp.pred_info, cp.shows))
@@ -409,6 +469,25 @@ def test_arithmetic_structures_are_wildcards():
     assert count(Struct("f", (three,))) == 0
 
 
+def test_interleaved_wildcards_are_stored_once():
+    # Keyed facts then wildcard rules: a key's clauses are its fact and
+    # every rule, but each clause is held once, not once per key.
+    text = "".join(f"p(c{i}). " for i in range(2000))
+    text += "".join(f"p(X) :- q{i}(X). " for i in range(2000)) + "q7(c7)."
+    cp = compiled(text)
+    rules = cp.rules[("p", 1)]
+    by_key, wild = cp.first_arg[("p", 1)]
+    held = len(wild)
+    for run in by_key.runs:
+        held += sum(map(len, run.values())) if isinstance(run, dict) else len(run)
+    assert held <= 3 * len(rules)
+    assert by_key[Const("c7")] == (rules[7], *rules[2000:])
+    assert wild == tuple(rules[2000:])
+    assert len(_selected(cp, parse_query("?- p(c7)."))) == 2
+    assert len(_selected(cp, parse_query("?- p(c1999)."))) == 1
+    assert _selected(cp, parse_query("?- p(d).")) == []
+
+
 def test_a_point_query_tries_a_handful_of_clauses(monkeypatch):
     # Each clause tried renames its head arguments once; without the index
     # all 1,000 facts would be renamed and unified.
@@ -448,6 +527,22 @@ def test_benchmark_wide_queries_pass_their_checks(monkeypatch):
         got = [
             json.loads(render_answer_json(a, cp.pred_info, cp.shows))
             for a in engine.run_query(parse_query(q.text), q.bound)
+        ]
+        assert checks.check(q.expect, got) is None, q.key
+
+
+def test_benchmark_deep_queries_pass_their_checks(monkeypatch):
+    # The deep workload's long derivations (hanoi, countdowns, deep ground
+    # terms, chains), checked against the benchmark's references.
+    workloads = _perfbench("workloads", monkeypatch)
+    checks = _perfbench("checks", monkeypatch)
+    wl = workloads.deep(41, ROOT)
+    programs = {key: compiled(text) for key, text in wl.programs.items()}
+    for q in wl.queries:
+        cp = programs[q.program]
+        got = [
+            json.loads(render_answer_json(a, cp.pred_info, cp.shows))
+            for a in Engine(cp).run_query(parse_query(q.text), q.bound)
         ]
         assert checks.check(q.expect, got) is None, q.key
 

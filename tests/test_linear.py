@@ -169,3 +169,37 @@ def test_projection_is_exact(cons):
             admitted = s.assert_constraint("=", form_var(vid), form_const(val))
             fits = all(sat_entry(op, val, bound) for op, bound in entries)
             assert fits == (admitted is not None), (entries, val)
+
+
+def test_a_fixed_value_is_reported_once_and_still_answered():
+    s, det = LinearStore.empty().assert_constraint("=", v(X), c(3))
+    assert det == [(X, Fraction(3))]
+    s, det = s.assert_constraint("=", form_add(v(X), v(Y)), c(5))
+    assert det == [(Y, Fraction(2))]
+    assert s.subst == {}
+    assert (s.value_of(X), s.value_of(Y)) == (Fraction(3), Fraction(2))
+    assert s.project(X) == [("=", Fraction(3))]
+    assert s.project(Y) == [("=", Fraction(2))]
+    assert {X, Y} <= s.vars()
+    assert s.entails("=", form_add(v(X), v(Y)), c(5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(constraint, min_size=1, max_size=6))
+def test_determined_reports_each_fixed_variable_once(cons):
+    """The values reported across a run of asserts are exactly the store's
+    fixed values, each reported by one assert."""
+    s = LinearStore.empty()
+    reported = []
+    for op, parts, const in cons:
+        lhs = form_const(0)
+        for vid, coef in parts:
+            lhs = form_add(lhs, form_scale(form_var(vid), Fraction(coef)))
+        got = s.assert_constraint(op, lhs, form_const(Fraction(const)))
+        if got is None:
+            break
+        s, det = got
+        reported += det
+    values = {vid: s.value_of(vid) for vid in (X, Y, Z) if s.value_of(vid) is not None}
+    assert dict(reported) == values
+    assert len(reported) == len(values)
