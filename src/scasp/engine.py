@@ -8,6 +8,17 @@ reconstruct their justification.  Generators drive the search: every
 choice point is a Python generator that restores the trail between its
 alternatives, so backtracking is ordinary generator control flow.
 
+Unification is a plain function: unify binds or reports a clash, leaving
+its bindings on the trail for the caller to undo.  The one way it can
+branch is binding a variable with excluded terms to a non-ground term,
+which owes a disequality per excluded term; the binding is made at once
+and the owed pairs are left in Engine.owed, for the constraint `=` and the
+loop check to pay as choice points.  A compiled head is distinct fresh
+variables, so a clause is tried without unifying its head: the renaming of
+its body maps the head's variables to the call's arguments, and any
+constants or repeated variables of the source head are matched by the
+hidden `=` goals leading the body.
+
 The log holds one (kind, goal) event per step -- an 'atom' call, a
 'constraint', a 'chs' or 'proved' shortcut, a 'forall' -- plus an 'exit'
 closing each atom and forall; an answer turns it into a tree of Nodes,
@@ -31,14 +42,14 @@ tuple, or None while an unbound variable remains; a ground term never
 changes, so a key taken when a frame is pushed or an atom is registered
 stays valid while that entry lives.  Each call builds its key once, in
 classify_loop, and its frame and registry entry reuse it; only a key that
-was None is taken again, since head unification may have made the call
-ground.  Frames are indexed per (name, arity), by (name, ground key) for
-the topmost frame with that key, and, when they were not ground at push,
-in a per-predicate open list that is still checked term by term (its terms
-may have been bound since).  Each frame records the running count of
-negation markers up to itself, so the number between an ancestor and the
-goal costs one subtraction.  The registry counts ground keys and keeps its
-non-ground entries in open lists checked the same way.
+was None is taken again, since the hidden head unifications may have made
+the call ground.  Frames are indexed per (name, arity), by (name, ground
+key) for the topmost frame with that key, and, when they were not ground
+at push, in a per-predicate open list that is still checked term by term
+(its terms may have been bound since).  Each frame records the running
+count of negation markers up to itself, so the number between an ancestor
+and the goal costs one subtraction.  The registry counts ground keys and
+keeps its non-ground entries in open lists checked the same way.
 
 Ground terms are shared, not copied: resolving a term (for a ground key,
 a binding or an answer snapshot) returns every part with nothing bound
@@ -88,7 +99,6 @@ from .terms import (
     fresh_var,
     goal_vars,
     rename_goal,
-    rename_term,
     subst_goal,
     term_vars,
 )
@@ -187,6 +197,7 @@ class Engine:
         self._by_key = {}  # (name, ground key) -> topmost frame
         self.trail = []
         self.call_gkey = None  # ground key of the goal classify_loop saw last
+        self.owed = []  # (term, excluded term) disequalities binds left unpaid
         self.forall_trace = []  # diagnostic: (goal pred, view) per iteration
 
     # -- trail ---------------------------------------------------------------
@@ -267,7 +278,9 @@ class Engine:
         if isinstance(t, Var):
             return t.id == vid
         if isinstance(t, Struct) and not t.ground:
-            return any(self._occurs(vid, a) for a in t.args)
+            for a in t.args:
+                if self._occurs(vid, a):
+                    return True
         return False
 
     def _ground_args(self, args):
@@ -292,129 +305,92 @@ class Engine:
 
     # -- unification -------------------------------------------------------------
 
-    def unify(self, a, b):
-        """Solutions of a = b; may branch when excluded-term checks split."""
+    def unify(self, a, b) -> bool:
+        """Bind a = b; False on a clash.  Bindings stay on the trail for the
+        caller to undo.  Disequalities a binding owes are left in owed."""
         a = self.deref(a)
         b = self.deref(b)
         if isinstance(a, Var):
             if isinstance(b, Var) and a.id == b.id:
-                yield
-                return
-            yield from self._bind(a, b)
-            return
+                return True
+            return self._bind(a, b)
         if isinstance(b, Var):
-            yield from self._bind(b, a)
-            return
+            return self._bind(b, a)
         if isinstance(a, Const) and isinstance(b, Const):
-            if a == b:
-                yield
-            return
+            return a == b
         if isinstance(a, Struct) and isinstance(b, Struct) and a.key == b.key:
-            yield from self._unify_pairs(a.args, b.args)
+            for x, y in zip(a.args, b.args):
+                if not self.unify(x, y):
+                    return False
+            return True
+        return False
 
-    def _unify_pairs(self, xs, ys):
-        def seq(i):
-            if i == len(xs):
-                yield
-                return
-            for _ in self.unify(xs[i], ys[i]):
-                yield from seq(i + 1)
+    def _take_owed(self):
+        owed = self.owed
+        if owed:
+            self.owed = []
+        return owed
 
-        yield from seq(0)
+    def _pay(self, owed, i=0):
+        """Solutions of the owed disequalities owed[i:], in order."""
+        if i == len(owed):
+            yield
+            return
+        for _ in self.assert_neq_term(*owed[i]):
+            yield from self._pay(owed, i + 1)
 
-    def _bind(self, var, t):
+    def _bind(self, var, t) -> bool:
         """Bind an unbound variable, re-checking its accumulated constraints."""
         if self._occurs(var.id, t):
-            return
+            return False
         if var.id in self.lin.vars():
-            yield from self._bind_linear(var, t)
-            return
+            return self._bind_linear(var, t)
         if isinstance(t, Var):
-            yield from self._bind_vars(var, t)
-            return
+            return self._bind_vars(var, t)
         fb = self.forbid.get(var.id)
-        if not fb:
-            self._bind_raw(var.id, t)
-            yield
-            return
-        g = self._ground_args((t,))
-        if g is not None:
-            if g[0] in fb:
-                return
-            self._bind_raw(var.id, t)
-            yield
-            return
-        # Binding to a non-ground term: every excluded term must be re-asserted
-        # against it, which can branch.
-        m = self.mark()
-        try:
-            self._bind_raw(var.id, t)
-            items = sorted(fb, key=format_term)
+        if fb:
+            g = self._ground_args((t,))
+            if g is None:
+                # A non-ground value owes every excluded term a disequality,
+                # which can branch: the caller pays them after unifying.
+                self.owed.extend((t, x) for x in sorted(fb, key=format_term))
+            elif g[0] in fb:
+                return False
+        self._bind_raw(var.id, t)
+        return True
 
-            def chain(i):
-                if i == len(items):
-                    yield
-                    return
-                for _ in self.assert_neq_term(t, items[i]):
-                    yield from chain(i + 1)
-
-            yield from chain(0)
-        finally:
-            self.undo_to(m)
-
-    def _bind_vars(self, a, b):
+    def _bind_vars(self, a, b) -> bool:
         """Alias two unbound variables, merging a's exclusions onto b."""
         if b.id in self.lin.vars():
-            yield from self._bind_linear(a, b)
-            return
+            return self._bind_linear(a, b)
         fa = self.forbid.get(a.id)
-        m = self.mark()
-        try:
-            if fa:
-                fb = self.forbid.get(b.id, frozenset())
-                self._set_forbid(b.id, fb | fa)
-            self._bind_raw(a.id, b)
-            yield
-        finally:
-            self.undo_to(m)
+        if fa:
+            self._set_forbid(b.id, self.forbid.get(b.id, frozenset()) | fa)
+        self._bind_raw(a.id, b)
+        return True
 
-    def _bind_linear(self, var, t):
+    def _bind_linear(self, var, t) -> bool:
         """Bind a variable the rational store knows about."""
         t = self.deref(t)
         if isinstance(t, Const):
-            if not t.is_number:
-                return  # a rational-constrained variable cannot be a symbol
-            if self._assert_linear("=", var, t):
-                yield
-            return
-        if isinstance(t, Var):
-            # Keep whichever variable the store constrains as the root.
-            root, other = (var, t) if var.id in self.lin.vars() else (t, var)
-            m = self.mark()
-            try:
-                fb = self.forbid.get(other.id)
-                if fb is not None:
-                    self._set_forbid(other.id, None)
-                self._bind_raw(other.id, root)
-                ok = True
-                if fb:
-                    for g in sorted(fb, key=format_term):
-                        if isinstance(g, Const) and g.is_number:
-                            if not self._assert_linear_forms(
-                                "!=", form_var(root.id), form_const(g.value)
-                            ):
-                                ok = False
-                                break
-                if ok and other.id in self.lin.vars():
-                    ok = self._assert_linear_forms(
-                        "=", form_var(root.id), form_var(other.id)
-                    )
-                if ok:
-                    yield
-            finally:
-                self.undo_to(m)
-            return
-        return  # structures are never rational values
+            # A rational-constrained variable cannot be a symbol.
+            return t.is_number and self._assert_linear("=", var, t)
+        if not isinstance(t, Var):
+            return False  # structures are never rational values
+        # Keep whichever variable the store constrains as the root.
+        root, other = (var, t) if var.id in self.lin.vars() else (t, var)
+        fb = self.forbid.get(other.id)
+        if fb is not None:
+            self._set_forbid(other.id, None)
+        self._bind_raw(other.id, root)
+        for g in sorted(fb or (), key=format_term):
+            if isinstance(g, Const) and g.is_number and not self._assert_linear_forms(
+                "!=", form_var(root.id), form_const(g.value)
+            ):
+                return False
+        return other.id not in self.lin.vars() or self._assert_linear_forms(
+            "=", form_var(root.id), form_var(other.id)
+        )
 
     # -- disequality over arbitrary terms -------------------------------------
 
@@ -478,7 +454,10 @@ class Engine:
         if isinstance(t, Struct):
             if t.arith:
                 return True
-            return not t.ground and any(self._contains_arith(a) for a in t.args)
+            if not t.ground:
+                for a in t.args:
+                    if self._contains_arith(a):
+                        return True
         return False
 
     def _numericish(self, t):
@@ -579,7 +558,12 @@ class Engine:
                     if self._assert_linear(_LIN_OP[c.op], l, r):
                         yield
                 elif c.op == "=":
-                    yield from self.unify(l, r)
+                    ok = self.unify(l, r)
+                    owed = self._take_owed()
+                    if ok and owed:
+                        yield from self._pay(owed)
+                    elif ok:
+                        yield
                 else:
                     yield from self.assert_neq_term(l, r)
             else:
@@ -594,48 +578,49 @@ class Engine:
         return bool(self.forbid.get(vid)) or vid in self.lin.vars()
 
     def _variant_args(self, xs, ys):
+        """Are xs and ys equal up to a bijective renaming of their variables
+        (a variable that carries constraints only renaming to itself)?"""
         fwd, bwd = {}, {}
-
-        def walk(x, y):
+        pairs = list(zip(xs, ys))
+        while pairs:
+            x, y = pairs.pop()
             x = self.deref(x)
             y = self.deref(y)
             if isinstance(x, Var) and isinstance(y, Var):
-                if x.id == y.id:
-                    return True
-                if self._constrained_var(x.id) or self._constrained_var(y.id):
+                if x.id != y.id and (
+                    self._constrained_var(x.id) or self._constrained_var(y.id)
+                ):
                     return False
                 if fwd.get(x.id, y.id) != y.id or bwd.get(y.id, x.id) != x.id:
                     return False
                 fwd[x.id] = y.id
                 bwd[y.id] = x.id
-                return True
-            if isinstance(x, Var) or isinstance(y, Var):
+            elif isinstance(x, Struct) and isinstance(y, Struct) and x.key == y.key:
+                pairs.extend(zip(x.args, y.args))
+            elif not (isinstance(x, Const) and isinstance(y, Const) and x == y):
                 return False
-            if isinstance(x, Const) and isinstance(y, Const):
-                return x == y
-            if isinstance(x, Struct) and isinstance(y, Struct) and x.key == y.key:
-                return all(walk(a, b) for a, b in zip(x.args, y.args))
-            return False
-
-        return all(walk(x, y) for x, y in zip(xs, ys))
+        return True
 
     def _unifiable_args(self, xs, ys):
         m = self.mark()
-        gen = self._unify_pairs(xs, ys)
-        try:
-            next(gen)
-            return True
-        except StopIteration:
-            return False
-        finally:
-            gen.close()
-            self.undo_to(m)
+        ok = all(map(self.unify, xs, ys))
+        owed = self._take_owed()
+        if ok and owed:
+            for _ in self._pay(owed):
+                break  # one solution is enough
+            else:
+                ok = False
+        self.undo_to(m)
+        return ok
 
     def _proved_variant(self, key, args, gkey):
         """Is args (ground key gkey) a variant of a registered atom of key?"""
         if gkey is not None and (key[0], gkey) in self._proved_keys:
             return True
-        return any(self._variant_args(args, p) for p in self._proved_open.get(key, ()))
+        for p in self._proved_open.get(key, ()):
+            if self._variant_args(args, p):
+                return True
+        return False
 
     def classify_loop(self, goal: Lit):
         """How a goal relates to the in-flight call path (and proof registry).
@@ -775,31 +760,31 @@ class Engine:
             for rule in rules:
                 m = self.mark()
                 try:
-                    mapping = {}
-                    head_args = tuple(rename_term(a, mapping) for a in rule.head.args)
+                    # A compiled head is distinct variables: they stand for
+                    # the call's arguments, so only the body is renamed.
+                    mapping = {v.id: a for v, a in zip(rule.head.args, goal.args)}
                     body = tuple(rename_goal(g, mapping) for g in rule.body)
                     hide = rule.hide_prefix
                     # The hidden head unifications run before the frame is
                     # pushed, so a clause whose head does not match costs
                     # no frame.
-                    for _ in self._unify_pairs(goal.args, head_args):
-                        for _ in self.solve(body[:hide], 0, True) if hide else _ONCE:
-                            self.log(("atom", goal))
-                            # A ground key never changes: only a call that
-                            # was not ground may have become ground since.
-                            fr.gkey = self._ground_args(goal.args) if gkey is None else gkey
-                            self._push(fr)
-                            try:
-                                for _ in self.solve(body, hide):
-                                    self._pop()
-                                    self.log(("exit",))
-                                    self._register_proved(goal, fr.gkey)
-                                    try:
-                                        yield
-                                    finally:
-                                        self._push(fr)
-                            finally:
+                    for _ in self.solve(body[:hide], 0, True) if hide else _ONCE:
+                        self.log(("atom", goal))
+                        # A ground key never changes: only a call that was
+                        # not ground may have become ground since.
+                        fr.gkey = self._ground_args(goal.args) if gkey is None else gkey
+                        self._push(fr)
+                        try:
+                            for _ in self.solve(body, hide):
                                 self._pop()
+                                self.log(("exit",))
+                                self._register_proved(goal, fr.gkey)
+                                try:
+                                    yield
+                                finally:
+                                    self._push(fr)
+                        finally:
+                            self._pop()
                 finally:
                     self.undo_to(m)
         finally:

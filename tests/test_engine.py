@@ -1,6 +1,7 @@
 """Engine behavior: unification, disequality, loops, and consistency checks."""
 
 import importlib.util
+import itertools
 import json
 import pickle
 import re
@@ -9,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scasp.compiler import compile_program
 from scasp.engine import Engine
@@ -16,9 +18,21 @@ from scasp.errors import SolverError
 from scasp.linear import LinearStore
 from scasp.parser import parse_query
 from scasp.render import render_answer, render_answer_json
-from scasp.terms import Const, Lit, Program, Query, Rule, Struct, Var, fresh_var, rename_term
+from scasp.terms import (
+    CmpLit,
+    Const,
+    Lit,
+    Program,
+    Query,
+    Rule,
+    Struct,
+    Var,
+    fresh_var,
+    rename_goal,
+    subst_term,
+)
 
-from helpers import answers, binding, compiled, engine_for, num
+from helpers import alpha_eq_term, answers, binding, compiled, engine_for, num
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -34,10 +48,8 @@ def test_unify_binds_and_the_trail_undoes_it():
     e = engine_for()
     x = fresh_var("X")
     m = e.mark()
-    gen = e.unify(x, Const("a"))
-    next(gen)
+    assert e.unify(x, Const("a"))
     assert e.resolve(x) == Const("a")
-    gen.close()
     e.undo_to(m)
     assert isinstance(e.deref(x), Var)
 
@@ -45,31 +57,31 @@ def test_unify_binds_and_the_trail_undoes_it():
 def test_unify_is_symmetric_over_structure():
     e = engine_for()
     x, y = fresh_var("X"), fresh_var("Y")
-    gen = e.unify(f(x, Const("b")), f(Const("a"), y))
-    next(gen)
+    assert e.unify(f(x, Const("b")), f(Const("a"), y))
     assert e.resolve(x) == Const("a")
     assert e.resolve(y) == Const("b")
-    gen.close()
 
 
 def test_unify_same_variable_is_a_noop():
     e = engine_for()
     x = fresh_var("X")
-    assert len(list(e.unify(x, x))) == 1
+    m = e.mark()
+    assert e.unify(x, x)
+    assert e.mark() == m
 
 
 def test_unify_occurs_check():
     e = engine_for()
     x = fresh_var("X")
-    assert list(e.unify(x, f(x))) == []
+    assert not e.unify(x, f(x))
 
 
 def test_unify_clashes():
     e = engine_for()
-    assert list(e.unify(Const("a"), Const("b"))) == []
-    assert list(e.unify(f(Const("a")), Struct("g", (Const("a"),)))) == []
-    assert list(e.unify(f(Const("a")), f(Const("a"), Const("b")))) == []
-    assert len(list(e.unify(num(3), num("6/2")))) == 1
+    assert not e.unify(Const("a"), Const("b"))
+    assert not e.unify(f(Const("a")), Struct("g", (Const("a"),)))
+    assert not e.unify(f(Const("a")), f(Const("a"), Const("b")))
+    assert e.unify(num(3), num("6/2"))
 
 
 # -- disequality ---------------------------------------------------------------
@@ -90,8 +102,11 @@ def test_diseq_forbids_future_binding():
     x = fresh_var("X")
     gen = e.assert_neq_term(x, Const("a"))
     next(gen)
-    assert list(e.unify(x, Const("a"))) == []
-    assert len(list(e.unify(x, Const("b")))) == 1
+    m = e.mark()
+    assert not e.unify(x, Const("a"))
+    e.undo_to(m)
+    assert e.unify(x, Const("b"))
+    e.undo_to(m)
     gen.close()
 
 
@@ -149,6 +164,74 @@ def test_diseq_on_numeric_variable_joins_the_linear_store():
     assert len(ans) == 1
     x = binding(ans[0], "X")
     assert ans[0].views[x.id] == ("lin", ((">", Fraction(1)), ("!=", Fraction(2))))
+
+
+# -- binds that owe disequalities -------------------------------------------------
+#
+# Binding a variable with excluded terms to a non-ground term owes one
+# disequality per excluded term, and each can be met in several ways: the
+# one place where unification branches.
+
+OWED = ROOT / "tests" / "data" / "owed_disequalities.txt"
+
+
+def _owed_cases():
+    # Each case is "%% program", "%% query", then the rendered answers.
+    chunks = re.split(r"^%% ", OWED.read_text(), flags=re.M)[1:]
+    for program, query in zip(chunks[::2], chunks[1::2]):
+        query, _, text = query.partition("\n")
+        yield pytest.param(program.strip(), query, text.rstrip("\n"), id=query)
+
+
+@pytest.mark.parametrize("program, query, text", _owed_cases())
+def test_owed_disequalities_keep_their_answers_and_order(program, query, text):
+    cp = compiled(program)
+    got = [
+        re.sub(r"\(in [0-9.]+ ms\)", "(in _ ms)", render_answer(a, cp.pred_info, cp.shows))
+        for a in Engine(cp).run_query(parse_query(query))
+    ]
+    assert "\n\n".join(got) == text
+
+
+_Y, _Z = fresh_var("Y"), fresh_var("Z")
+_SYMBOLS = (Const("a"), Const("b"))
+# Every ground term of depth at most one over the vocabulary.
+_DOMAIN = _SYMBOLS + tuple(f(x, y) for x in _SYMBOLS for y in _SYMBOLS)
+
+
+def _terms(leaves, depth):
+    leaf = st.sampled_from(leaves)
+    if depth == 0:
+        return leaf
+    sub = _terms(leaves, depth - 1)
+    return st.one_of(leaf, st.tuples(sub, sub).map(lambda p: f(*p)))
+
+
+def _allows(view, value):
+    if view[0] == "neq":
+        return value not in view[1]
+    return view == ("top",)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_terms(_SYMBOLS, 2), max_size=4), _terms(_SYMBOLS + (_Y, _Z), 2))
+def test_owed_disequalities_cover_exactly_the_allowed_instances(excluded, t):
+    # X excludes some ground terms and is bound to t: the views of t's
+    # variables over all solutions must admit exactly the ground instances
+    # of t outside the excluded set.
+    e = engine_for()
+    x = fresh_var("X")
+    if excluded:
+        assert e.apply(("neq", frozenset(excluded)), x)
+    names = [v for v in (_Y, _Z) if e._occurs(v.id, t)]
+    views = [
+        [e.dump(v) for v in names]
+        for _ in e.solve_constraint(CmpLit("=", x, t), quiet=True)
+    ]
+    for values in itertools.product(_DOMAIN, repeat=len(names)):
+        instance = subst_term(t, {v.id: val for v, val in zip(names, values)})
+        covered = any(all(map(_allows, sol, values)) for sol in views)
+        assert covered == (instance not in excluded), (instance, views)
 
 
 # -- loops ----------------------------------------------------------------------
@@ -249,6 +332,37 @@ def test_odd_loop_fails_against_a_proved_complement():
     assert answers(text, "?- q(X).") == []
 
 
+def test_a_variant_renames_variables_one_to_one():
+    # p(A,W) is not a variant of the proved p(A,A): reusing it would claim
+    # p(a,b).
+    assert answers("p(X,X). q(b).", "?- p(A,A), p(A,W), A = a, q(W).") == []
+
+
+def test_a_call_with_a_repeated_variable_is_not_a_variant_of_one_without():
+    # p(A,W) under p(A,A) is a new call, not a positive loop: every A with
+    # p(A,A) is found, not only A = b.
+    got = answers("p(X,b). p(X,X) :- p(X,W), W = b.", "?- p(A,A).", n=3)
+    assert len(got) == 3
+
+
+_VARIANT_VARS = tuple(fresh_var(n) for n in "ABC")
+
+
+def _alpha_equal(xs, ys):
+    m = {}
+    return all(alpha_eq_term(x, y, m) for x, y in zip(xs, ys))
+
+
+_VARIANT_TERMS = _terms(_SYMBOLS + _VARIANT_VARS, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_VARIANT_TERMS, _VARIANT_TERMS), min_size=1, max_size=3))
+def test_variant_check_is_equality_up_to_a_bijective_renaming(pairs):
+    xs, ys = zip(*pairs)
+    assert engine_for()._variant_args(xs, ys) == _alpha_equal(xs, ys)
+
+
 CNT = "cnt(0). cnt(N) :- N .>. 0, M .=. N-1, cnt(M)."
 
 
@@ -319,6 +433,33 @@ def test_deep_ground_argument_is_shared_not_copied(monkeypatch):
     assert len(ans.model) == 202
     assert len(built) <= 1000
     assert len(walked) <= 2000
+
+
+@pytest.mark.parametrize(
+    "text, query, limit",
+    [
+        ((ROOT / "tests" / "programs" / "hanoi.pl").read_text(), "?- hanoi(5,T).", 100),
+        (
+            "nat(z). nat(s(X)) :- nat(X).",
+            "?- nat(" + "s(" * 200 + "z" + ")" * 200 + ").",
+            250,
+        ),
+    ],
+    ids=["hanoi5", "nat200"],
+)
+def test_clause_heads_bind_by_substitution(monkeypatch, text, query, limit):
+    # A head's variables stand for the call's arguments, so trying a clause
+    # binds nothing until a hidden `=` or a body goal does.
+    binds = []
+    orig = Engine._bind_raw
+
+    def counting(self, vid, t):
+        binds.append(1)
+        orig(self, vid, t)
+
+    monkeypatch.setattr(Engine, "_bind_raw", counting)
+    assert len(answers(text, query, n=1)) == 1
+    assert len(binds) <= limit
 
 
 def test_structures_keep_their_hash_and_flags_out_of_pickles():
@@ -489,16 +630,17 @@ def test_interleaved_wildcards_are_stored_once():
 
 
 def test_a_point_query_tries_a_handful_of_clauses(monkeypatch):
-    # Each clause tried renames its head arguments once; without the index
-    # all 1,000 facts would be renamed and unified.
+    # Each clause tried renames its one body goal, the hidden `=` that
+    # matches the head's constant; without the index all 1,000 facts would
+    # be renamed and unified.
     cp = compiled("".join(f"f(c{i}). " for i in range(1000)))
     calls = []
 
-    def counting(t, mapping):
+    def counting(g, mapping):
         calls.append(1)
-        return rename_term(t, mapping)
+        return rename_goal(g, mapping)
 
-    monkeypatch.setattr("scasp.engine.rename_term", counting)
+    monkeypatch.setattr("scasp.engine.rename_goal", counting)
     assert len(list(Engine(cp).run_query(parse_query("?- f(c500).")))) == 1
     assert len(calls) <= 5
 
