@@ -8,6 +8,18 @@ reconstruct their justification.  Generators drive the search: every
 choice point is a Python generator that restores the trail between its
 alternatives, so backtracking is ordinary generator control flow.
 
+Each unbound variable lives in at most one constraint domain: excluded
+ground terms (forbid) or the rational store (lin).  A variable entering
+the store brings its exclusions with it, numbers as disequalities, and any
+other excluded term is dropped as vacuous, since a rational never equals a
+symbol or a structure; for the same reason `\\=` against a non-number
+records nothing on a variable the store already holds.  A value the store
+fixes lives only in the binding: the store reports it once, the engine
+binds the variable at once, and the store forgets it.  So the engine never
+hands the store a variable it fixed before: forms come from dereferenced
+terms, from a fresh variable, or (_bind_linear) from unbound ones, and
+neither a disequality nor a canonical view's bounds ever fix one.
+
 Unification is a plain function: unify binds or reports a clash, leaving
 its bindings on the trail for the caller to undo.  The one way it can
 branch is binding a variable with excluded terms to a non-ground term,
@@ -96,6 +108,7 @@ from .terms import (
     Struct,
     Var,
     format_term,
+    format_terms,
     fresh_var,
     goal_vars,
     rename_goal,
@@ -379,18 +392,28 @@ class Engine:
             return False  # structures are never rational values
         # Keep whichever variable the store constrains as the root.
         root, other = (var, t) if var.id in self.lin.vars() else (t, var)
-        fb = self.forbid.get(other.id)
-        if fb is not None:
-            self._set_forbid(other.id, None)
+        if not self._exclusions_to_lin(other.id, root.id):
+            return False
         self._bind_raw(other.id, root)
-        for g in sorted(fb or (), key=format_term):
-            if isinstance(g, Const) and g.is_number and not self._assert_linear_forms(
-                "!=", form_var(root.id), form_const(g.value)
-            ):
-                return False
         return other.id not in self.lin.vars() or self._assert_linear_forms(
             "=", form_var(root.id), form_var(other.id)
         )
+
+    def _exclusions_to_lin(self, vid, root) -> bool:
+        """Move vid's excluded terms into the rational store as exclusions
+        on root, so that no variable the store holds has any: a number
+        becomes a disequality, any other term is vacuous, since a rational
+        never equals a symbol or a structure."""
+        fb = self.forbid.get(vid)
+        if not fb:
+            return True
+        self._set_forbid(vid, None)
+        for g in sorted(fb, key=format_term):
+            if isinstance(g, Const) and g.is_number and not self._assert_linear_forms(
+                "!=", form_var(root), form_const(g.value)
+            ):
+                return False
+        return True
 
     # -- disequality over arbitrary terms -------------------------------------
 
@@ -407,31 +430,25 @@ class Engine:
         if isinstance(b, Var):
             a, b = b, a
         if isinstance(a, Var):
-            if a.id in self.lin.vars() and isinstance(b, Const) and b.is_number:
-                m = self.mark()
-                try:
-                    if self._assert_linear("!=", a, b):
-                        yield
-                finally:
-                    self.undo_to(m)
-                return
             g = self._ground_args((b,))
             if g is not None:
                 m = self.mark()
                 try:
-                    fb = self.forbid.get(a.id, frozenset())
-                    self._set_forbid(a.id, fb | {g[0]})
-                    yield
+                    self._set_forbid(a.id, self.forbid.get(a.id, frozenset()) | {g[0]})
+                    # A variable the rational store holds takes the exclusion
+                    # in at once, as any variable entering the store does.
+                    if a.id not in self.lin.vars() or self._exclusions_to_lin(a.id, a.id):
+                        yield
                 finally:
                     self.undo_to(m)
                 return
             if self._occurs(a.id, b):
                 yield  # a term strictly containing the variable never equals it
                 return
+            sa, sb = format_terms(self.resolve(a), self.resolve(b))
             raise SolverError(
                 "nonground_disequality",
-                f"{format_term(self.resolve(a))} \\= {format_term(self.resolve(b))} "
-                "needs a ground right-hand side",
+                f"{sa} \\= {sb} needs a ground right-hand side",
             )
         if isinstance(a, Const) and isinstance(b, Const):
             if a != b:
@@ -494,12 +511,12 @@ class Engine:
                     return form_scale(lf, rf[0])
                 raise SolverError(
                     "nonlinear_constraint",
-                    f"product of two unknowns in {format_term(self.resolve(t))}",
+                    f"product of two unknowns in {format_terms(self.resolve(t))[0]}",
                 )
             if rf[1] or rf[0] == 0:
                 raise SolverError(
                     "nonlinear_constraint",
-                    f"division by a non-constant or zero in {format_term(self.resolve(t))}",
+                    f"division by a non-constant or zero in {format_terms(self.resolve(t))[0]}",
                 )
             return form_scale(lf, Fraction(1) / rf[0])
         return None
@@ -510,19 +527,9 @@ class Engine:
         rf = self._to_form(r, seen)
         if lf is None or rf is None:
             return False
-        # Variables entering the rational store carry their excluded terms in:
-        # numeric exclusions become disequalities, others become vacuous.
         for vid in sorted(seen):
-            fb = self.forbid.get(vid)
-            if not fb:
-                continue
-            self._set_forbid(vid, None)
-            for g in sorted(fb, key=format_term):
-                if isinstance(g, Const) and g.is_number:
-                    if not self._assert_linear_forms(
-                        "!=", form_var(vid), form_const(g.value)
-                    ):
-                        return False
+            if not self._exclusions_to_lin(vid, vid):
+                return False
         return self._assert_linear_forms(op, lf, rf)
 
     def _assert_linear_forms(self, op, lf, rf) -> bool:
@@ -532,15 +539,12 @@ class Engine:
         new_store, determined = res
         if new_store is not self.lin:
             self._set_lin(new_store)
-        # Each variable is reported once, by the call that fixes it, and is
-        # bound here at once; one aliased to another is already bound.
+        # Each variable is reported once, by the call that fixes it, and the
+        # store forgets it: its value lives on only in the binding made here.
+        # A variable aliased to another is already bound.
         for vid, val in determined:
             if vid not in self.cells:
-                c = Const(val)
-                fb = self.forbid.get(vid)
-                if fb and c in fb:
-                    return False
-                self._bind_raw(vid, c)
+                self._bind_raw(vid, Const(val))
         return True
 
     # -- constraint goals -------------------------------------------------------

@@ -6,14 +6,13 @@ projection all run through Fourier-Motzkin elimination, which is exact over
 the rationals, so every constraint the solver reports has been decided
 rather than approximated.
 
-A variable whose value the store has fixed leaves the substitution for a
-separate ``fixed`` map (vid -> Fraction), as a CLP system hands a solved
-variable back to the engine: later assertions substitute it in once, where
-it appears, and otherwise touch only the live rows, so a long derivation
-that fixes one value per step does not slow each step down.  The store
-still answers for a fixed variable (``value_of``, ``project``, ``entails``,
-``vars``).  ``assert_constraint`` reports as determined only the variables
-that the call itself fixed; the engine binds each one when it is reported.
+A variable the store determines to one rational is handed back to the
+caller, as a CLP system hands a solved variable back to the engine:
+``assert_constraint`` reports it as determined, once, and the store it
+returns no longer mentions it.  The caller keeps the value (the engine
+binds the variable at once) and puts the value, not the variable, in every
+later constraint.  So a long derivation that determines one value per step
+keeps the store small and each step's cost constant.
 
 Linear forms are plain tuples ``(constant, ((vid, coeff), ...))`` with the
 variable ids sorted; an inequality entry ``(form, strict)`` means
@@ -24,7 +23,6 @@ variable ids sorted; an inequality entry ``(form, strict)`` means
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 __all__ = [
     "LinearStore", "complement", "form_const", "form_var", "form_add",
@@ -86,14 +84,10 @@ def form_is_const(a: tuple) -> bool:
     return not a[1]
 
 
-def form_apply(a: tuple, subst: dict, fixed: dict) -> tuple:
-    """Replace every solved (subst) or fixed variable in a form by its value."""
-    out = (a[0], tuple((v, c) for v, c in a[1] if v not in subst and v not in fixed))
+def form_apply(a: tuple, subst: dict) -> tuple:
+    """Replace every solved variable in a form by its form in subst."""
+    out = (a[0], tuple((v, c) for v, c in a[1] if v not in subst))
     for vid, coef in a[1]:
-        val = fixed.get(vid)
-        if val is not None:
-            out = (out[0] + coef * val, out[1])
-            continue
         repl = subst.get(vid)
         if repl is not None:
             out = form_add(out, form_scale(repl, coef))
@@ -212,14 +206,13 @@ class LinearStore:
     """Immutable conjunction of linear constraints.
 
     subst maps a solved variable to a form over live variables only; no
-    form in the store mentions a solved or a fixed variable.
+    form in the store mentions a solved variable.
     """
 
-    __slots__ = ("subst", "fixed", "ineqs", "neqs", "_vars")
+    __slots__ = ("subst", "ineqs", "neqs", "_vars")
 
-    def __init__(self, subst=None, ineqs=(), neqs=(), fixed=None):
+    def __init__(self, subst=None, ineqs=(), neqs=()):
         self.subst = subst or {}
-        self.fixed = fixed or {}
         self.ineqs = tuple(ineqs)
         self.neqs = tuple(neqs)
         self._vars = None
@@ -229,12 +222,10 @@ class LinearStore:
         return _EMPTY
 
     def vars(self) -> set:
-        """Ids of the variables the store mentions, fixed ones included,
-        computed once per store; the set is shared, so callers must not
-        mutate it."""
+        """Ids of the variables the store mentions, computed once per store;
+        the set is shared, so callers must not mutate it."""
         if self._vars is None:
-            out = set(self.fixed)
-            out.update(self.subst)
+            out = set(self.subst)
             for form in self.subst.values():
                 out |= form_vars(form)
             for form, _ in self.ineqs:
@@ -245,7 +236,7 @@ class LinearStore:
         return self._vars
 
     def is_empty(self) -> bool:
-        return not (self.fixed or self.subst or self.ineqs or self.neqs)
+        return not (self.subst or self.ineqs or self.neqs)
 
     # -- assertion ----------------------------------------------------------
 
@@ -253,18 +244,18 @@ class LinearStore:
         """Conjoin ``lhs op rhs``; returns (store, determined) or None.
 
         determined lists (vid, value) pairs for the variables this call
-        fixed to a single rational, in the order it fixed them; variables
-        fixed by earlier calls are not repeated.
+        determined to a single rational; the returned store no longer
+        mentions them, so lhs and rhs must not mention a variable reported
+        before.
         """
-        diff = form_apply(form_sub(lhs, rhs), self.subst, self.fixed)
+        diff = form_apply(form_sub(lhs, rhs), self.subst)
         subst = dict(self.subst)
         ineqs = list(self.ineqs)
         neqs = list(self.neqs)
-        newly = {}
         if op == "=":
             if form_is_const(diff):
                 return (self, []) if diff[0] == 0 else None
-            _solve_eq(subst, newly, diff)
+            _solve_eq(subst, diff)
         elif op == "!=":
             if form_is_const(diff):
                 return (self, []) if diff[0] != 0 else None
@@ -286,16 +277,16 @@ class LinearStore:
                     return (self, [])
                 return None
             ineqs.append(entry)
-        got = _normalize(subst, newly, ineqs, neqs)
+        got = _normalize(subst, ineqs, neqs)
         if got is None:
             return None
-        fixed = {**self.fixed, **newly} if newly else self.fixed
-        return LinearStore(subst, got[0], got[1], fixed), list(newly.items())
+        # A constant row is a determined value: hand it back and forget it.
+        determined = [(vid, form[0]) for vid, form in subst.items() if not form[1]]
+        for vid, _ in determined:
+            del subst[vid]
+        return LinearStore(subst, got[0], got[1]), determined
 
     # -- queries --------------------------------------------------------------
-
-    def value_of(self, vid: int) -> Optional[Fraction]:
-        return self.fixed.get(vid)
 
     def entails(self, op: str, lhs: tuple, rhs: tuple) -> bool:
         """True when every solution of the store satisfies ``lhs op rhs``."""
@@ -312,9 +303,6 @@ class LinearStore:
         points in ascending order; unconstrained variables yield [].
         ``store.lin_canon`` turns the list into a canonical view.
         """
-        val = self.fixed.get(vid)
-        if val is not None:
-            return [("=", val)]
         cons = list(self.ineqs)
         sub = self.subst.get(vid)
         if sub is not None:
@@ -374,23 +362,15 @@ class LinearStore:
         return forced
 
 
-def _solve_eq(subst, newly, diff):
+def _solve_eq(subst, diff):
     """Extend the substitution with diff = 0 solved for its smallest
-    variable; a variable whose form becomes constant moves to newly."""
+    variable."""
     vid, coef = diff[1][0]
     rest = (diff[0], diff[1][1:])
     repl = form_scale(rest, _F1 / -coef)
-    for k, form in list(subst.items()):
-        form = form_subst_one(form, vid, repl)
-        if form_is_const(form):
-            del subst[k]
-            newly[k] = form[0]
-        else:
-            subst[k] = form
-    if form_is_const(repl):
-        newly[vid] = repl[0]
-    else:
-        subst[vid] = repl
+    for k, form in subst.items():
+        subst[k] = form_subst_one(form, vid, repl)
+    subst[vid] = repl
 
 
 def form_subst_one(form, vid, repl):
@@ -401,15 +381,11 @@ def form_subst_one(form, vid, repl):
     return form_add(base, form_scale(repl, coef))
 
 
-def _normalize(subst, newly, ineqs, neqs):
-    """Re-establish store invariants after subst and newly were extended;
-    (ineqs, neqs) of the new store, or None when the conjunction is empty.
-
-    The incoming forms mention no variable that was solved or fixed before
-    this call, so only subst and newly need substituting into them.
-    """
+def _normalize(subst, ineqs, neqs):
+    """Re-establish store invariants after subst was extended; (ineqs, neqs)
+    of the new store, or None when the conjunction is empty."""
     while True:
-        cons = [(form_apply(f, subst, newly), s) for f, s in ineqs]
+        cons = [(form_apply(f, subst), s) for f, s in ineqs]
         cons = _ground_split(cons)
         if cons is None:
             return None
@@ -425,11 +401,11 @@ def _normalize(subst, newly, ineqs, neqs):
         if pinched is None:
             ineqs = cons
             break
-        _solve_eq(subst, newly, form_sub(form_var(pinched[0]), form_const(pinched[1])))
+        _solve_eq(subst, form_sub(form_var(pinched[0]), form_const(pinched[1])))
         ineqs = cons
     out_neqs = []
     for form in neqs:
-        form = form_apply(form, subst, newly)
+        form = form_apply(form, subst)
         if form_is_const(form):
             if form[0] == 0:
                 return None

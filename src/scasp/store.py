@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import SolverError
 from .linear import complement
-from .terms import Const, format_term, term_vars
+from .terms import Const, format_term, format_terms, term_vars
 
 __all__ = ["TOP", "view_conj", "dual", "add", "lin_canon"]
 
@@ -144,7 +144,7 @@ def dual(view):
             return [("neq", frozenset((t,)))]
         raise SolverError(
             "nonground_disequality",
-            f"cannot negate a binding to non-ground {format_term(t)}",
+            f"cannot negate a binding to non-ground {format_terms(t)[0]}",
         )
     if view[0] == "neq":
         out = []

@@ -18,7 +18,7 @@ __all__ = [
     "Rule", "Query", "Program", "NIL", "ARITH_OPS", "CONSTRAINT_OPS",
     "fresh_var", "mk_list", "list_parts", "term_vars", "goal_vars",
     "rename_term", "rename_goal", "subst_term", "subst_goal",
-    "format_term", "format_goal", "format_rule",
+    "format_term", "format_terms", "format_goal", "format_rule",
 ]
 
 _ids = itertools.count(1)
@@ -315,6 +315,19 @@ def format_term(t: Term, names=None, prec: int = 0, right: bool = False) -> str:
         return s
     inner = ",".join(format_term(a, names) for a in t.args)
     return f"{t.functor}({inner})" if t.args else f"{t.functor}()"
+
+
+def format_terms(*ts) -> list:
+    """Print the terms of one message, numbering each unnamed variable by
+    its first occurrence across them (_G1, _G2, ...), so the text does not
+    depend on how many variables the process made before."""
+    found, seen, names = [], set(), {}
+    for t in ts:
+        term_vars(t, found, seen)
+    for v in found:
+        if not v.name or v.name == "_":
+            names[v.id] = f"_G{len(names) + 1}"
+    return [format_term(t, names) for t in ts]
 
 
 def format_goal(g: Goal, names=None, pred_info=None) -> str:

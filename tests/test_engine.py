@@ -17,7 +17,7 @@ from scasp.engine import Engine
 from scasp.errors import SolverError
 from scasp.linear import LinearStore
 from scasp.parser import parse_query
-from scasp.render import render_answer, render_answer_json
+from scasp.render import Renderer, render_answer, render_answer_json
 from scasp.terms import (
     CmpLit,
     Const,
@@ -165,6 +165,51 @@ def test_diseq_on_numeric_variable_joins_the_linear_store():
     x = binding(ans[0], "X")
     assert ans[0].views[x.id] == ("lin", ((">", Fraction(1)), ("!=", Fraction(2))))
 
+
+ONE_VARIABLE_CONSTRAINTS = [
+    "X \\= a", "X \\= b", "X \\= 3", "X \\= f(1)", "X .>. 2", "X .=<. 3",
+    "X .<. 7/2", "X .\\=. 5/2", "X = 3", "X .=. 3",
+]
+
+
+def _bindings_text(body):
+    return [
+        Renderer(a).bindings_text() for a in answers(f"p(X) :- {body}.", "?- p(X).")
+    ]
+
+
+def test_constraint_answers_do_not_depend_on_body_order():
+    # A variable lives in one domain: exclusions move into the rational
+    # store with it, and a rational variable records no exclusion of a
+    # symbol or a structure, so no order drops a bound.
+    mismatches = [
+        (c1, c2)
+        for c1, c2 in itertools.permutations(ONE_VARIABLE_CONSTRAINTS, 2)
+        if _bindings_text(f"{c1}, {c2}") != _bindings_text(f"{c2}, {c1}")
+    ]
+    assert mismatches == []
+    assert _bindings_text("X .>. 2, X \\= a") == ["X = {A.>.2} ? "]
+
+
+def test_error_text_does_not_depend_on_earlier_programs():
+    # Unnamed variables are numbered within each message, not by the
+    # process-wide variable counter.
+    failing = [
+        ("p(X) :- X \\= f(_, Y, _). q(a).", "?- p(X).", "f(_G1,Y,_G2)"),
+        ("p(X) :- X .>. _ * Y.", "?- p(X).", "_G1*Y"),
+    ]
+
+    def message(program, query):
+        with pytest.raises(SolverError) as info:
+            answers(program, query)
+        return str(info.value)
+
+    first = [message(program, query) for program, query, _ in failing]
+    for _ in range(3):
+        answers("q(X) :- r(X, _, _). r(a, b, c). r(Y, Y, _).", "?- q(Z).")
+    assert [message(program, query) for program, query, _ in failing] == first
+    for text, (_, _, part) in zip(first, failing):
+        assert part in text
 
 # -- binds that owe disequalities -------------------------------------------------
 #
@@ -405,6 +450,33 @@ def test_countdown_keeps_no_fixed_value_in_the_substitution(monkeypatch):
     assert len(answers(CNT, "?- cnt(300).")) == 1
     assert len(rows) >= 300
     assert max(rows) <= 5
+
+
+def test_countdown_store_does_not_grow_with_the_count(monkeypatch):
+    # The store hands each value it fixes back to the engine's binding and
+    # forgets the variable, so the store a step leaves behind mentions a
+    # constant number of variables however long the countdown is.
+    orig = LinearStore.assert_constraint
+
+    def largest_store(n):
+        sizes = []
+
+        def recording(self, op, lhs, rhs):
+            res = orig(self, op, lhs, rhs)
+            if res is not None:
+                store, determined = res
+                assert not store.vars() & {vid for vid, _ in determined}
+                sizes.append(len(store.vars()))
+            return res
+
+        monkeypatch.setattr(LinearStore, "assert_constraint", recording)
+        assert len(answers(CNT, f"?- cnt({n}).")) == 1
+        assert len(sizes) >= n
+        return max(sizes)
+
+    small, large = largest_store(300), largest_store(1200)
+    assert large <= 3
+    assert large == small
 
 
 def test_deep_ground_argument_is_shared_not_copied(monkeypatch):

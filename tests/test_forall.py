@@ -100,3 +100,16 @@ def test_universal_denial_requires_a_universal_fact():
     text_all = "married(john). married(X). :- not married(X)."
     # Both facts match the goal, so exhaustive search finds two derivations.
     assert len(answers(text_all, "?- married(john).")) == 2
+
+
+def test_forall_covers_a_bound_with_a_symbolic_exclusion_in_either_order():
+    # `Y \= a` says nothing about a rational-constrained Y, so the first
+    # clause's answer is the bound alone and its dual is covered by the
+    # second clause, whichever order the first clause's body has.
+    for body in ("Y .>. 2, Y \\= a", "Y \\= a, Y .>. 2"):
+        e = Engine(compiled(f"s(Y) :- {body}.  s(Y) :- Y .=<. 2."))
+        x = fresh_var("X")
+        gen = e.c_forall(x, Lit("s", (x,)))
+        assert next(gen, "failed") is None, body
+        gen.close()
+        assert [view for _, view in e.forall_trace] == [TOP, lin(("<=", 2))], body

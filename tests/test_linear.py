@@ -20,15 +20,38 @@ from helpers import sat_entry
 X, Y, Z = 101, 102, 103
 
 
-def store_of(*cons):
-    """Build a store from (op, lhs, rhs) triples; None when inconsistent."""
-    s = LinearStore.empty()
+def known(form, values):
+    """form with each reported value put in for its variable."""
+    out = (form[0], ())
+    for vid, coef in form[1]:
+        part = form_const(values[vid]) if vid in values else form_var(vid)
+        out = form_add(out, form_scale(part, coef))
+    return out
+
+
+def run_asserts(cons):
+    """Assert (op, lhs, rhs) triples in turn, putting each reported value in
+    for its variable in later ones, as the engine's binding does; (store,
+    {vid: reported value}), or None when inconsistent."""
+    s, values = LinearStore.empty(), {}
     for op, lhs, rhs in cons:
-        got = s.assert_constraint(op, lhs, rhs)
+        got = s.assert_constraint(op, known(lhs, values), known(rhs, values))
         if got is None:
             return None
-        s, _ = got
-    return s
+        s, det = got
+        values.update(det)
+    return s, values
+
+
+def store_of(*cons):
+    """The store of run_asserts; None when inconsistent."""
+    got = run_asserts(cons)
+    return None if got is None else got[0]
+
+
+def values_of(*cons):
+    """The values run_asserts reports."""
+    return run_asserts(cons)[1]
 
 
 def v(vid):
@@ -57,13 +80,12 @@ def test_equalities_determine_values():
     assert det == []
     s, det = s.assert_constraint("=", v(Y), c(3))
     assert dict(det) == {X: Fraction(61, 10), Y: Fraction(3)}
-    assert s.value_of(X) == Fraction(61, 10)
-    assert s.project(X) == [("=", Fraction(61, 10))]
+    assert s.is_empty()  # both values are handed back
 
 
 def test_bounds_can_pinch_a_value():
-    s = store_of((">=", v(X), c("21/2")), ("<=", v(X), c("21/2")))
-    assert s.value_of(X) == Fraction(21, 2)
+    got = values_of((">=", v(X), c("21/2")), ("<=", v(X), c("21/2")))
+    assert got == {X: Fraction(21, 2)}
 
 
 def test_contradictions_are_detected():
@@ -113,8 +135,7 @@ def test_entails():
 
 def test_scaled_arithmetic_stays_exact():
     lhs = form_add(form_scale(v(X), Fraction(3)), c("1/7"))
-    s = store_of(("=", lhs, c(2)))
-    assert s.value_of(X) == Fraction(13, 21)
+    assert values_of(("=", lhs, c(2))) == {X: Fraction(13, 21)}
 
 
 rationals = st.fractions(
@@ -142,17 +163,15 @@ constraint = st.tuples(
 )
 
 
+def _lhs(parts):
+    lhs = form_const(0)
+    for vid, coef in parts:
+        lhs = form_add(lhs, form_scale(form_var(vid), Fraction(coef)))
+    return lhs
+
+
 def _build(cons):
-    s = LinearStore.empty()
-    for op, parts, const in cons:
-        lhs = form_const(0)
-        for vid, coef in parts:
-            lhs = form_add(lhs, form_scale(form_var(vid), Fraction(coef)))
-        got = s.assert_constraint(op, lhs, form_const(Fraction(const)))
-        if got is None:
-            return None
-        s = got[0]
-    return s
+    return store_of(*((op, _lhs(parts), c(const)) for op, parts, const in cons))
 
 
 @settings(max_examples=60, deadline=None)
@@ -174,32 +193,36 @@ def test_projection_is_exact(cons):
 def test_a_fixed_value_is_reported_once_and_still_answered():
     s, det = LinearStore.empty().assert_constraint("=", v(X), c(3))
     assert det == [(X, Fraction(3))]
-    s, det = s.assert_constraint("=", form_add(v(X), v(Y)), c(5))
+    assert X not in s.vars()
+    # The caller puts the reported value in for X from now on.
+    s, det = s.assert_constraint("=", form_add(c(3), v(Y)), c(5))
     assert det == [(Y, Fraction(2))]
-    assert s.subst == {}
-    assert (s.value_of(X), s.value_of(Y)) == (Fraction(3), Fraction(2))
-    assert s.project(X) == [("=", Fraction(3))]
-    assert s.project(Y) == [("=", Fraction(2))]
-    assert {X, Y} <= s.vars()
-    assert s.entails("=", form_add(v(X), v(Y)), c(5))
+    assert s.is_empty()
+    assert values_of(("=", v(X), c(3)), ("=", form_add(v(X), v(Y)), c(5))) == {
+        X: Fraction(3),
+        Y: Fraction(2),
+    }
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(constraint, min_size=1, max_size=6))
 def test_determined_reports_each_fixed_variable_once(cons):
-    """The values reported across a run of asserts are exactly the store's
-    fixed values, each reported by one assert."""
+    """Across a run of asserts that put each reported value in for its
+    variable, a variable is reported at most once, the store forgets it,
+    and the reported values satisfy every constraint asserted."""
     s = LinearStore.empty()
-    reported = []
+    values = {}
+    asserted = []
     for op, parts, const in cons:
-        lhs = form_const(0)
-        for vid, coef in parts:
-            lhs = form_add(lhs, form_scale(form_var(vid), Fraction(coef)))
-        got = s.assert_constraint(op, lhs, form_const(Fraction(const)))
+        lhs = _lhs(parts)
+        got = s.assert_constraint(op, known(lhs, values), c(const))
         if got is None:
             break
+        asserted.append((op, lhs, c(const)))
         s, det = got
-        reported += det
-    values = {vid: s.value_of(vid) for vid in (X, Y, Z) if s.value_of(vid) is not None}
-    assert dict(reported) == values
-    assert len(reported) == len(values)
+        for vid, val in det:
+            assert vid not in values
+            values[vid] = val
+        assert not s.vars() & values.keys()
+    for op, lhs, rhs in asserted:
+        assert s.entails(op, known(lhs, values), rhs)
