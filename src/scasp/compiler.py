@@ -459,8 +459,8 @@ class ClauseRuns(Mapping):
         self.runs = runs  # tuple of {key: clauses} and (wildcard clauses)
 
     def get(self, key, default=None):
-        # Not Mapping.get: a KeyError raised deep in the solver's generators
-        # costs time in proportion to their depth.
+        # The primitive lookup, not Mapping.get's: a call whose key no clause
+        # has is common, and should not raise and catch a KeyError.
         runs = self.runs
         if len(runs) == 1:
             return runs[0].get(key, default)  # keyed clauses only: one dict hit

@@ -3,10 +3,22 @@
 The engine resolves goals top-down over the compiled database without any
 grounding.  All state lives in one trail-recorded structure: variable
 bindings, per-variable excluded ground terms, one linear-arithmetic store,
-a registry of already-proved atoms, and an event log from which answers
-reconstruct their justification.  Generators drive the search: every
-choice point is a Python generator that restores the trail between its
-alternatives, so backtracking is ordinary generator control flow.
+a registry of already-proved atoms, the call path, and an event log from
+which answers reconstruct their justification.
+
+Resolution is one loop (solve) over a linked list of goals still to prove
+and a flat stack of choice points, as a WAM keeps one choice-point stack
+beside its trail.  A choice point is one goal's generator of alternatives:
+a call's generator yields, per matching clause, the rest of the clause's
+body followed by an exit step that pops the call's frame; a constraint,
+a forall or a loop-check shortcut yields None, nothing left to prove.
+Every generator obeys one rule: it undoes its previous alternative when it
+is resumed (yield, then undo_to its mark), never on close, so backtracking
+resumes the topmost choice point and dropping a search undoes nothing.
+Pushing and popping a frame are trail entries too, so an undo restores the
+call path with everything else.  The Python stack does not grow with the
+derivation: only a clause's hidden head unifications and a forall's pieces
+run a nested solve.
 
 Each unbound variable lives in at most one constraint domain: excluded
 ground terms (forbid) or the rational store (lin).  A variable entering
@@ -80,9 +92,11 @@ Universal quantification (forall) evaluates its goal against a worklist of
 single-variable constraint views: each iteration commits to the first
 answer for a fresh copy of the quantified variable, and either the answer
 view equals the iteration's view (that region is covered) or the answer's
-negation splits the region into new work items.  The committed generators
-stay suspended until the whole forall is abandoned, so constraints the
-iterations placed on outer variables persist.
+negation splits the region into new work items.  An iteration commits to
+its first answer by dropping the rest of its search, which leaves that
+answer's bindings and constraints on the trail, so constraints the
+iterations placed on outer variables persist until the forall itself is
+resumed and undoes to its mark.
 """
 
 from __future__ import annotations
@@ -171,7 +185,9 @@ class Answer:
 
 
 _ONCE = (None,)
+_FAIL = object()  # next() of an exhausted choice point
 _MK = attrgetter("mk")
+_SHORTCUT = {"succeed_coinductive": "chs", "succeed_proved": "proved"}
 
 
 class _Frame:
@@ -232,6 +248,10 @@ class Engine:
                     self.forbid[entry[1]] = entry[2]
             elif tag == "lin":
                 self.lin = entry[1]
+            elif tag == "push":
+                self._pop()
+            elif tag == "pop":
+                self._push(entry[1])
             elif tag == "proved":
                 key, pk = entry[1], entry[2]
                 self.proved[key].pop()
@@ -345,12 +365,10 @@ class Engine:
         return owed
 
     def _pay(self, owed, i=0):
-        """Solutions of the owed disequalities owed[i:], in order."""
-        if i == len(owed):
-            yield
-            return
+        """Solutions of the owed disequalities owed[i:] (i < len(owed)), in
+        order."""
         for _ in self.assert_neq_term(*owed[i]):
-            yield from self._pay(owed, i + 1)
+            yield from self._pay(owed, i + 1) if i + 1 < len(owed) else _ONCE
 
     def _bind(self, var, t) -> bool:
         """Bind an unbound variable, re-checking its accumulated constraints."""
@@ -418,51 +436,46 @@ class Engine:
     # -- disequality over arbitrary terms -------------------------------------
 
     def assert_neq_term(self, a, b):
-        """Solutions of a \\= b under the excluded-term discipline."""
+        """Solutions of a \\= b under the excluded-term discipline: one
+        per argument pair that can differ when both sides are structures of
+        one functor, else at most one."""
         a = self.deref(a)
         b = self.deref(b)
-        if isinstance(a, Var) and isinstance(b, Var):
-            if a.id == b.id:
-                return
-            # No information to tell two unbound variables apart: this branch
-            # just fails and lets a later alternative decide constructively.
-            return
-        if isinstance(b, Var):
-            a, b = b, a
-        if isinstance(a, Var):
-            g = self._ground_args((b,))
-            if g is not None:
-                m = self.mark()
-                try:
-                    self._set_forbid(a.id, self.forbid.get(a.id, frozenset()) | {g[0]})
-                    # A variable the rational store holds takes the exclusion
-                    # in at once, as any variable entering the store does.
-                    if a.id not in self.lin.vars() or self._exclusions_to_lin(a.id, a.id):
-                        yield
-                finally:
-                    self.undo_to(m)
-                return
-            if self._occurs(a.id, b):
-                yield  # a term strictly containing the variable never equals it
-                return
-            sa, sb = format_terms(self.resolve(a), self.resolve(b))
-            raise SolverError(
-                "nonground_disequality",
-                f"{sa} \\= {sb} needs a ground right-hand side",
-            )
-        if isinstance(a, Const) and isinstance(b, Const):
-            if a != b:
-                yield
-            return
         if isinstance(a, Struct) and isinstance(b, Struct) and a.key == b.key:
             for x, y in zip(a.args, b.args):
-                m = self.mark()
-                try:
-                    yield from self.assert_neq_term(x, y)
-                finally:
-                    self.undo_to(m)
+                yield from self.assert_neq_term(x, y)
             return
-        yield  # different shapes can never be equal
+        m = self.mark()
+        if self._neq(a, b):
+            yield
+        self.undo_to(m)
+
+    def _neq(self, a, b) -> bool:
+        """Record a \\= b for dereferenced terms that are not structures of
+        one functor; False when it fails."""
+        if isinstance(b, Var):
+            a, b = b, a
+        if not isinstance(a, Var):
+            return a != b  # different constants or shapes are never equal
+        if isinstance(b, Var):
+            # No information to tell two unbound variables apart: this branch
+            # just fails and lets a later alternative decide constructively.
+            return False
+        if isinstance(b, Struct) and not b.arith and a.id in self.lin.vars():
+            return True  # a rational never equals a structure
+        g = self._ground_args((b,))
+        if g is not None:
+            self._set_forbid(a.id, self.forbid.get(a.id, frozenset()) | {g[0]})
+            # A variable the rational store holds takes the exclusion in at
+            # once, as any variable entering the store does.
+            return a.id not in self.lin.vars() or self._exclusions_to_lin(a.id, a.id)
+        if self._occurs(a.id, b):
+            return True  # a term strictly containing the variable never equals it
+        sa, sb = format_terms(self.resolve(a), self.resolve(b))
+        raise SolverError(
+            "nonground_disequality",
+            f"{sa} \\= {sb} needs a ground right-hand side",
+        )
 
     # -- linear constraints ------------------------------------------------------
 
@@ -551,30 +564,27 @@ class Engine:
 
     def solve_constraint(self, c: CmpLit, quiet=False):
         m = self.mark()
-        try:
-            if not quiet:
-                self.log(("constraint", c))
-            l, r = c.lhs, c.rhs
-            if c.op in ("=", "\\="):
-                if self._contains_arith(l) or self._contains_arith(r) or (
-                    self._numericish(l) and self._numericish(r)
-                ):
-                    if self._assert_linear(_LIN_OP[c.op], l, r):
-                        yield
-                elif c.op == "=":
-                    ok = self.unify(l, r)
-                    owed = self._take_owed()
-                    if ok and owed:
-                        yield from self._pay(owed)
-                    elif ok:
-                        yield
-                else:
-                    yield from self.assert_neq_term(l, r)
-            else:
+        if not quiet:
+            self.log(("constraint", c))
+        l, r = c.lhs, c.rhs
+        if c.op in ("=", "\\="):
+            if self._contains_arith(l) or self._contains_arith(r) or (
+                self._numericish(l) and self._numericish(r)
+            ):
                 if self._assert_linear(_LIN_OP[c.op], l, r):
                     yield
-        finally:
-            self.undo_to(m)
+            elif c.op == "=":
+                ok = self.unify(l, r)
+                owed = self._take_owed()
+                if ok and owed:
+                    yield from self._pay(owed)
+                elif ok:
+                    yield
+            else:
+                yield from self.assert_neq_term(l, r)
+        elif self._assert_linear(_LIN_OP[c.op], l, r):
+            yield
+        self.undo_to(m)
 
     # -- loop classification ------------------------------------------------------
 
@@ -699,100 +709,105 @@ class Engine:
 
     # -- resolution ---------------------------------------------------------------
 
-    def solve_goal(self, goal, quiet=False):
-        if isinstance(goal, Lit):
-            yield from self.solve_call(goal)
-        elif isinstance(goal, CmpLit):
-            yield from self.solve_constraint(goal, quiet)
-        else:
-            yield from self.c_forall(goal.var, goal.goal)
-
-    def solve(self, goals, i=0, quiet=False):
-        """Solutions of the conjunction goals[i:]."""
-        if i == len(goals):
-            yield
-            return
-        for _ in self.solve_goal(goals[i], quiet):
-            yield from self.solve(goals, i + 1, quiet)
+    def solve(self, goals, quiet=False):
+        """Solutions of the conjunction goals: one loop over the goals still
+        to prove, a linked list of (goal, rest) cells, and a stack of choice
+        points, (generator of alternatives, goals after its goal).  An
+        alternative is a tuple of goals to prove first, or None."""
+        todo = None
+        for goal in reversed(goals):
+            todo = (goal, todo)
+        choices = []
+        while True:
+            if todo is None:
+                yield
+            else:
+                goal, todo = todo
+                if type(goal) is tuple:  # a call's exit step: its body is proved
+                    goal, fr = goal
+                    self._pop()
+                    self.trail.append(("pop", fr))
+                    self.log(("exit",))
+                    self._register_proved(goal, fr.gkey)
+                    continue
+                if isinstance(goal, Lit):
+                    gen = self.solve_call(goal)
+                elif isinstance(goal, CmpLit):
+                    gen = self.solve_constraint(goal, quiet)
+                else:
+                    gen = self.c_forall(goal.var, goal.goal)
+                choices.append((gen, todo))
+            while choices:
+                gen, todo = choices[-1]
+                body = next(gen, _FAIL)
+                if body is not _FAIL:
+                    break
+                choices.pop()
+            else:
+                return
+            if body is not None:
+                for goal in reversed(body):
+                    todo = (goal, todo)
 
     def solve_call(self, goal: Lit):
+        """Alternatives of a call: per matching clause, the rest of its body
+        and the exit step that pops its frame."""
         rules = self.cp.rules.get(goal.key)
+        m = self.mark()
         if goal.neg:
             # A negation rewrite_query found no dual for: the predicate is
             # not in the program, so it holds vacuously.
             if rules is None:
-                m = self.mark()
-                try:
-                    self.log(("atom", goal))
-                    self.log(("exit",))
-                    yield
-                finally:
-                    self.undo_to(m)
+                self.log(("atom", goal))
+                self.log(("exit",))
+                yield None
+                self.undo_to(m)
             return
         if rules is None:
             return  # a call to a predicate with no rules fails
         act = self.classify_loop(goal)
         if act == "fail_odd" or act == "fail_positive":
             return
+        if act != "continue":
+            self.log((_SHORTCUT[act], goal))
+            yield None
+            self.undo_to(m)
+            return
         gkey = self.call_gkey
-        m0 = self.mark()
-        try:
-            if act == "succeed_coinductive":
-                self.log(("chs", goal))
-                yield
-                return
-            if act == "succeed_proved":
-                self.log(("proved", goal))
-                yield
-                return
-            index = self.cp.first_arg.get(goal.key)
-            if index is not None:
-                key = first_arg_key(self.deref(goal.args[0]))
-                if key is not None:
-                    # A skipped clause's head has a first argument with
-                    # another key, so its first hidden `=` fails quietly,
-                    # before any event, frame or lasting trail entry:
-                    # - differing functors or symbols fail in unify;
-                    # - two numbers meet in a linear `=`, unsatisfiable
-                    #   exactly when their Fraction values differ;
-                    # - arithmetic below a top functor sends `=` to the
-                    #   linear store, where _to_form returns None (it never
-                    #   raises on a non-arithmetic top), so it fails too.
-                    by_key, wildcards = index
-                    rules = by_key.get(key, wildcards)
-            fr = _Frame(goal, self.cp.pred_info[goal.pred])
-            for rule in rules:
+        index = self.cp.first_arg.get(goal.key)
+        if index is not None:
+            key = first_arg_key(self.deref(goal.args[0]))
+            if key is not None:
+                # A skipped clause's head has a first argument with another
+                # key, so its first hidden `=` fails quietly, before any
+                # event, frame or lasting trail entry:
+                # - differing functors or symbols fail in unify;
+                # - two numbers meet in a linear `=`, unsatisfiable exactly
+                #   when their Fraction values differ;
+                # - arithmetic below a top functor sends `=` to the linear
+                #   store, where _to_form returns None (it never raises on a
+                #   non-arithmetic top), so it fails too.
+                by_key, wildcards = index
+                rules = by_key.get(key, wildcards)
+        fr = _Frame(goal, self.cp.pred_info[goal.pred])
+        for rule in rules:
+            # A compiled head is distinct variables: they stand for the
+            # call's arguments, so only the body is renamed.
+            mapping = {v.id: a for v, a in zip(rule.head.args, goal.args)}
+            body = tuple(rename_goal(g, mapping) for g in rule.body)
+            hide = rule.hide_prefix
+            # The hidden head unifications run before the frame is pushed,
+            # so a clause whose head does not match costs no frame.
+            for _ in self.solve(body[:hide], True) if hide else _ONCE:
                 m = self.mark()
-                try:
-                    # A compiled head is distinct variables: they stand for
-                    # the call's arguments, so only the body is renamed.
-                    mapping = {v.id: a for v, a in zip(rule.head.args, goal.args)}
-                    body = tuple(rename_goal(g, mapping) for g in rule.body)
-                    hide = rule.hide_prefix
-                    # The hidden head unifications run before the frame is
-                    # pushed, so a clause whose head does not match costs
-                    # no frame.
-                    for _ in self.solve(body[:hide], 0, True) if hide else _ONCE:
-                        self.log(("atom", goal))
-                        # A ground key never changes: only a call that was
-                        # not ground may have become ground since.
-                        fr.gkey = self._ground_args(goal.args) if gkey is None else gkey
-                        self._push(fr)
-                        try:
-                            for _ in self.solve(body, hide):
-                                self._pop()
-                                self.log(("exit",))
-                                self._register_proved(goal, fr.gkey)
-                                try:
-                                    yield
-                                finally:
-                                    self._push(fr)
-                        finally:
-                            self._pop()
-                finally:
-                    self.undo_to(m)
-        finally:
-            self.undo_to(m0)
+                self.log(("atom", goal))
+                # A ground key never changes: only a call that was not
+                # ground may have become ground since.
+                fr.gkey = self._ground_args(goal.args) if gkey is None else gkey
+                self._push(fr)
+                self.trail.append(("push",))
+                yield body[hide:] + ((goal, fr),)
+                self.undo_to(m)
 
     def _register_proved(self, goal: Lit, gkey):
         if gkey is None:
@@ -835,19 +850,8 @@ class Engine:
         return ("eq", self.resolve(t))
 
     def c_forall(self, var: Var, goal):
-        m0 = self.mark()
-        kept = []
-        try:
-            self.log(("forall", Forall(var, goal)))
-            if self._forall_loop(var, goal, kept):
-                self.log(("exit",))
-                yield
-        finally:
-            for gen in reversed(kept):
-                gen.close()
-            self.undo_to(m0)
-
-    def _forall_loop(self, var, goal, kept) -> bool:
+        m = self.mark()
+        self.log(("forall", Forall(var, goal)))
         pending = [store_mod.TOP]
         while pending:
             piece = pending.pop(0)
@@ -856,17 +860,20 @@ class Engine:
             self.forall_trace.append((_goal_label(goal), piece))
             if not self.apply(piece, nv):
                 continue  # the piece itself is unsatisfiable: nothing to cover
-            gen = self.solve_goal(goal2)
-            try:
-                next(gen)
-            except StopIteration:
-                return False
-            kept.append(gen)
+            # Commit to the piece's first answer: the dropped search keeps
+            # its bindings and constraints on the trail.
+            for _ in self.solve((goal2,)):
+                break
+            else:
+                break  # a piece with no answer: the forall fails
             ans = self.dump(nv)
             if ans == piece:
                 continue
             pending = store_mod.add(store_mod.dual(ans), piece) + pending
-        return True
+        else:
+            self.log(("exit",))
+            yield
+        self.undo_to(m)
 
     # -- queries -------------------------------------------------------------------
 
@@ -877,15 +884,11 @@ class Engine:
         goals = list(q.goals) + [Lit("nmr_check")]
         t0 = time.perf_counter()
         n = 0
-        gen = self.solve(goals)
-        try:
-            for _ in gen:
-                n += 1
-                yield self._snapshot(query, n, t0)
-                if max_answers and n >= max_answers:
-                    return
-        finally:
-            gen.close()
+        for _ in self.solve(goals):
+            n += 1
+            yield self._snapshot(query, n, t0)
+            if max_answers and n >= max_answers:
+                return
 
     # -- answer snapshots ------------------------------------------------------------
 
@@ -934,14 +937,12 @@ class Engine:
                 seen.add(key)
                 out.append(lit)
 
-        def walk(node):
+        stack = roots[::-1]
+        while stack:
+            node = stack.pop()
             if node.kind == "atom" or node.kind == "chs":
                 consider(node.goal)
-            for child in node.children:
-                walk(child)
-
-        for node in roots:
-            walk(node)
+            stack.extend(reversed(node.children))
         out.append(Lit("nmr_check"))
         return out
 

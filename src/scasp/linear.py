@@ -298,9 +298,9 @@ class LinearStore:
     def project(self, vid: int):
         """Constraints on a single variable, as (op, value) pairs.
 
-        An exactly-determined variable yields ``[('=', v)]``; otherwise the
-        tightest lower bound, the tightest upper bound, and the excluded
-        points in ascending order; unconstrained variables yield [].
+        The tightest lower bound, the tightest upper bound, and the excluded
+        points in ascending order; unconstrained variables yield [].  The
+        store has an interior point, so the bounds never meet.
         ``store.lin_canon`` turns the list into a canonical view.
         """
         cons = list(self.ineqs)
@@ -310,8 +310,6 @@ class LinearStore:
             cons.append((diff, False))
             cons.append((form_neg(diff), False))
         lo, hi = _bounds(cons, vid)
-        if lo and hi and lo[0] == hi[0]:
-            return [("=", lo[0])]  # the store is satisfiable: both bounds are closed
         excluded = set()
         for form in self.neqs:
             if form_vars(form) == {vid}:
@@ -330,10 +328,11 @@ class LinearStore:
 
         Such a value is excluded by the disequality ``form != 0`` even though
         form mentions other variables.  The forced set is finite (an interval
-        of forced values would mean form = 0 everywhere, which normalization
-        already rejects), and each forced value shows up as a vid-bound of one
-        of the systems {form = 0}, {form > 0}, {form < 0}, so those endpoints
-        are a complete candidate list; each candidate is then verified.
+        of forced values would mean form = 0 everywhere, which the store's
+        interior point rules out), and each forced value shows up as a
+        vid-bound of one of the systems {form = 0}, {form > 0}, {form < 0},
+        so those endpoints are a complete candidate list; each candidate is
+        then verified.
         """
         candidates = set()
         extensions = (
@@ -383,7 +382,11 @@ def form_subst_one(form, vid, repl):
 
 def _normalize(subst, ineqs, neqs):
     """Re-establish store invariants after subst was extended; (ineqs, neqs)
-    of the new store, or None when the conjunction is empty."""
+    of the new store, or None when the conjunction is empty.
+
+    Every implicit equality among the inequalities is moved into subst, so
+    the rows left have a point satisfying all of them strictly: no live
+    variable is fixed, and no disequality can be forced to zero."""
     while True:
         cons = [(form_apply(f, subst), s) for f, s in ineqs]
         cons = _ground_split(cons)
@@ -392,17 +395,15 @@ def _normalize(subst, ineqs, neqs):
         cons = _tighten(cons)
         if not _fm_sat(cons):
             return None
-        pinched = None
-        for vid in sorted({v for form, _ in cons for v in form_vars(form)}):
-            lo, hi = _bounds(cons, vid)
-            if lo and hi and lo[0] == hi[0] and not lo[1] and not hi[1]:
-                pinched = (vid, lo[0])
-                break
-        if pinched is None:
-            ineqs = cons
-            break
-        _solve_eq(subst, form_sub(form_var(pinched[0]), form_const(pinched[1])))
         ineqs = cons
+        # A weak row f <= 0 whose strict form is unsatisfiable with the
+        # other rows is the equality f = 0: solve it and start again.
+        for i, (form, strict) in enumerate(cons):
+            if not strict and not _fm_sat(cons[:i] + [(form, True)] + cons[i + 1:]):
+                _solve_eq(subst, form)
+                break
+        else:
+            break
     out_neqs = []
     for form in neqs:
         form = form_apply(form, subst)
@@ -410,13 +411,8 @@ def _normalize(subst, ineqs, neqs):
             if form[0] == 0:
                 return None
             continue
-        eq_pair = [(form, False), (form_neg(form), False)]
-        if not _fm_sat(list(ineqs) + eq_pair):
+        if not _fm_sat(ineqs + [(form, False), (form_neg(form), False)]):
             continue  # already impossible to be zero: entailed
-        if not _fm_sat(list(ineqs) + [(form, True)]) and not _fm_sat(
-            list(ineqs) + [(form_neg(form), True)]
-        ):
-            return None  # the store forces form = 0
         canon, _ = _canonical(form, False)
         if canon[1][0][1] < 0:
             canon = form_neg(canon)

@@ -56,9 +56,7 @@ class Struct:
     args: tuple
 
     # The hash and the two flags are computed on first use and kept, so
-    # that walks skip a ground subterm in one step.  None of them raises or
-    # abandons a generator (any() over one would): Python charges both in
-    # proportion to the depth of the solver's generators.
+    # that walks skip a ground subterm in one step.
 
     def __hash__(self):
         # A deep ground term is hashed on every index lookup it is a key of.

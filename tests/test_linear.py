@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from scasp.linear import (
     LinearStore,
+    _fm_sat,
     complement,
     form_add,
     form_const,
@@ -86,6 +87,14 @@ def test_equalities_determine_values():
 def test_bounds_can_pinch_a_value():
     got = values_of((">=", v(X), c("21/2")), ("<=", v(X), c("21/2")))
     assert got == {X: Fraction(21, 2)}
+
+
+def test_an_implicit_equality_determines_a_value():
+    # No variable's own bounds meet, yet the two inequalities force
+    # Y + Z = 0, and with it X = 0.
+    yz = form_add(v(Y), v(Z))
+    got = values_of(("=", v(X), yz), (">=", yz, c(0)), ("<=", yz, c(0)))
+    assert got == {X: Fraction(0)}
 
 
 def test_contradictions_are_detected():
@@ -226,3 +235,19 @@ def test_determined_reports_each_fixed_variable_once(cons):
         assert not s.vars() & values.keys()
     for op, lhs, rhs in asserted:
         assert s.entails(op, known(lhs, values), rhs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(constraint, min_size=1, max_size=5))
+def test_the_store_keeps_an_interior_point(cons):
+    """Every implicit equality is solved, so the inequalities left hold
+    strictly together: no live variable is fixed."""
+    s = _build(cons)
+    if s is None:
+        return
+    assert _fm_sat([(form, True) for form, _ in s.ineqs])
+    for vid in s.vars():
+        entries = s.project(vid)
+        lo = [val for op, val in entries if op in (">", ">=")]
+        hi = [val for op, val in entries if op in ("<", "<=")]
+        assert not (lo and hi) or lo[0] < hi[0], entries

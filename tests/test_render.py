@@ -4,6 +4,8 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 from scasp.cli import main
 from scasp.compiler import compile_program
 from scasp.engine import run_query
@@ -23,6 +25,32 @@ def first_answer(text, query):
 
 def mask_time(s):
     return re.sub(r"\(in [0-9.]+ ms\)", "(in _ ms)", s)
+
+
+def mask_json_time(s):
+    return re.sub(r'"time_ms": [0-9.]+', '"time_ms": _', s)
+
+
+def mask_echo(s):
+    # The query echo names an unnamed variable by the process-wide variable
+    # counter, which the tests run before may have advanced.
+    echo, nl, rest = s.partition("\n")
+    return re.sub(r"_G[0-9]+", "_G", echo) + nl + rest
+
+
+@pytest.mark.parametrize("json_lines", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "program, n", [("stream", 0), ("yale", 0), ("tsp", 2), ("hanoi", 2)]
+)
+def test_showcase_output_matches_the_golden_files(capsys, program, n, json_lines):
+    # Every answer the CLI prints for the four showcase programs, byte for
+    # byte but for the times, as frozen in tests/data/golden.
+    flags = ["--json-lines"] if json_lines else []
+    rc = main([str(PROGRAMS / f"{program}.pl"), "-n", str(n), *flags])
+    assert rc == 0
+    got = mask_json_time(mask_time(capsys.readouterr().out))
+    want = (DATA / "golden" / f"{program}.{'jsonl' if json_lines else 'txt'}").read_text()
+    assert mask_echo(got) == mask_echo(want)
 
 
 def test_full_first_answer_matches_the_frozen_output(capsys):
