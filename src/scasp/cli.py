@@ -25,7 +25,7 @@ from .errors import CompileError, SolverError
 from .oracle import atom_key, ground, stable_models
 from .parser import ParseError, parse_program, parse_query
 from .render import render_answer, render_answer_json
-from .terms import Lit, Program, format_goal
+from .terms import Lit, Program, format_goal, goal_vars
 
 __all__ = ["main"]
 
@@ -141,7 +141,9 @@ def _main(argv) -> int:
         return 2
 
     if not args.json_lines:
-        print("?- %s." % ", ".join(format_goal(g) for g in query.goals))
+        # An anonymous variable echoes as written, not by its process-wide id.
+        anon = {v.id: "_" for g in query.goals for v in goal_vars(g) if v.name == "_"}
+        print("?- %s." % ", ".join(format_goal(g, anon) for g in query.goals))
         print()
     count = 0
     try:

@@ -40,6 +40,7 @@ from functools import partial
 from typing import Optional
 
 from .errors import CompileError
+from .linear import OP_TEXT, complement
 from .terms import (
     ARITH_OPS,
     CmpLit,
@@ -75,15 +76,9 @@ RESERVED_NOTE = (
     "'chk_<n>', and '__' anywhere in a name are reserved"
 )
 
-_DUAL_OP = {
-    "=": ("\\=",),
-    "\\=": ("=",),
-    ".<.": (".>=.",),
-    ".>.": (".=<.",),
-    ".=<.": (".>.",),
-    ".>=.": (".<.",),
-    ".=.": (".<.", ".>."),
-    ".\\=.": (".=.",),
+# The comparisons whose disjunction negates each comparison.
+_DUAL_OP = {"=": ("\\=",), "\\=": ("=",)} | {
+    text: tuple(OP_TEXT[c] for c in complement(op)) for op, text in OP_TEXT.items()
 }
 
 

@@ -21,16 +21,20 @@ derivation: only a clause's hidden head unifications and a forall's pieces
 run a nested solve.
 
 Each unbound variable lives in at most one constraint domain: excluded
-ground terms (forbid) or the rational store (lin).  A variable entering
-the store brings its exclusions with it, numbers as disequalities, and any
-other excluded term is dropped as vacuous, since a rational never equals a
-symbol or a structure; for the same reason `\\=` against a non-number
-records nothing on a variable the store already holds.  A value the store
-fixes lives only in the binding: the store reports it once, the engine
-binds the variable at once, and the store forgets it.  So the engine never
-hands the store a variable it fixed before: forms come from dereferenced
-terms, from a fresh variable, or (_bind_linear) from unbound ones, and
-neither a disequality nor a canonical view's bounds ever fix one.
+ground terms (forbid) or the rational store (lin).  The engine hands the
+store resolved terms (LinearStore.assert_terms) and never sees a linear
+form.  After an assert, a variable the store now holds brings its
+exclusions after it, numbers as disequalities, and any other excluded term
+is dropped as vacuous, since a rational never equals a symbol or a
+structure; a variable the assert left out, as X + 1 .>. X leaves X, keeps
+them.  For the same reason `\\=` against a non-number records nothing on a
+variable the store already holds.  `=` without arithmetic always unifies,
+so two variables the store holds are aliased like any others, the store
+learning their equality first.  A value the store fixes lives only in the
+binding: the store reports it once, the engine binds the variable at once
+through the one bind path, which checks its exclusions, and the store
+forgets it.  Since terms are resolved before each assert, the store is
+never handed a variable it fixed before.
 
 Unification is a plain function: unify binds or reports a clash, leaving
 its bindings on the trail for the caller to undo.  The one way it can
@@ -105,15 +109,13 @@ import sys
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import attrgetter
 
 from . import store as store_mod
 from .compiler import CompiledProgram, first_arg_key, rewrite_query
 from .errors import SolverError
-from .linear import LinearStore, form_add, form_const, form_scale, form_sub, form_var
+from .linear import LinearStore
 from .terms import (
-    ARITH_OPS,
     CmpLit,
     Const,
     Forall,
@@ -133,17 +135,6 @@ from .terms import (
 __all__ = ["Engine", "Answer", "Node", "run_query"]
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
-
-_LIN_OP = {
-    ".<.": "<",
-    ".>.": ">",
-    ".=<.": "<=",
-    ".>=.": ">=",
-    ".=.": "=",
-    ".\\=.": "!=",
-    "=": "=",
-    "\\=": "!=",
-}
 
 
 @dataclass
@@ -371,13 +362,27 @@ class Engine:
             yield from self._pay(owed, i + 1) if i + 1 < len(owed) else _ONCE
 
     def _bind(self, var, t) -> bool:
-        """Bind an unbound variable, re-checking its accumulated constraints."""
+        """Bind an unbound variable to a dereferenced term, re-checking its
+        accumulated constraints."""
         if self._occurs(var.id, t):
             return False
-        if var.id in self.lin.vars():
-            return self._bind_linear(var, t)
+        held = self.lin.vars()
         if isinstance(t, Var):
-            return self._bind_vars(var, t)
+            # Aliasing keeps the variable the store holds as the root.
+            root, other = (var, t) if var.id in held else (t, var)
+            if other.id in held:
+                # The store learns root = other before the binding, since
+                # resolving after it would collapse both sides.
+                if not self._assert_linear("=", root, other):
+                    return False
+                if other.id in self.cells:
+                    return True  # the equality fixed both
+            fb = self.forbid.get(other.id)
+            self._bind_raw(other.id, root)
+            return not fb or self._exclude(root, fb)
+        if var.id in held:
+            # A rational-constrained variable is never a symbol or structure.
+            return isinstance(t, Const) and t.is_number and self._assert_linear("=", var, t)
         fb = self.forbid.get(var.id)
         if fb:
             g = self._ground_args((t,))
@@ -390,46 +395,16 @@ class Engine:
         self._bind_raw(var.id, t)
         return True
 
-    def _bind_vars(self, a, b) -> bool:
-        """Alias two unbound variables, merging a's exclusions onto b."""
-        if b.id in self.lin.vars():
-            return self._bind_linear(a, b)
-        fa = self.forbid.get(a.id)
-        if fa:
-            self._set_forbid(b.id, self.forbid.get(b.id, frozenset()) | fa)
-        self._bind_raw(a.id, b)
-        return True
-
-    def _bind_linear(self, var, t) -> bool:
-        """Bind a variable the rational store knows about."""
-        t = self.deref(t)
-        if isinstance(t, Const):
-            # A rational-constrained variable cannot be a symbol.
-            return t.is_number and self._assert_linear("=", var, t)
-        if not isinstance(t, Var):
-            return False  # structures are never rational values
-        # Keep whichever variable the store constrains as the root.
-        root, other = (var, t) if var.id in self.lin.vars() else (t, var)
-        if not self._exclusions_to_lin(other.id, root.id):
-            return False
-        self._bind_raw(other.id, root)
-        return other.id not in self.lin.vars() or self._assert_linear_forms(
-            "=", form_var(root.id), form_var(other.id)
-        )
-
-    def _exclusions_to_lin(self, vid, root) -> bool:
-        """Move vid's excluded terms into the rational store as exclusions
-        on root, so that no variable the store holds has any: a number
-        becomes a disequality, any other term is vacuous, since a rational
-        never equals a symbol or a structure."""
-        fb = self.forbid.get(vid)
-        if not fb:
+    def _exclude(self, var, terms) -> bool:
+        """Record that an unbound variable differs from each ground term.  On
+        a variable the rational store holds a number becomes a disequality
+        and any other term is vacuous, since a rational never equals a symbol
+        or a structure; any other variable keeps them as exclusions."""
+        if var.id not in self.lin.vars():
+            self._set_forbid(var.id, self.forbid.get(var.id, frozenset()).union(terms))
             return True
-        self._set_forbid(vid, None)
-        for g in sorted(fb, key=format_term):
-            if isinstance(g, Const) and g.is_number and not self._assert_linear_forms(
-                "!=", form_var(root), form_const(g.value)
-            ):
+        for g in sorted(terms, key=format_term):
+            if isinstance(g, Const) and g.is_number and not self._assert_linear("!=", var, g):
                 return False
         return True
 
@@ -465,10 +440,7 @@ class Engine:
             return True  # a rational never equals a structure
         g = self._ground_args((b,))
         if g is not None:
-            self._set_forbid(a.id, self.forbid.get(a.id, frozenset()) | {g[0]})
-            # A variable the rational store holds takes the exclusion in at
-            # once, as any variable entering the store does.
-            return a.id not in self.lin.vars() or self._exclusions_to_lin(a.id, a.id)
+            return self._exclude(a, g)
         if self._occurs(a.id, b):
             return True  # a term strictly containing the variable never equals it
         sa, sb = format_terms(self.resolve(a), self.resolve(b))
@@ -498,66 +470,31 @@ class Engine:
             return t.id in self.lin.vars()
         return False
 
-    def _to_form(self, t, seen_vars):
-        """Linear form of a term; None when it mentions non-numeric data."""
-        t = self.deref(t)
-        if isinstance(t, Const):
-            if t.is_number:
-                return form_const(t.value)
-            return None
-        if isinstance(t, Var):
-            seen_vars.add(t.id)
-            return form_var(t.id)
-        if isinstance(t, Struct) and t.functor in ARITH_OPS and len(t.args) == 2:
-            lf = self._to_form(t.args[0], seen_vars)
-            rf = self._to_form(t.args[1], seen_vars)
-            if lf is None or rf is None:
-                return None
-            if t.functor == "+":
-                return form_add(lf, rf)
-            if t.functor == "-":
-                return form_sub(lf, rf)
-            if t.functor == "*":
-                if not lf[1]:
-                    return form_scale(rf, lf[0])
-                if not rf[1]:
-                    return form_scale(lf, rf[0])
-                raise SolverError(
-                    "nonlinear_constraint",
-                    f"product of two unknowns in {format_terms(self.resolve(t))[0]}",
-                )
-            if rf[1] or rf[0] == 0:
-                raise SolverError(
-                    "nonlinear_constraint",
-                    f"division by a non-constant or zero in {format_terms(self.resolve(t))[0]}",
-                )
-            return form_scale(lf, Fraction(1) / rf[0])
-        return None
-
     def _assert_linear(self, op, l, r) -> bool:
-        seen = set()
-        lf = self._to_form(l, seen)
-        rf = self._to_form(r, seen)
-        if lf is None or rf is None:
-            return False
-        for vid in sorted(seen):
-            if not self._exclusions_to_lin(vid, vid):
-                return False
-        return self._assert_linear_forms(op, lf, rf)
-
-    def _assert_linear_forms(self, op, lf, rf) -> bool:
-        res = self.lin.assert_constraint(op, lf, rf)
+        """Conjoin l op r with the rational store, binding each variable it
+        fixes.  A variable the store takes in brings its exclusions after
+        it; one the store did not take in, as in X + 1 .>. X, keeps them."""
+        l, r = self._resolved((l, r), False)
+        res = self.lin.assert_terms(op, l, r)
         if res is None:
             return False
         new_store, determined = res
         if new_store is not self.lin:
             self._set_lin(new_store)
         # Each variable is reported once, by the call that fixes it, and the
-        # store forgets it: its value lives on only in the binding made here.
-        # A variable aliased to another is already bound.
+        # store forgets it: its value lives on only in the binding made here,
+        # which checks its exclusions.  A variable aliased to another is
+        # already bound.
         for vid, val in determined:
-            if vid not in self.cells:
-                self._bind_raw(vid, Const(val))
+            if vid not in self.cells and not self._bind(Var(vid), Const(val)):
+                return False
+        if self.forbid:
+            for v in term_vars(l) + term_vars(r):
+                fb = self.forbid.get(v.id)
+                if fb and v.id in self.lin.vars():
+                    self._set_forbid(v.id, None)
+                    if not self._exclude(v, fb):
+                        return False
         return True
 
     # -- constraint goals -------------------------------------------------------
@@ -566,23 +503,18 @@ class Engine:
         m = self.mark()
         if not quiet:
             self.log(("constraint", c))
-        l, r = c.lhs, c.rhs
-        if c.op in ("=", "\\="):
-            if self._contains_arith(l) or self._contains_arith(r) or (
-                self._numericish(l) and self._numericish(r)
-            ):
-                if self._assert_linear(_LIN_OP[c.op], l, r):
-                    yield
-            elif c.op == "=":
-                ok = self.unify(l, r)
-                owed = self._take_owed()
-                if ok and owed:
-                    yield from self._pay(owed)
-                elif ok:
-                    yield
-            else:
-                yield from self.assert_neq_term(l, r)
-        elif self._assert_linear(_LIN_OP[c.op], l, r):
+        op, l, r = c.op, c.lhs, c.rhs
+        arith = op in ("=", "\\=") and (self._contains_arith(l) or self._contains_arith(r))
+        if op == "=" and not arith:
+            ok = self.unify(l, r)
+            owed = self._take_owed()
+            if ok and owed:
+                yield from self._pay(owed)
+            elif ok:
+                yield
+        elif op == "\\=" and not arith and not (self._numericish(l) and self._numericish(r)):
+            yield from self.assert_neq_term(l, r)
+        elif self._assert_linear(op, l, r):
             yield
         self.undo_to(m)
 
@@ -781,12 +713,10 @@ class Engine:
                 # A skipped clause's head has a first argument with another
                 # key, so its first hidden `=` fails quietly, before any
                 # event, frame or lasting trail entry:
-                # - differing functors or symbols fail in unify;
-                # - two numbers meet in a linear `=`, unsatisfiable exactly
-                #   when their Fraction values differ;
+                # - differing functors, symbols or numbers fail in unify;
                 # - arithmetic below a top functor sends `=` to the linear
-                #   store, where _to_form returns None (it never raises on a
-                #   non-arithmetic top), so it fails too.
+                #   store, where linear.form_of returns None (it never raises
+                #   on a non-arithmetic top), so it fails too.
                 by_key, wildcards = index
                 rules = by_key.get(key, wildcards)
         fr = _Frame(goal, self.cp.pred_info[goal.pred])
@@ -833,7 +763,7 @@ class Engine:
             self._set_forbid(var.id, view[1])
             return True
         for op, val in view[1]:
-            if not self._assert_linear_forms(op, form_var(var.id), form_const(val)):
+            if not self._assert_linear(op, var, Const(val)):
                 return False
         return True
 

@@ -14,21 +14,36 @@ binds the variable at once) and puts the value, not the variable, in every
 later constraint.  So a long derivation that determines one value per step
 keeps the store small and each step's cost constant.
 
-Linear forms are plain tuples ``(constant, ((vid, coeff), ...))`` with the
-variable ids sorted; an inequality entry ``(form, strict)`` means
-``form <= 0`` (or ``form < 0`` when strict), and a disequality entry means
-``form != 0``.
+The engine speaks terms: ``LinearStore.assert_terms`` takes two resolved
+terms and an operator in either the program's spelling (``.<.``, ``\\=``)
+or the store's (``<``, ``!=``), builds each side's linear form
+(``form_of``) and conjoins them; ``OP_TEXT`` is the one table between the
+two spellings.  Only the store-alone tests build forms outside this
+module, for ``assert_constraint`` and ``entails``.  Linear forms are plain
+tuples ``(constant, ((vid, coeff), ...))`` with the variable ids sorted;
+an inequality entry ``(form, strict)`` means ``form <= 0`` (or
+``form < 0`` when strict), and a disequality entry means ``form != 0``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import SolverError
+from .terms import ARITH_OPS, Const, Struct, Var, format_terms
+
 __all__ = [
-    "LinearStore", "complement", "form_const", "form_var", "form_add",
-    "form_sub", "form_neg", "form_scale", "form_vars", "form_is_const",
-    "ZERO",
+    "LinearStore", "OP_TEXT", "complement", "form_of", "form_const",
+    "form_var", "form_add", "form_sub", "form_neg", "form_scale", "form_vars",
+    "form_is_const", "ZERO",
 ]
+
+# Each store operator and its spelling in programs and answers.
+OP_TEXT = {"<": ".<.", "<=": ".=<.", ">": ".>.", ">=": ".>=.", "=": ".=.", "!=": ".\\=."}
+
+# Either spelling to the store's; `=` and `\=` between numbers are the
+# store's `=` and `!=`.
+_STORE_OP = {**{op: op for op in OP_TEXT}, **{t: op for op, t in OP_TEXT.items()}, "\\=": "!="}
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -92,6 +107,40 @@ def form_apply(a: tuple, subst: dict) -> tuple:
         if repl is not None:
             out = form_add(out, form_scale(repl, coef))
     return out
+
+
+def form_of(t):
+    """Linear form of a resolved term; None when it mentions non-numeric
+    data.  A product of two unknowns, or a division by one or by zero,
+    raises nonlinear_constraint."""
+    if isinstance(t, Const):
+        return form_const(t.value) if t.is_number else None
+    if isinstance(t, Var):
+        return form_var(t.id)
+    if not (isinstance(t, Struct) and t.functor in ARITH_OPS and len(t.args) == 2):
+        return None
+    lf = form_of(t.args[0])
+    rf = form_of(t.args[1])
+    if lf is None or rf is None:
+        return None
+    if t.functor == "+":
+        return form_add(lf, rf)
+    if t.functor == "-":
+        return form_sub(lf, rf)
+    if t.functor == "*":
+        if not lf[1]:
+            return form_scale(rf, lf[0])
+        if not rf[1]:
+            return form_scale(lf, rf[0])
+        raise SolverError(
+            "nonlinear_constraint", f"product of two unknowns in {format_terms(t)[0]}"
+        )
+    if rf[1] or rf[0] == 0:
+        raise SolverError(
+            "nonlinear_constraint",
+            f"division by a non-constant or zero in {format_terms(t)[0]}",
+        )
+    return form_scale(lf, _F1 / rf[0])
 
 
 def complement(op: str):
@@ -285,6 +334,16 @@ class LinearStore:
         for vid, _ in determined:
             del subst[vid]
         return LinearStore(subst, got[0], got[1]), determined
+
+    def assert_terms(self, op: str, lhs, rhs):
+        """Conjoin ``lhs op rhs`` for two resolved terms, op in either
+        spelling; as assert_constraint, and None also when a side is not
+        numeric."""
+        lf = form_of(lhs)
+        rf = form_of(rhs)
+        if lf is None or rf is None:
+            return None
+        return self.assert_constraint(_STORE_OP[op], lf, rf)
 
     # -- queries --------------------------------------------------------------
 

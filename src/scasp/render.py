@@ -17,11 +17,10 @@ from __future__ import annotations
 import json
 
 from .engine import Answer, Node
+from .linear import OP_TEXT
 from .terms import format_goal, format_number, format_term
 
 __all__ = ["Renderer", "render_answer", "render_answer_json"]
-
-_LIN_TEXT = {"<": ".<.", "<=": ".=<.", ">": ".>.", ">=": ".>=.", "!=": ".\\=."}
 
 
 class _StoreNames:
@@ -56,10 +55,10 @@ class Renderer:
         view = self.answer.views.get(vid, ("top",))
         if view[0] == "neq":
             items = sorted((self.term_str(t) for t in view[1]))
-            return "{%s.\\=.[%s]}" % (name, ",".join(items))
+            return "{%s%s[%s]}" % (name, OP_TEXT["!="], ",".join(items))
         if view[0] == "lin":
             parts = [
-                "%s%s%s" % (name, _LIN_TEXT[op], format_number(val))
+                "%s%s%s" % (name, OP_TEXT[op], format_number(val))
                 for op, val in view[1]
             ]
             return "{%s}" % ", ".join(parts)

@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from scasp.compiler import compile_program
+from scasp.errors import CompileError
 from scasp.parser import ParseError, parse_program, parse_query
 from scasp.terms import (
     CmpLit,
@@ -141,3 +144,91 @@ def test_round_trip_through_formatter():
         first = parse_program(text).rules[0]
         again = parse_program(format_rule(first)).rules[0]
         assert alpha_eq_rule(first, again), text
+
+
+# -- fuzzing: malformed input fails with a parse or compile error ----------------
+#
+# Programs are drawn as token lists shaped like clauses (facts, rules,
+# denials, queries, #show) over terms the parser special-cases, then edited
+# by a few insertions and deletions of tokens, reserved names among them,
+# and joined with or without spaces.
+
+_NAMES = ["p", "q", "r", "s"]
+_ATOMIC = ["X", "Y", "_", "_Z", "a", "0", "3", "2.5", "1/2", "-1", "[]"]
+_OPS = ["=", "\\=", ".<.", ".>.", ".=<.", ".>=.", ".=.", ".\\=."]
+_OTHER = [
+    "not", "not_p", "nmr_check", "forall", "chk_1", "p__1", "1/0",
+    "(", ")", "[", "]", "|", ",", ".", "+", "-", "*", "/", ":-", "?-", "#show",
+]
+
+
+def _join(parts, sep):
+    out = []
+    for i, part in enumerate(parts):
+        out += ([sep] if i else []) + part
+    return out
+
+
+def _call(name, args):
+    return [name] + (["("] + _join(args, ",") + [")"] if args else [])
+
+
+def _list(items, tail):
+    return ["["] + _join(items, ",") + (tail if items else []) + ["]"]
+
+
+_terms = st.recursive(
+    st.sampled_from(_ATOMIC).map(lambda t: [t]),
+    lambda inner: st.one_of(
+        st.builds(_call, st.sampled_from(_NAMES), st.lists(inner, min_size=1, max_size=3)),
+        st.builds(
+            _list,
+            st.lists(inner, max_size=3),
+            st.one_of(st.just([]), inner.map(lambda t: ["|"] + t)),
+        ),
+    ),
+    max_leaves=6,
+)
+# Arithmetic is only valid on the two sides of a comparison.
+_exprs = st.recursive(
+    _terms,
+    lambda inner: st.builds(lambda l, op, r: l + [op] + r, inner, st.sampled_from("+-*/"), inner),
+    max_leaves=4,
+)
+_atoms = st.builds(_call, st.sampled_from(_NAMES), st.lists(_terms, max_size=3))
+_goals = st.one_of(
+    _atoms,
+    _atoms.map(lambda a: ["not"] + a),
+    st.builds(lambda l, op, r: l + [op] + r, _exprs, st.sampled_from(_OPS), _exprs),
+)
+_bodies = st.lists(_goals, min_size=1, max_size=3).map(lambda gs: _join(gs, ","))
+_clauses = st.one_of(
+    _atoms.map(lambda h: h + ["."]),
+    st.builds(lambda h, b: h + [":-"] + b + ["."], _atoms, _bodies),
+    _bodies.map(lambda b: [":-"] + b + ["."]),
+    _bodies.map(lambda b: ["?-"] + b + ["."]),
+    st.builds(
+        lambda n, k: ["#show", n, "/", k, "."], st.sampled_from(_NAMES), st.sampled_from("012")
+    ),
+)
+_edits = st.lists(
+    st.tuples(st.integers(0, 60), st.none() | st.sampled_from(_NAMES + _ATOMIC + _OPS + _OTHER)),
+    max_size=3,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_clauses, min_size=1, max_size=4), _edits, st.sampled_from(["  ", " ", ""]))
+def test_parse_and_compile_fail_only_with_their_own_errors(clauses, edits, sep):
+    tokens = [tok for clause in clauses for tok in clause]
+    for pos, tok in edits:
+        i = pos % (len(tokens) + 1)
+        if tok is None:
+            del tokens[i:i + 1]
+        else:
+            tokens.insert(i, tok)
+    text = sep.join(tokens)
+    try:
+        compile_program(parse_program(text))
+    except (ParseError, CompileError):
+        pass

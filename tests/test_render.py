@@ -31,13 +31,6 @@ def mask_json_time(s):
     return re.sub(r'"time_ms": [0-9.]+', '"time_ms": _', s)
 
 
-def mask_echo(s):
-    # The query echo names an unnamed variable by the process-wide variable
-    # counter, which the tests run before may have advanced.
-    echo, nl, rest = s.partition("\n")
-    return re.sub(r"_G[0-9]+", "_G", echo) + nl + rest
-
-
 @pytest.mark.parametrize("json_lines", [False, True], ids=["text", "json"])
 @pytest.mark.parametrize(
     "program, n", [("stream", 0), ("yale", 0), ("tsp", 2), ("hanoi", 2)]
@@ -50,7 +43,7 @@ def test_showcase_output_matches_the_golden_files(capsys, program, n, json_lines
     assert rc == 0
     got = mask_json_time(mask_time(capsys.readouterr().out))
     want = (DATA / "golden" / f"{program}.{'jsonl' if json_lines else 'txt'}").read_text()
-    assert mask_echo(got) == mask_echo(want)
+    assert got == want
 
 
 def test_full_first_answer_matches_the_frozen_output(capsys):
