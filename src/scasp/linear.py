@@ -47,6 +47,7 @@ _STORE_OP = {**{op: op for op in OP_TEXT}, **{t: op for op, t in OP_TEXT.items()
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+_NO_VARS = frozenset()
 
 ZERO = (_F0, ())
 
@@ -272,7 +273,11 @@ class LinearStore:
 
     def vars(self) -> set:
         """Ids of the variables the store mentions, computed once per store;
-        the set is shared, so callers must not mutate it."""
+        the set is shared, so callers must not mutate it.  Every store that
+        mentions none shares one empty set: the engine keeps each store it
+        replaced on its trail, and the one bind path asks the store after
+        each determined value, so a set per step would pile up and slow
+        the collector."""
         if self._vars is None:
             out = set(self.subst)
             for form in self.subst.values():
@@ -281,7 +286,7 @@ class LinearStore:
                 out |= form_vars(form)
             for form in self.neqs:
                 out |= form_vars(form)
-            self._vars = out
+            self._vars = out or _NO_VARS
         return self._vars
 
     def is_empty(self) -> bool:

@@ -199,6 +199,18 @@ def test_projection_is_exact(cons):
             assert fits == (admitted is not None), (entries, val)
 
 
+def test_stores_that_mention_no_variable_share_one_vars_set():
+    # The engine keeps every store it replaces on its trail, one per
+    # determined step of a countdown; none may hold a set of its own.
+    a, _ = LinearStore.empty().assert_constraint("=", v(X), c(3))
+    b, _ = a.assert_constraint("=", v(Y), c(4))
+    assert a is not b and a.is_empty() and b.is_empty()
+    assert a.vars() is b.vars() is LinearStore.empty().vars()
+    assert not a.vars()
+    held, _ = a.assert_constraint("<", v(X), c(3))
+    assert held.vars() == {X} and held.vars() is not a.vars()
+
+
 def test_a_fixed_value_is_reported_once_and_still_answered():
     s, det = LinearStore.empty().assert_constraint("=", v(X), c(3))
     assert det == [(X, Fraction(3))]
