@@ -19,13 +19,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .compiler import check_query, compile_program, dump_compiled
+from .compiler import check_query, compile_program, display_query, dump_compiled
 from .engine import Engine
 from .errors import CompileError, SolverError
 from .oracle import atom_key, ground, stable_models
 from .parser import ParseError, parse_program, parse_query
 from .render import render_answer, render_answer_json
-from .terms import Lit, Program, format_goal, goal_vars
+from .terms import Lit, Program, format_goal
 
 __all__ = ["main"]
 
@@ -141,9 +141,7 @@ def _main(argv) -> int:
         return 2
 
     if not args.json_lines:
-        # An anonymous variable echoes as written, not by its process-wide id.
-        anon = {v.id: "_" for g in query.goals for v in goal_vars(g) if v.name == "_"}
-        print("?- %s." % ", ".join(format_goal(g, anon) for g in query.goals))
+        print(display_query(query))
         print()
     count = 0
     try:

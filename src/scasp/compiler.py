@@ -52,6 +52,7 @@ from .terms import (
     Rule,
     Struct,
     Var,
+    format_goal,
     format_rule,
     fresh_var,
     goal_vars,
@@ -535,6 +536,12 @@ def display_rule(cr: CompiledRule, pred_info) -> str:
     return format_rule(cr, names, pred_info)
 
 
+def display_query(query: Query) -> str:
+    """A query as written, its anonymous variables as '_'."""
+    anon = {v.id: "_" for g in query.goals for v in goal_vars(g) if v.name == "_"}
+    return "?- %s." % ", ".join(format_goal(g, anon) for g in query.goals)
+
+
 def dump_compiled(cp: CompiledProgram) -> str:
     """Text form of a compiled program; feeding it back reproduces itself."""
     lines = []
@@ -542,6 +549,8 @@ def dump_compiled(cp: CompiledProgram) -> str:
         lines.append(display_rule(cr, cp.pred_info))
     for name, ar in sorted(cp.shows):
         lines.append(f"#show {name}/{ar}.")
+    if cp.query is not None:
+        lines.append(display_query(cp.query))
     lines.append("")
     lines.append("% dual rules:")
     for cr in cp.dual_rules:

@@ -81,9 +81,9 @@ keeps its non-ground entries in open lists checked the same way.
 
 Ground terms are shared, not copied: resolving a term (for a ground key,
 a binding or an answer snapshot) returns every part with nothing bound
-beneath it as it is, and a structure keeps its hash and whether it is
-ground once computed, so keys, bindings and snapshots neither walk nor
-copy a deep ground argument.
+beneath it as it is, and a structure carries its hash and whether it is
+ground from when it is built, so keys, bindings and snapshots neither walk
+nor copy a deep ground argument.
 
 A call resolves only the clauses the compiled program's first-argument
 index lists for its dereferenced first argument: a constant or a

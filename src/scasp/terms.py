@@ -4,6 +4,14 @@ Variables carry a process-unique integer id; constants wrap either a symbol
 string or an exact rational value; structures are a functor applied to a
 tuple of argument terms.  Lists use the conventional cons functor '.' with
 the empty-list constant '[]'.
+
+Terms and literals are immutable by contract: nothing assigns to a field
+after construction, so values derived from the fields are computed once and
+kept.  They are the inner loop of resolution, so Var, Const, Struct, Lit and
+CmpLit are slotted classes rather than dataclasses.  Two are equal when they
+are of the same class with equal fields, and hash consistently with that.
+A derived value (a key, a flag, a cached hash) is never pickled: a pickle
+holds the fields alone, since string hashes differ between processes.
 """
 
 from __future__ import annotations
@@ -29,78 +37,102 @@ def fresh_var(name: str = "_") -> "Var":
     return Var(next(_ids), name)
 
 
-@dataclass(frozen=True)
 class Var:
-    id: int
-    name: str = "_"
+    __slots__ = ("id", "name")
+    __match_args__ = ("id", "name")
+
+    def __init__(self, id: int, name: str = "_"):
+        self.id = id
+        self.name = name
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.id == other.id and self.name == other.name
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.id, self.name))
+
+    def __reduce__(self):
+        return (self.__class__, (self.id, self.name))
 
     def __repr__(self):
         return f"Var({self.id}:{self.name})"
 
 
-@dataclass(frozen=True)
 class Const:
-    value: Union[str, Fraction]
+    __slots__ = ("value", "is_number", "_hash")
+    __match_args__ = ("value",)
 
-    @property
-    def is_number(self) -> bool:
-        return isinstance(self.value, Fraction)
+    def __init__(self, value: Union[str, Fraction]):
+        self.value = value
+        self.is_number = isinstance(value, Fraction)
+        self._hash = None
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        # A Fraction's hash is costly, and constants are index keys.
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.value,))
+        return h
+
+    def __reduce__(self):
+        return (self.__class__, (self.value,))
 
     def __repr__(self):
         return f"Const({self.value})"
 
 
-@dataclass(frozen=True)
 class Struct:
-    functor: str
-    args: tuple
+    """A functor applied to a tuple of argument terms.
 
-    # The hash and the two flags are computed on first use and kept, so
-    # that walks skip a ground subterm in one step.
+    key is (functor, arity).  ground is True when no variable occurs in
+    the term; arith when an arithmetic structure (+ - * / of two arguments)
+    occurs in it, not looking through variables.  Both flags and the hash
+    are computed when the structure is built, from its arguments' own, so
+    none of them walks the term (taken lazily, each would recurse once per
+    level of a deep term), and walks skip a ground subterm in one step.
+    """
+
+    __slots__ = ("functor", "args", "key", "ground", "arith", "_hash")
+    __match_args__ = ("functor", "args")
+
+    def __init__(self, functor: str, args: tuple):
+        self.functor = functor
+        self.args = args
+        self.key = (functor, len(args))
+        ground = True
+        arith = functor in ARITH_OPS and len(args) == 2
+        for a in args:
+            if isinstance(a, Struct):
+                ground = ground and a.ground
+                arith = arith or a.arith
+            elif isinstance(a, Var):
+                ground = False
+        self.ground = ground
+        self.arith = arith
+        self._hash = hash((functor, args))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            # Unequal structures mostly differ in hash: reject them at once.
+            return self is other or (
+                self._hash == other._hash
+                and self.functor == other.functor
+                and self.args == other.args
+            )
+        return NotImplemented
 
     def __hash__(self):
-        # A deep ground term is hashed on every index lookup it is a key of.
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.functor, self.args))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return self._hash
 
-    @property
-    def ground(self) -> bool:
-        """True when no variable occurs in the term."""
-        g = self.__dict__.get("_ground")
-        if g is None:
-            g = True
-            for a in self.args:
-                if isinstance(a, Var) or (isinstance(a, Struct) and not a.ground):
-                    g = False
-                    break
-            object.__setattr__(self, "_ground", g)
-        return g
-
-    @property
-    def arith(self) -> bool:
-        """True when an arithmetic structure (+ - * / of two arguments)
-        occurs in the term, not looking through variables."""
-        found = self.__dict__.get("_arith")
-        if found is None:
-            found = self.functor in ARITH_OPS and len(self.args) == 2
-            for a in self.args:
-                if found:
-                    break
-                found = isinstance(a, Struct) and a.arith
-            object.__setattr__(self, "_arith", found)
-        return found
-
-    def __getstate__(self):
-        # String hashes differ between processes, so the cached hash is not
-        # pickled (nor the flags, which are cheap to recompute).
-        return {"functor": self.functor, "args": self.args}
-
-    @property
-    def key(self):
-        return (self.functor, len(self.args))
+    def __reduce__(self):
+        return (self.__class__, (self.functor, self.args))
 
     def __repr__(self):
         return f"Struct({self.functor}/{len(self.args)})"
@@ -117,26 +149,57 @@ ARITH_OPS = ("+", "-", "*", "/")
 CONSTRAINT_OPS = ("=", "\\=", ".<.", ".>.", ".=<.", ".>=.", ".=.", ".\\=.")
 
 
-@dataclass(frozen=True)
 class Lit:
     """A predicate applied to argument terms, possibly behind 'not'."""
 
-    pred: str
-    args: tuple = ()
-    neg: bool = False
+    __slots__ = ("pred", "args", "neg", "key")
+    __match_args__ = ("pred", "args", "neg")
 
-    @property
-    def key(self):
-        return (self.pred, len(self.args))
+    def __init__(self, pred: str, args: tuple = (), neg: bool = False):
+        self.pred = pred
+        self.args = args
+        self.neg = neg
+        self.key = (pred, len(args))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.pred == other.pred and self.args == other.args and self.neg == other.neg
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.pred, self.args, self.neg))
+
+    def __reduce__(self):
+        return (self.__class__, (self.pred, self.args, self.neg))
+
+    def __repr__(self):
+        return f"Lit(pred={self.pred!r}, args={self.args!r}, neg={self.neg!r})"
 
 
-@dataclass(frozen=True)
 class CmpLit:
     """A binary comparison between two terms, e.g. X.<.3 or T\\=f(a)."""
 
-    op: str
-    lhs: Term
-    rhs: Term
+    __slots__ = ("op", "lhs", "rhs")
+    __match_args__ = ("op", "lhs", "rhs")
+
+    def __init__(self, op: str, lhs: Term, rhs: Term):
+        self.op = op
+        self.lhs = lhs
+        self.rhs = rhs
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.op == other.op and self.lhs == other.lhs and self.rhs == other.rhs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.op, self.lhs, self.rhs))
+
+    def __reduce__(self):
+        return (self.__class__, (self.op, self.lhs, self.rhs))
+
+    def __repr__(self):
+        return f"CmpLit(op={self.op!r}, lhs={self.lhs!r}, rhs={self.rhs!r})"
 
 
 @dataclass(frozen=True)

@@ -583,6 +583,28 @@ def test_a_twenty_thousand_rule_chain_answers_through_the_cli(tmp_path):
     assert "p20000" in done.stdout
 
 
+def test_a_sixteen_thousand_deep_term_answers_through_the_api():
+    # In a child process, so that a crash of the interpreter fails this test
+    # alone.  Building the term, its flags and its hash must not recurse
+    # once per level.  The term is built, not parsed: the parser recurses
+    # per level, which overflows the C stack under Python 3.10.
+    code = (
+        "from scasp import Engine, compile_program, parse_program\n"
+        "from scasp.terms import Const, Lit, Query, Struct\n"
+        "cp = compile_program(parse_program('nat(z). nat(s(X)) :- nat(X).'))\n"
+        "t = Const('z')\n"
+        "for _ in range(16_000):\n"
+        "    t = Struct('s', (t,))\n"
+        "print(len(list(Engine(cp).run_query(Query((Lit('nat', (t,)),))))))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "1\n"
+
+
 def test_the_model_snapshot_walks_a_deep_proof_without_recursion():
     # A proof deeper than the recursion limit: the model still lists its
     # atoms in pre-order, first derivation first.
@@ -639,8 +661,35 @@ def test_structures_keep_their_hash_and_flags_out_of_pickles():
     assert (f(x).ground, f(x).arith, f(x, three).arith) == (False, False, True)
     assert hash(t) == hash(f(Const("a"), f(three)))
     copy = pickle.loads(pickle.dumps(t))
-    assert copy == t and "_hash" not in copy.__dict__
-    assert hash(copy) == hash(t)
+    assert copy == t and hash(copy) == hash(t)
+    assert (copy.ground, copy.arith, copy.key) == (True, True, ("f", 2))
+    # String hashes differ between processes, so a term pickled under one
+    # hash seed must hash, unpickled under another, as an equal term built
+    # there: a pickle that carried a cached hash would fail this.
+    build = (
+        "import pickle, sys; from fractions import Fraction as F;"
+        "from scasp.terms import Const, Lit, Struct, Var;"
+        "f = lambda *a: Struct('f', a);"
+        "t = Lit('p', (f(Const('a'), f(Struct('+', (Const(F(1)), Const(F(2)))))), Var(7, 'X')));"
+    )
+    check = (
+        "u = pickle.loads(bytes.fromhex(sys.argv[1]));"
+        "print(u == t, hash(u) == hash(t), hash(u.args[0]) == hash(t.args[0]),"
+        " u.key, u.args[0].ground, u.args[0].arith, u.args[0].args[0].is_number)"
+    )
+
+    def run(code, seed, *argv):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": seed}
+        done = subprocess.run(
+            [sys.executable, "-c", build + code, *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout.strip()
+
+    dumped = run("print(hash(t.args[0]), pickle.dumps(t).hex())", "1").split()
+    assert run("print(hash(t.args[0]))", "2") != dumped[0]  # the seeds differ
+    assert run(check, "2", dumped[1]) == "True True True ('p', 2) True True False"
 
 
 def _rendered(cp, query):
