@@ -2,7 +2,7 @@
 
 The engine resolves goals top-down over the compiled database without any
 grounding.  All state lives in one trail-recorded structure: variable
-bindings, per-variable excluded ground terms, one linear-arithmetic store,
+bindings, each variable's constraint domain, one linear-arithmetic store,
 a registry of already-proved atoms, the call path, and an event log from
 which answers reconstruct their justification.
 
@@ -20,21 +20,22 @@ call path with everything else.  The Python stack does not grow with the
 derivation: only a clause's hidden head unifications and a forall's pieces
 run a nested solve.
 
-Each unbound variable lives in at most one constraint domain: excluded
-ground terms (forbid) or the rational store (lin).  The engine hands the
-store resolved terms (LinearStore.assert_terms) and never sees a linear
-form.  After an assert, a variable the store now holds brings its
-exclusions after it, numbers as disequalities, and any other excluded term
-is dropped as vacuous, since a rational never equals a symbol or a
-structure; a variable the assert left out, as X + 1 .>. X leaves X, keeps
-them.  For the same reason `\\=` against a non-number records nothing on a
-variable the store already holds.  `=` without arithmetic always unifies,
-so two variables the store holds are aliased like any others, the store
-learning their equality first.  A value the store fixes lives only in the
-binding: the store reports it once, the engine binds the variable at once
-through the one bind path, which checks its exclusions, and the store
-forgets it.  Since terms are resolved before each assert, the store is
-never handed a variable it fixed before.
+One map, dom, says which constraint domain an unbound variable lives in:
+a frozenset of excluded ground terms, or RATIONAL once any rational
+constraint mentions it, whether or not the store keeps a row for it (as
+X + 1 .>. X or X .=. X leave none).  The engine hands the store resolved
+terms (LinearStore.assert_terms) and never sees a linear form.  Before an
+assert, each variable it mentions becomes RATIONAL, and its exclusions
+follow it into the store, numbers as disequalities; any other excluded
+term is dropped as vacuous, since a rational never equals a symbol or a
+structure.  For the same reason `\\=` against a non-number records
+nothing on a rational variable, and such a variable never binds to one.
+`=` without arithmetic always unifies, so two rational variables are
+aliased like any others, the store learning their equality first.  A
+value the store fixes lives only in the binding: the store reports it
+once, the engine binds the variable at once, and the store forgets it.
+Since terms are resolved before each assert, the store is never handed a
+variable it fixed before.
 
 Unification is a plain function: unify binds or reports a clash, leaving
 its bindings on the trail for the caller to undo.  The one way it can
@@ -179,6 +180,7 @@ _ONCE = (None,)
 _FAIL = object()  # next() of an exhausted choice point
 _MK = attrgetter("mk")
 _SHORTCUT = {"succeed_coinductive": "chs", "succeed_proved": "proved"}
+RATIONAL = object()  # dom entry of a variable a rational constraint mentions
 
 
 class _Frame:
@@ -205,7 +207,7 @@ class Engine:
 
     def reset(self):
         self.cells = {}  # vid -> term
-        self.forbid = {}  # vid -> frozenset of excluded ground terms
+        self.dom = {}  # vid -> frozenset of excluded ground terms, or RATIONAL
         self.lin = LinearStore.empty()
         self.proved = {}  # (name, arity) -> [args, ...]
         self._proved_keys = {}  # (name, ground key) -> count
@@ -232,11 +234,11 @@ class Engine:
             tag = entry[0]
             if tag == "bind":
                 del self.cells[entry[1]]
-            elif tag == "forbid":
+            elif tag == "dom":
                 if entry[2] is None:
-                    self.forbid.pop(entry[1], None)
+                    del self.dom[entry[1]]
                 else:
-                    self.forbid[entry[1]] = entry[2]
+                    self.dom[entry[1]] = entry[2]
             elif tag == "lin":
                 self.lin = entry[1]
             elif tag == "push":
@@ -316,12 +318,9 @@ class Engine:
         self.cells[vid] = t
         self.trail.append(("bind", vid))
 
-    def _set_forbid(self, vid, new):
-        self.trail.append(("forbid", vid, self.forbid.get(vid)))
-        if new:
-            self.forbid[vid] = frozenset(new)
-        else:
-            self.forbid.pop(vid, None)
+    def _set_dom(self, vid, new):
+        self.trail.append(("dom", vid, self.dom.get(vid)))
+        self.dom[vid] = new
 
     def _set_lin(self, new_store):
         self.trail.append(("lin", self.lin))
@@ -366,42 +365,43 @@ class Engine:
         accumulated constraints."""
         if self._occurs(var.id, t):
             return False
-        held = self.lin.vars()
+        d = self.dom.get(var.id)
         if isinstance(t, Var):
-            # Aliasing keeps the variable the store holds as the root.
-            root, other = (var, t) if var.id in held else (t, var)
-            if other.id in held:
+            # Aliasing keeps a rational variable as the root.
+            root, other = (var, t) if d is RATIONAL else (t, var)
+            d = self.dom.get(other.id)
+            if d is RATIONAL:
                 # The store learns root = other before the binding, since
                 # resolving after it would collapse both sides.
                 if not self._assert_linear("=", root, other):
                     return False
                 if other.id in self.cells:
                     return True  # the equality fixed both
-            fb = self.forbid.get(other.id)
+                d = None
             self._bind_raw(other.id, root)
-            return not fb or self._exclude(root, fb)
-        if var.id in held:
-            # A rational-constrained variable is never a symbol or structure.
+            return not d or self._exclude(root, d)
+        if d is RATIONAL:
+            # A rational variable is never a symbol or structure.
             return isinstance(t, Const) and t.is_number and self._assert_linear("=", var, t)
-        fb = self.forbid.get(var.id)
-        if fb:
+        if d:
             g = self._ground_args((t,))
             if g is None:
                 # A non-ground value owes every excluded term a disequality,
                 # which can branch: the caller pays them after unifying.
-                self.owed.extend((t, x) for x in sorted(fb, key=format_term))
-            elif g[0] in fb:
+                self.owed.extend((t, x) for x in sorted(d, key=format_term))
+            elif g[0] in d:
                 return False
         self._bind_raw(var.id, t)
         return True
 
     def _exclude(self, var, terms) -> bool:
         """Record that an unbound variable differs from each ground term.  On
-        a variable the rational store holds a number becomes a disequality
-        and any other term is vacuous, since a rational never equals a symbol
-        or a structure; any other variable keeps them as exclusions."""
-        if var.id not in self.lin.vars():
-            self._set_forbid(var.id, self.forbid.get(var.id, frozenset()).union(terms))
+        a rational variable a number becomes a disequality and any other term
+        is vacuous, since a rational never equals a symbol or a structure;
+        any other variable keeps them as exclusions."""
+        d = self.dom.get(var.id)
+        if d is not RATIONAL:
+            self._set_dom(var.id, (d or frozenset()).union(terms))
             return True
         for g in sorted(terms, key=format_term):
             if isinstance(g, Const) and g.is_number and not self._assert_linear("!=", var, g):
@@ -436,7 +436,7 @@ class Engine:
             # No information to tell two unbound variables apart: this branch
             # just fails and lets a later alternative decide constructively.
             return False
-        if isinstance(b, Struct) and not b.arith and a.id in self.lin.vars():
+        if isinstance(b, Struct) and not b.arith and self.dom.get(a.id) is RATIONAL:
             return True  # a rational never equals a structure
         g = self._ground_args((b,))
         if g is not None:
@@ -466,15 +466,19 @@ class Engine:
         t = self.deref(t)
         if isinstance(t, Const):
             return t.is_number
-        if isinstance(t, Var):
-            return t.id in self.lin.vars()
-        return False
+        return isinstance(t, Var) and self.dom.get(t.id) is RATIONAL
 
     def _assert_linear(self, op, l, r) -> bool:
         """Conjoin l op r with the rational store, binding each variable it
-        fixes.  A variable the store takes in brings its exclusions after
-        it; one the store did not take in, as in X + 1 .>. X, keeps them."""
+        fixes.  Each variable it mentions becomes rational first, bringing
+        its exclusions into the store."""
         l, r = self._resolved((l, r), False)
+        for v in term_vars(l) + term_vars(r):
+            d = self.dom.get(v.id)
+            if d is not RATIONAL:
+                self._set_dom(v.id, RATIONAL)
+                if d and not self._exclude(v, d):
+                    return False
         res = self.lin.assert_terms(op, l, r)
         if res is None:
             return False
@@ -482,19 +486,12 @@ class Engine:
         if new_store is not self.lin:
             self._set_lin(new_store)
         # Each variable is reported once, by the call that fixes it, and the
-        # store forgets it: its value lives on only in the binding made here,
-        # which checks its exclusions.  A variable aliased to another is
-        # already bound.
+        # store forgets it: its value lives on only in the binding made here.
+        # The store already checked it, and binding through _bind would
+        # assert it again.  A variable aliased to another is already bound.
         for vid, val in determined:
-            if vid not in self.cells and not self._bind(Var(vid), Const(val)):
-                return False
-        if self.forbid:
-            for v in term_vars(l) + term_vars(r):
-                fb = self.forbid.get(v.id)
-                if fb and v.id in self.lin.vars():
-                    self._set_forbid(v.id, None)
-                    if not self._exclude(v, fb):
-                        return False
+            if vid not in self.cells:
+                self._bind_raw(vid, Const(val))
         return True
 
     # -- constraint goals -------------------------------------------------------
@@ -520,9 +517,6 @@ class Engine:
 
     # -- loop classification ------------------------------------------------------
 
-    def _constrained_var(self, vid):
-        return bool(self.forbid.get(vid)) or vid in self.lin.vars()
-
     def _variant_args(self, xs, ys):
         """Are xs and ys equal up to a bijective renaming of their variables
         (a variable that carries constraints only renaming to itself)?"""
@@ -533,9 +527,7 @@ class Engine:
             x = self.deref(x)
             y = self.deref(y)
             if isinstance(x, Var) and isinstance(y, Var):
-                if x.id != y.id and (
-                    self._constrained_var(x.id) or self._constrained_var(y.id)
-                ):
+                if x.id != y.id and (x.id in self.dom or y.id in self.dom):
                     return False
                 if fwd.get(x.id, y.id) != y.id or bwd.get(y.id, x.id) != x.id:
                     return False
@@ -760,7 +752,7 @@ class Engine:
             self._bind_raw(var.id, view[1])
             return True
         if view[0] == "neq":
-            self._set_forbid(var.id, view[1])
+            self._set_dom(var.id, view[1])
             return True
         for op, val in view[1]:
             if not self._assert_linear(op, var, Const(val)):
@@ -771,12 +763,10 @@ class Engine:
         """Project the current state onto one variable as a constraint view."""
         t = self.deref(var)
         if isinstance(t, Var):
-            fb = self.forbid.get(t.id)
-            if fb:
-                return ("neq", frozenset(fb))
-            if t.id in self.lin.vars():
+            d = self.dom.get(t.id)
+            if d is RATIONAL:
                 return store_mod.lin_canon(self.lin.project(t.id))
-            return store_mod.TOP
+            return ("neq", d) if d else store_mod.TOP
         return ("eq", self.resolve(t))
 
     def c_forall(self, var: Var, goal):

@@ -274,10 +274,10 @@ class LinearStore:
     def vars(self) -> set:
         """Ids of the variables the store mentions, computed once per store;
         the set is shared, so callers must not mutate it.  Every store that
-        mentions none shares one empty set: the engine keeps each store it
-        replaced on its trail, and the one bind path asks the store after
-        each determined value, so a set per step would pile up and slow
-        the collector."""
+        mentions none shares one empty set, since the engine keeps each
+        store it replaced on its trail.  The engine does not ask: its own
+        map says which variables are rational, including those the store
+        keeps no row for."""
         if self._vars is None:
             out = set(self.subst)
             for form in self.subst.values():

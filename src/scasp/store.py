@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import SolverError
 from .linear import complement
-from .terms import Const, format_term, format_terms, term_vars
+from .terms import Const, format_term, format_terms
 
 __all__ = ["TOP", "view_conj", "dual", "add", "lin_canon"]
 
@@ -140,7 +140,7 @@ def dual(view):
         t = view[1]
         if _is_num(t):
             return [("lin", (("!=", t.value),))]
-        if not term_vars(t):
+        if isinstance(t, Const) or t.ground:
             return [("neq", frozenset((t,)))]
         raise SolverError(
             "nonground_disequality",

@@ -309,10 +309,11 @@ def rename_goal(g: Goal, mapping: dict) -> Goal:
 
 
 def subst_term(t: Term, mapping: dict) -> Term:
-    """Copy a term replacing only the variables present in mapping."""
+    """Copy a term replacing only the variables present in mapping; a
+    ground structure comes back as it is."""
     if isinstance(t, Var):
         return mapping.get(t.id, t)
-    if isinstance(t, Struct):
+    if isinstance(t, Struct) and not t.ground:
         return Struct(t.functor, tuple(subst_term(a, mapping) for a in t.args))
     return t
 

@@ -14,6 +14,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scasp
+from scasp import store as store_mod
 from scasp.compiler import compile_program
 from scasp.engine import Engine, Node
 from scasp.errors import SolverError
@@ -119,7 +121,7 @@ def test_diseq_is_idempotent():
     next(g1)
     g2 = e.assert_neq_term(x, Const("a"))
     next(g2)
-    assert e.forbid[x.id] == frozenset((Const("a"),))
+    assert e.dom[x.id] == frozenset((Const("a"),))
     g2.close()
     g1.close()
 
@@ -154,7 +156,7 @@ def test_diseq_compound_splits_per_argument():
     x, y = fresh_var("X"), fresh_var("Y")
     seen = []
     for _ in e.assert_neq_term(f(x, Const("a")), f(Const("b"), y)):
-        seen.append((e.forbid.get(x.id), e.forbid.get(y.id)))
+        seen.append((e.dom.get(x.id), e.dom.get(y.id)))
     assert seen == [
         (frozenset((Const("b"),)), None),
         (None, frozenset((Const("a"),))),
@@ -171,6 +173,7 @@ def test_diseq_on_numeric_variable_joins_the_linear_store():
 ONE_VARIABLE_CONSTRAINTS = [
     "X \\= a", "X \\= b", "X \\= 3", "X \\= f(1)", "X .>. 2", "X .=<. 3",
     "X .<. 7/2", "X .\\=. 5/2", "X = 3", "X .=. 3", "X + 1 .>. X",
+    "X = a", "X .=. X",
 ]
 
 
@@ -181,10 +184,11 @@ def _bindings_text(body):
 
 
 def test_constraint_answers_do_not_depend_on_body_order():
-    # A variable lives in one domain: exclusions move into the rational
-    # store with it, and only once the store holds it (X + 1 .>. X leaves X
-    # out), and a rational variable records no exclusion of a symbol or a
-    # structure, so no order drops a bound.
+    # A variable lives in one domain: every rational constraint on it makes
+    # it rational, even one the store keeps no row for (X + 1 .>. X and
+    # X .=. X), and its exclusions move into the store with it.  A rational
+    # variable records no exclusion of a symbol or a structure and never
+    # binds to one, so no order drops a bound or admits X = a.
     mismatches = [
         (c1, c2)
         for c1, c2 in itertools.permutations(ONE_VARIABLE_CONSTRAINTS, 2)
@@ -192,26 +196,36 @@ def test_constraint_answers_do_not_depend_on_body_order():
     ]
     assert mismatches == []
     assert _bindings_text("X .>. 2, X \\= a") == ["X = {A.>.2} ? "]
+    # The store keeps no row for X .=. X, yet X stays a rational.
+    assert answers("s(X) :- X .=. X.", "?- s(X), X = a.") == []
 
 
-def test_equal_rational_variables_alias_in_any_body_order():
-    # `=` between two variables the store holds binds one to the other, as
-    # when only one is held, so both print as the same variable.
-    texts = {
+def _texts_in_any_order(constraints):
+    """The distinct binding texts of p(X,Y) over every body order."""
+    return {
         tuple(
             Renderer(a).bindings_text()
             for a in answers(f"p(X,Y) :- {', '.join(body)}.", "?- p(X,Y).")
         )
-        for body in itertools.permutations(["X .>. 2", "Y .<. 4", "X = Y"])
+        for body in itertools.permutations(constraints)
     }
-    assert texts == {("X = {A.>.2, A.<.4},\nY = {A.>.2, A.<.4} ? ",)}
+
+
+def test_equal_rational_variables_alias_in_any_body_order():
+    # `=` between two rational variables binds one to the other, as when
+    # only one is rational, so both print as the same variable.
+    assert _texts_in_any_order(["X .>. 2", "Y .<. 4", "X = Y"]) == {
+        ("X = {A.>.2, A.<.4},\nY = {A.>.2, A.<.4} ? ",)
+    }
+    # Whether X is rational does not depend on where `.=.` stands.
+    assert len(_texts_in_any_order(["X \\= a", "X .=. Y", "X = Y"])) == 1
 
 
 def test_a_rational_variable_differs_from_any_structure():
     # The store's variables are rationals, so `\\=` against a structure holds
     # without recording anything, even when the structure is not ground.
     assert _bindings_text("X .>. 2, X \\= f(Y)") == ["X = {A.>.2} ? "]
-    # Before X enters the store, the same disequality cannot be recorded.
+    # Before X is rational, the same disequality cannot be recorded.
     with pytest.raises(SolverError) as info:
         _bindings_text("X \\= f(Y), X .>. 2")
     assert info.value.code == "nonground_disequality"
@@ -538,6 +552,16 @@ def test_deep_ground_argument_is_shared_not_copied(monkeypatch):
     assert len(walked) <= 2000
 
 
+def test_substitution_shares_ground_arguments():
+    # forall substitutes a fresh variable into its goal once per piece; a
+    # ground argument comes back as the same object, as in rename_term.
+    x, nv = fresh_var("X"), fresh_var("_")
+    ground = f(Const("a"), f(num(1)))
+    out = subst_term(f(x, ground), {x.id: nv})
+    assert out.args[0] is nv and out.args[1] is ground
+    assert subst_term(ground, {x.id: nv}) is ground
+
+
 def _chain(n):
     return "".join(f"p{i} :- p{i + 1}. " for i in range(n)) + f"p{n}."
 
@@ -699,15 +723,20 @@ def _rendered(cp, query):
     ]
 
 
-def test_benchmark_tracing_hooks_the_engine():
-    # perfbench/tracing.py patches Engine methods and store/linear functions
-    # by name and reads engine attributes; renaming one must fail here, not
-    # only in a traced run.
+def _tracing():
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
     )
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_tracing_hooks_the_engine():
+    # perfbench/tracing.py patches Engine methods and store/linear functions
+    # by name and reads engine attributes; renaming one must fail here, not
+    # only in a traced run.
+    tracing = _tracing()
 
     def traced_run(program, query):
         cp = compiled((ROOT / "tests" / "programs" / program).read_text())
@@ -731,6 +760,29 @@ def test_benchmark_tracing_hooks_the_engine():
     tracer = traced_run("stream.pl", "?- valid_stream(Pr, Data).")
     for span in ("forall", "linear.project", "store.lin_canon", "store.dual"):
         assert tracer.calls[span] >= 1, span
+
+
+def test_benchmark_tracing_counts_the_solver_and_undoes_its_patches():
+    # The tsp query reaches resolution, forall and the rational store; the
+    # tracer and its client read the engine attributes checked at the end.
+    tracing = _tracing()
+    owners = (Engine, LinearStore, store_mod, scasp)
+    before = [dict(vars(owner)) for owner in owners]
+    cp = compiled((ROOT / "tests" / "programs" / "tsp.pl").read_text())
+    engine = Engine(cp)
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        assert len(list(engine.run_query(cp.query, 1))) == 1
+    finally:
+        undo()
+    assert [dict(vars(owner)) for owner in owners] == before
+    assert tracer.counts["engine.calls"] > 0
+    assert tracer.counts["forall.calls"] > 0
+    assert tracer.calls["linear.assert"] > 0
+    for name in ("proved", "frames", "trail", "forall_trace"):
+        assert hasattr(engine, name), name
+    assert engine.forall_trace
 
 
 # -- first-argument clause selection ------------------------------------------------
