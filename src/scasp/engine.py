@@ -78,7 +78,14 @@ at push, in a per-predicate open list that is still checked term by term
 (its terms may have been bound since).  Each frame records the running
 count of negation markers up to itself, so the number between an ancestor
 and the goal costs one subtraction.  The registry counts ground keys and
-keeps its non-ground entries in open lists checked the same way.
+keeps its non-ground entries in open lists checked the same way, each with
+the position and variable w of its first argument that was unbound, and
+the position and value u (a constant, or a structure's functor and arity)
+of its first that was not.  While an entry lives its bindings only grow, so
+u stays put, and so does w until it is bound: a lookup skips, unwalked, an
+entry whose still-unbound w meets a ground call, a call argument that is
+not an unbound variable, or another variable where either has a domain,
+and one whose u meets another constant or functor.
 
 Ground terms are shared, not copied: resolving a term (for a ground key,
 a binding or an answer snapshot) returns every part with nothing bound
@@ -154,7 +161,7 @@ class Answer:
     bindings: list  # (name, resolved term)
     model: list  # resolved positive atoms as Lit, first-derivation order
     justification: list  # top-level Nodes
-    views: dict  # vid -> constraint view for unbound variables
+    views: dict  # vid -> constraint view per unbound variable, in naming order
 
     def model_atoms(self):
         """(pred, args) pairs of the model, nmr marker excluded."""
@@ -211,7 +218,7 @@ class Engine:
         self.lin = LinearStore.empty()
         self.proved = {}  # (name, arity) -> [args, ...]
         self._proved_keys = {}  # (name, ground key) -> count
-        self._proved_open = {}  # (name, arity) -> [args not ground when proved]
+        self._proved_open = {}  # (name, arity) -> [(args, wi, w, ui, u), ...]
         self.events = []
         self.frames = []
         self._by_pred = {}  # (name, arity) -> [frame, ...]
@@ -555,7 +562,19 @@ class Engine:
         """Is args (ground key gkey) a variant of a registered atom of key?"""
         if gkey is not None and (key[0], gkey) in self._proved_keys:
             return True
-        for p in self._proved_open.get(key, ()):
+        cells, dom, deref = self.cells, self.dom, self.deref
+        for p, wi, w, ui, u in self._proved_open.get(key, ()):
+            # The skips the module docstring describes, inline: no call per entry.
+            if w is not None and w.id not in cells:
+                if gkey is not None:
+                    continue
+                c = deref(args[wi])
+                if c.__class__ is not Var or (c.id != w.id and (c.id in dom or w.id in dom)):
+                    continue
+            if ui is not None:
+                c = deref(args[ui])
+                if (c.key if c.__class__ is Struct else c) != u:
+                    continue
             if self._variant_args(args, p):
                 return True
         return False
@@ -737,7 +756,16 @@ class Engine:
         pk = None if gkey is None else (goal.pred, gkey)
         self.proved.setdefault(goal.key, []).append(goal.args)
         if pk is None:
-            self._proved_open.setdefault(goal.key, []).append(goal.args)
+            # w and u, with their positions, for _proved_variant's filter.
+            wi = w = ui = u = None
+            for i, a in enumerate(goal.args):
+                t = self.deref(a)
+                if t.__class__ is Var:
+                    if w is None:
+                        wi, w = i, t
+                elif ui is None:
+                    ui, u = i, (t.key if t.__class__ is Struct else t)
+            self._proved_open.setdefault(goal.key, []).append((goal.args, wi, w, ui, u))
         else:
             self._proved_keys[pk] = self._proved_keys.get(pk, 0) + 1
         self.trail.append(("proved", goal.key, pk))

@@ -43,7 +43,7 @@ class Renderer:
         self.answer = answer
         self.pred_info = pred_info or {}
         self.shows = shows or set()
-        self.names = {v.id: _name_for(i) for i, v in enumerate(answer.variables())}
+        self.names = {vid: _name_for(i) for i, vid in enumerate(answer.views)}
         self._store_names = _StoreNames(self)
 
     # -- terms with inline stores -------------------------------------------
@@ -166,5 +166,10 @@ def render_answer(answer: Answer, pred_info=None, shows=None,
 
 def render_answer_json(answer: Answer, pred_info=None, shows=None,
                        with_model=True, with_justification=True):
-    r = Renderer(answer, pred_info, shows)
-    return json.dumps(r.json_object(with_model, with_justification))
+    obj = Renderer(answer, pred_info, shows).json_object(with_model, with_justification)
+    try:
+        return json.dumps(obj)
+    except RecursionError:
+        # From Python 3.12 the C encoder stops at a fixed nesting depth, below
+        # a deep justification's; the pure-Python encoder writes the same text.
+        return "".join(json.JSONEncoder().iterencode(obj))

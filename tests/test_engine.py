@@ -405,6 +405,23 @@ def test_registry_entry_bound_after_its_proof_is_reused():
     assert [node.kind for node in ans.justification] == ["atom", "constraint", "proved", "atom"]
 
 
+@pytest.mark.parametrize(
+    "text, query, kinds",
+    [
+        ("p(Y).", "?- p(f(X)), X = a, p(f(a)).", ["atom", "constraint", "proved", "atom"]),
+        ("p(Z,W).", "?- p(a,X), X = b, p(a,b).", ["atom", "constraint", "proved", "atom"]),
+        ("p(Z).", "?- p(X), Y .>. 0, p(Y).", ["atom", "constraint", "atom", "atom"]),
+    ],
+    ids=["bound_below_a_structure", "bound_beside_a_constant", "fresh_constrained_call"],
+)
+def test_registry_skips_no_entry_that_is_still_a_variant(text, query, kinds):
+    # The registry skips an open entry by its first unbound variable and its
+    # first constant or functor; a bound variable or an unchanged functor
+    # must still reach the term walk, and a constrained call must not.
+    (ans,) = answers(text, query)
+    assert [node.kind for node in ans.justification] == kinds
+
+
 def test_constrained_variable_is_not_a_variant_of_a_fresh_one():
     # p(X) is proved with X .>. 1; p(Y) must be solved again, not reused,
     # so that Y carries its own bound.
@@ -453,6 +470,73 @@ def test_variant_check_is_equality_up_to_a_bijective_renaming(pairs):
     assert engine_for()._variant_args(xs, ys) == _alpha_equal(xs, ys)
 
 
+_REG_VARS = tuple(fresh_var(n) for n in "ABCD")
+_REG_LEAVES = st.sampled_from(_SYMBOLS + (num(1),) + _REG_VARS)
+_REG_TERMS = st.one_of(_REG_LEAVES, _REG_LEAVES.map(lambda t: Struct("f", (t,))))
+_REG_ARGS = st.tuples(_REG_TERMS, _REG_TERMS)
+_REG_STEPS = st.one_of(
+    st.tuples(st.just("register"), _REG_ARGS),
+    st.tuples(st.just("bind"), st.sampled_from(_REG_VARS), _REG_TERMS),
+    st.tuples(st.just("exclude"), st.sampled_from(_REG_VARS), st.sampled_from(_SYMBOLS)),
+    st.tuples(st.just("linear"), st.sampled_from(_REG_VARS), st.sampled_from((">", "="))),
+)
+
+
+def _apply_step(e, step):
+    """One registry or constraint step through the engine's own methods;
+    a step that fails or owes disequalities is undone whole."""
+    if step[0] == "register":
+        e._register_proved(Lit("p", step[1]), None)
+        return
+    m = e.mark()
+    var = e.deref(step[1])
+    if step[0] == "bind":
+        ok = e.unify(var, step[2]) and not e._take_owed()
+    elif not isinstance(var, Var):
+        return
+    elif step[0] == "exclude":
+        ok = e._exclude(var, frozenset((step[2],)))
+    else:
+        ok = e._assert_linear(step[2], var, num(1))
+    if not ok:
+        e._take_owed()
+        e.undo_to(m)
+
+
+def _variant_by_scan(e, args):
+    gkey = e._ground_args(args)
+    if gkey is not None and ("p", gkey) in e._proved_keys:
+        return True
+    return any(e._variant_args(args, entry[0]) for entry in e._proved_open.get(("p", 2), ()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_REG_STEPS, min_size=1, max_size=12),
+    st.lists(st.one_of(_REG_ARGS, st.integers(min_value=0)), min_size=1, max_size=3),
+    st.integers(min_value=0),
+)
+def test_proved_lookup_agrees_with_a_scan_of_every_entry(steps, calls, back):
+    # The registry's lookup skips open entries without walking them; it
+    # must answer as a full scan would, also after part of the trail is
+    # undone.  A call given as an integer repeats a registered atom's
+    # arguments, so that variants are common.
+    e = engine_for()
+    marks = []
+    for step in steps:
+        marks.append(e.mark())
+        _apply_step(e, step)
+    registered = [step[1] for step in steps if step[0] == "register"] or [(num(1), num(1))]
+    for undo in (False, True):
+        if undo:
+            e.undo_to(marks[back % len(marks)])
+        for args in calls:
+            if isinstance(args, int):
+                args = registered[args % len(registered)]
+            gkey = e._ground_args(args)
+            assert e._proved_variant(("p", 2), args, gkey) == _variant_by_scan(e, args)
+
+
 CNT = "cnt(0). cnt(N) :- N .>. 0, M .=. N-1, cnt(M)."
 
 
@@ -461,8 +545,9 @@ CNT = "cnt(0). cnt(N) :- N .>. 0, M .=. N-1, cnt(M)."
     [
         (CNT, "?- cnt(300).", 300),
         ((ROOT / "tests" / "programs" / "hanoi.pl").read_text(), "?- hanoi(7, T).", 2000),
+        ((ROOT / "tests" / "programs" / "tsp.pl").read_text(), "?- D.<.10, travel_path(b,D,Cycle).", 1000),
     ],
-    ids=["cnt300", "hanoi7"],
+    ids=["cnt300", "hanoi7", "tsp"],
 )
 def test_loop_check_compares_terms_only_for_open_entries(monkeypatch, text, query, limit):
     # Ground calls are looked up by key; a term-by-term variant check runs

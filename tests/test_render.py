@@ -137,6 +137,18 @@ def test_every_model_atom_appears_in_the_justification():
         assert label in tree
 
 
+def test_json_of_a_deep_justification_is_written_whole():
+    # A 1,000-rule chain nests its justification 2,000 levels deep, past
+    # the C encoder's fixed limit from Python 3.12 on.
+    n = 1000
+    text = " ".join(f"p{i} :- p{i + 1}." for i in range(n)) + f" p{n}."
+    cp, ans = first_answer(text, "?- p0.")
+    obj = Renderer(ans, cp.pred_info, cp.shows).json_object()
+    got = render_answer_json(ans, cp.pred_info, cp.shows)
+    assert got == "".join(json.JSONEncoder().iterencode(obj))
+    assert got.count('"children"') == n
+
+
 def test_json_record_round_trips():
     cp, ans = first_answer("q(X) :- X \\= a.", "?- q(X).")
     obj = json.loads(render_answer_json(ans, cp.pred_info, cp.shows))
