@@ -800,12 +800,15 @@ class Engine:
     def c_forall(self, var: Var, goal):
         m = self.mark()
         self.log(("forall", Forall(var, goal)))
+        label = _goal_label(goal)
+        # A stack of pieces: the next one is on top, so new pieces are
+        # pushed in reverse to be taken in order.
         pending = [store_mod.TOP]
         while pending:
-            piece = pending.pop(0)
+            piece = pending.pop()
             nv = fresh_var("_")
             goal2 = subst_goal(goal, {var.id: nv})
-            self.forall_trace.append((_goal_label(goal), piece))
+            self.forall_trace.append((label, piece))
             if not self.apply(piece, nv):
                 continue  # the piece itself is unsatisfiable: nothing to cover
             # Commit to the piece's first answer: the dropped search keeps
@@ -817,7 +820,7 @@ class Engine:
             ans = self.dump(nv)
             if ans == piece:
                 continue
-            pending = store_mod.add(store_mod.dual(ans), piece) + pending
+            pending += reversed(store_mod.add(store_mod.dual(ans), piece))
         else:
             self.log(("exit",))
             yield

@@ -14,6 +14,19 @@ binds the variable at once) and puts the value, not the variable, in every
 later constraint.  So a long derivation that determines one value per step
 keeps the store small and each step's cost constant.
 
+An assert re-normalises the store (``_normalize``: substitute, tighten,
+and solve every implicit equality) only where the new constraint can
+change a row.  A form over one variable the store does not mention
+(``vars``) cannot.  With ``=`` the general path would add the value as a
+constant row and report and drop it at once, so the value is reported and
+the same store comes back.  With an inequality the bound, scaled as
+``_tighten`` scales it, goes into the sorted rows in order: no other row
+shares its variable, so none tightens it or is tightened by it, and the
+rows' strict interior point extends to it, which leaves every disequality
+as decided as before.  Within ``_normalize``, rows that hold when all are
+made strict have no implicit equality, so one elimination over them
+replaces the satisfiability check and the check per weak row.
+
 The engine speaks terms: ``LinearStore.assert_terms`` takes two resolved
 terms and an operator in either the program's spelling (``.<.``, ``\\=``)
 or the store's (``<``, ``!=``), builds each side's linear form
@@ -27,6 +40,7 @@ an inequality entry ``(form, strict)`` means ``form <= 0`` (or
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 
 from .errors import SolverError
@@ -47,13 +61,14 @@ _STORE_OP = {**{op: op for op in OP_TEXT}, **{t: op for op, t in OP_TEXT.items()
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+_FM1 = Fraction(-1)
 _NO_VARS = frozenset()
 
 ZERO = (_F0, ())
 
 
 def form_const(c) -> tuple:
-    return (Fraction(c), ())
+    return (c if type(c) is Fraction else Fraction(c), ())
 
 
 def form_var(vid: int) -> tuple:
@@ -71,18 +86,27 @@ def form_add(a: tuple, b: tuple) -> tuple:
     return (a[0] + b[0], tuple(sorted(terms.items())))
 
 
+def form_sub(a: tuple, b: tuple) -> tuple:
+    terms = dict(a[1])
+    for vid, coef in b[1]:
+        c = terms.get(vid, _F0) - coef
+        if c == 0:
+            terms.pop(vid, None)
+        else:
+            terms[vid] = c
+    return (a[0] - b[0], tuple(sorted(terms.items())))
+
+
 def form_scale(a: tuple, k: Fraction) -> tuple:
+    if k == 1:
+        return a
     if k == 0:
         return ZERO
     return (a[0] * k, tuple((vid, coef * k) for vid, coef in a[1]))
 
 
 def form_neg(a: tuple) -> tuple:
-    return form_scale(a, Fraction(-1))
-
-
-def form_sub(a: tuple, b: tuple) -> tuple:
-    return form_add(a, form_neg(b))
+    return form_scale(a, _FM1)
 
 
 def form_vars(a: tuple):
@@ -275,7 +299,8 @@ class LinearStore:
         """Ids of the variables the store mentions, computed once per store;
         the set is shared, so callers must not mutate it.  Every store that
         mentions none shares one empty set, since the engine keeps each
-        store it replaced on its trail.  The engine does not ask: its own
+        store it replaced on its trail.  assert_constraint asks it whether
+        a variable is fresh to the store.  The engine does not ask: its own
         map says which variables are rational, including those the store
         keeps no row for."""
         if self._vars is None:
@@ -303,17 +328,19 @@ class LinearStore:
         before.
         """
         diff = form_apply(form_sub(lhs, rhs), self.subst)
-        subst = dict(self.subst)
-        ineqs = list(self.ineqs)
-        neqs = list(self.neqs)
+        ineqs, neqs = self.ineqs, self.neqs
+        # A form over one variable the store does not mention leaves every
+        # row as it is, so the store needs no _normalize (module docstring).
         if op == "=":
             if form_is_const(diff):
                 return (self, []) if diff[0] == 0 else None
-            _solve_eq(subst, diff)
+            if len(diff[1]) == 1 and diff[1][0][0] not in self.vars():
+                (vid, coef), = diff[1]
+                return self, [(vid, -diff[0] / coef)]
         elif op == "!=":
             if form_is_const(diff):
                 return (self, []) if diff[0] != 0 else None
-            neqs.append(diff)
+            neqs += (diff,)
         else:
             if op == "<":
                 entry = (diff, True)
@@ -330,7 +357,14 @@ class LinearStore:
                 if form[0] < 0 or (form[0] == 0 and not strict):
                     return (self, [])
                 return None
-            ineqs.append(entry)
+            if len(form[1]) == 1 and form[1][0][0] not in self.vars():
+                ineqs = list(ineqs)
+                insort(ineqs, _canonical(form, strict))
+                return LinearStore(self.subst, ineqs, neqs), []
+            ineqs += (entry,)
+        subst = dict(self.subst)
+        if op == "=":
+            _solve_eq(subst, diff)
         got = _normalize(subst, ineqs, neqs)
         if got is None:
             return None
@@ -457,9 +491,12 @@ def _normalize(subst, ineqs, neqs):
         if cons is None:
             return None
         cons = _tighten(cons)
+        ineqs = cons
+        # Rows that hold strictly together have no implicit equality.
+        if _fm_sat([(form, True) for form, _ in cons]):
+            break
         if not _fm_sat(cons):
             return None
-        ineqs = cons
         # A weak row f <= 0 whose strict form is unsatisfiable with the
         # other rows is the equality f = 0: solve it and start again.
         for i, (form, strict) in enumerate(cons):

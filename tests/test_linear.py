@@ -2,14 +2,19 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scasp.linear import (
     LinearStore,
     _fm_sat,
+    _normalize,
+    _solve_eq,
     complement,
     form_add,
+    form_apply,
     form_const,
+    form_is_const,
+    form_neg,
     form_scale,
     form_sub,
     form_var,
@@ -200,15 +205,22 @@ def test_projection_is_exact(cons):
 
 
 def test_stores_that_mention_no_variable_share_one_vars_set():
-    # The engine keeps every store it replaces on its trail, one per
-    # determined step of a countdown; none may hold a set of its own.
-    a, _ = LinearStore.empty().assert_constraint("=", v(X), c(3))
-    b, _ = a.assert_constraint("=", v(Y), c(4))
-    assert a is not b and a.is_empty() and b.is_empty()
-    assert a.vars() is b.vars() is LinearStore.empty().vars()
+    # The engine keeps every store it replaces on its trail; none that
+    # mentions no variable may hold a set of its own.
+    a, _ = store_of(("<", v(X), c(3))).assert_constraint("=", v(X), c(2))
+    b, _ = store_of(("=", v(X), v(Y))).assert_constraint("=", v(Y), c(4))
+    empty = LinearStore.empty()
+    assert a is not b and a is not empty and b is not empty
+    assert a.is_empty() and b.is_empty()
+    assert a.vars() is b.vars() is empty.vars()
     assert not a.vars()
     held, _ = a.assert_constraint("<", v(X), c(3))
     assert held.vars() == {X} and held.vars() is not a.vars()
+    # A value fixed for a variable the store does not mention changes no
+    # row: the very same store comes back, so the engine trails nothing.
+    for s in (empty, held):
+        got, det = s.assert_constraint("=", form_scale(v(Z), Fraction(2)), c(3))
+        assert got is s and det == [(Z, Fraction(3, 2))]
 
 
 def test_a_fixed_value_is_reported_once_and_still_answered():
@@ -263,3 +275,53 @@ def test_the_store_keeps_an_interior_point(cons):
         lo = [val for op, val in entries if op in (">", ">=")]
         hi = [val for op, val in entries if op in ("<", "<=")]
         assert not (lo and hi) or lo[0] < hi[0], entries
+
+
+def general_assert(s, op, lhs, rhs):
+    """What assert_constraint returns by its general path alone: the
+    equality solved or the row appended, then _normalize over the whole
+    store; as (subst, ineqs, neqs, determined), or None."""
+    diff = form_apply(form_sub(lhs, rhs), s.subst)
+    if op in (">", ">="):
+        diff, op = form_neg(diff), op.replace(">", "<")
+    if form_is_const(diff):
+        return None if not sat_entry(op, diff[0], 0) else (s.subst, s.ineqs, s.neqs, [])
+    subst, ineqs, neqs = dict(s.subst), list(s.ineqs), list(s.neqs)
+    if op == "=":
+        _solve_eq(subst, diff)
+    elif op == "!=":
+        neqs.append(diff)
+    else:
+        ineqs.append((diff, op == "<"))
+    got = _normalize(subst, ineqs, neqs)
+    if got is None:
+        return None
+    determined = [(vid, form[0]) for vid, form in subst.items() if not form[1]]
+    for vid, _ in determined:
+        del subst[vid]
+    return subst, tuple(got[0]), tuple(got[1]), determined
+
+
+# A variable the store mentions only in a solved equality's form, or only
+# in a disequality, is not fresh.
+@example([("=", [(X, 1), (Y, -1)], 0), ("=", [(Y, 1)], 4)])
+@example([("!=", [(X, 1), (Y, -1)], 0), ("<", [(Y, 1)], 4)])
+@settings(max_examples=200, deadline=None)
+@given(st.lists(constraint, min_size=1, max_size=6))
+def test_assert_agrees_with_the_general_path(cons):
+    """Each assert, shortcut or not, returns what the general path would,
+    and every store it returns is a fixed point of _normalize."""
+    s, values = LinearStore.empty(), {}
+    for op, parts, const in cons:
+        lhs, rhs = known(_lhs(parts), values), c(const)
+        got = s.assert_constraint(op, lhs, rhs)
+        want = general_assert(s, op, lhs, rhs)
+        if got is None:
+            assert want is None
+            return
+        s, det = got
+        assert (s.subst, s.ineqs, s.neqs, det) == want
+        subst = dict(s.subst)
+        ineqs, neqs = _normalize(subst, list(s.ineqs), list(s.neqs))
+        assert (subst, tuple(ineqs), tuple(neqs)) == (s.subst, s.ineqs, s.neqs)
+        values.update(det)
