@@ -6,19 +6,21 @@ bindings, each variable's constraint domain, one linear-arithmetic store,
 a registry of already-proved atoms, the call path, and an event log from
 which answers reconstruct their justification.
 
-Resolution is one loop (solve) over a linked list of goals still to prove
-and a flat stack of choice points, as a WAM keeps one choice-point stack
-beside its trail.  A choice point is one goal's generator of alternatives:
-a call's generator yields, per matching clause, the rest of the clause's
-body followed by an exit step that pops the call's frame; a constraint,
-a forall or a loop-check shortcut yields None, nothing left to prove.
-Every generator obeys one rule: it undoes its previous alternative when it
-is resumed (yield, then undo_to its mark), never on close, so backtracking
-resumes the topmost choice point and dropping a search undoes nothing.
-Pushing and popping a frame are trail entries too, so an undo restores the
-call path with everything else.  The Python stack does not grow with the
-derivation: only a clause's hidden head unifications and a forall's pieces
-run a nested solve.
+Resolution is one loop (solve), run once per query, over a linked list of
+goals still to prove and a flat stack of choice points, as a WAM keeps one
+choice-point stack beside its trail.  A choice point is one goal's
+generator of alternatives: a call's generator yields, per matching clause,
+the rest of the clause's body followed by an exit step that pops the
+call's frame; a forall's yields a commit step (below); a constraint or a
+loop-check shortcut yields None, nothing left to prove.  Every generator
+obeys one rule: it undoes its previous alternative when it is resumed
+(yield, then undo_to its mark), never on close, so backtracking resumes
+the topmost choice point and dropping a search undoes nothing.  Pushing
+and popping a frame are trail entries too, so an undo restores the call
+path with everything else.  The Python stack does not grow with the
+derivation: the only nesting left is a clause's hidden head unifications,
+a conjunction of constraint generators as deep as the head's arity, which
+never enters a call.
 
 One map, dom, says which constraint domain an unbound variable lives in:
 a frozenset of excluded ground terms, or RATIONAL once any rational
@@ -101,14 +103,20 @@ arithmetic there, in source order.  Every other clause would fail in its
 hidden head unification anyway, so answers and their order are unchanged.
 
 Universal quantification (forall) evaluates its goal against a worklist of
-single-variable constraint views: each iteration commits to the first
-answer for a fresh copy of the quantified variable, and either the answer
-view equals the iteration's view (that region is covered) or the answer's
-negation splits the region into new work items.  An iteration commits to
-its first answer by dropping the rest of its search, which leaves that
-answer's bindings and constraints on the trail, so constraints the
-iterations placed on outer variables persist until the forall itself is
-resumed and undoes to its mark.
+single-variable constraint views, the pieces of the quantified variable's
+domain: each piece commits to the first answer for a fresh copy of the
+variable, and either the answer view equals the piece (that region is
+covered) or the answer's negation splits the piece into new ones.  The
+pieces are goals of the main loop.  A forall's one alternative is a
+commit step carrying a driver that yields each piece's goal; the loop
+schedules the goal followed by a new commit step, which records the depth
+of the choice-point stack at that moment.  Reaching a commit step means
+the piece before it is proved: the loop cuts the choice points above that
+depth, as a WAM cut does, keeping the answer's bindings and constraints
+on the trail, and resumes the driver for the next piece.  A piece with no
+answer backtracks into the forall's own choice point, which undoes to its
+mark and fails; constraints the pieces placed on outer variables persist
+until then.
 """
 
 from __future__ import annotations
@@ -227,7 +235,7 @@ class Engine:
         self.trail = []
         self.call_gkey = None  # ground key of the goal classify_loop saw last
         self.owed = []  # (term, excluded term) disequalities binds left unpaid
-        self.forall_trace = []  # diagnostic: (goal pred, view) per iteration
+        self.forall_trace = []  # diagnostic: (goal, view) per piece
 
     # -- trail ---------------------------------------------------------------
 
@@ -361,11 +369,15 @@ class Engine:
             self.owed = []
         return owed
 
-    def _pay(self, owed, i=0):
-        """Solutions of the owed disequalities owed[i:] (i < len(owed)), in
-        order."""
-        for _ in self.assert_neq_term(*owed[i]):
-            yield from self._pay(owed, i + 1) if i + 1 < len(owed) else _ONCE
+    def _conj(self, solve, items, i=0):
+        """Solutions of the conjunction of solve(item) over items[i:]
+        (i < len(items)), in order."""
+        for _ in solve(items[i]):
+            yield from self._conj(solve, items, i + 1) if i + 1 < len(items) else _ONCE
+
+    def _pay(self, owed):
+        """Solutions of the owed disequalities, in order."""
+        return self._conj(lambda pair: self.assert_neq_term(*pair), owed)
 
     def _bind(self, var, t) -> bool:
         """Bind an unbound variable to a dereferenced term, re-checking its
@@ -503,10 +515,8 @@ class Engine:
 
     # -- constraint goals -------------------------------------------------------
 
-    def solve_constraint(self, c: CmpLit, quiet=False):
+    def solve_constraint(self, c: CmpLit):
         m = self.mark()
-        if not quiet:
-            self.log(("constraint", c))
         op, l, r = c.op, c.lhs, c.rhs
         arith = op in ("=", "\\=") and (self._contains_arith(l) or self._contains_arith(r))
         if op == "=" and not arith:
@@ -652,11 +662,17 @@ class Engine:
 
     # -- resolution ---------------------------------------------------------------
 
-    def solve(self, goals, quiet=False):
+    def solve(self, goals):
         """Solutions of the conjunction goals: one loop over the goals still
         to prove, a linked list of (goal, rest) cells, and a stack of choice
         points, (generator of alternatives, goals after its goal).  An
-        alternative is a tuple of goals to prove first, or None."""
+        alternative is a tuple of goals to prove first, or None.  Besides
+        goals, the list holds two kinds of step: a call's exit step
+        (goal, frame), and a forall's commit step [piece driver, depth],
+        whose depth is None before the first piece.  The loop logs a
+        constraint's event just before it pushes the constraint's choice
+        point, so the choice point below undoes it; calls, shortcuts and
+        foralls log their own."""
         todo = None
         for goal in reversed(goals):
             todo = (goal, todo)
@@ -676,9 +692,20 @@ class Engine:
                 if isinstance(goal, Lit):
                     gen = self.solve_call(goal)
                 elif isinstance(goal, CmpLit):
-                    gen = self.solve_constraint(goal, quiet)
-                else:
+                    self.log(("constraint", goal))
+                    gen = self.solve_constraint(goal)
+                elif isinstance(goal, Forall):
                     gen = self.c_forall(goal.var, goal.goal)
+                else:  # a forall's commit step
+                    pieces, depth = goal
+                    if depth is not None:
+                        # The cut: commit to the first answer of the piece
+                        # scheduled at depth, keeping its trail entries.
+                        del choices[depth:]
+                    goal = next(pieces, None)
+                    if goal is not None:
+                        todo = (goal, ([pieces, len(choices)], todo))
+                    continue
                 choices.append((gen, todo))
             while choices:
                 gen, todo = choices[-1]
@@ -700,11 +727,10 @@ class Engine:
         if goal.neg:
             # A negation rewrite_query found no dual for: the predicate is
             # not in the program, so it holds vacuously.
-            if rules is None:
-                self.log(("atom", goal))
-                self.log(("exit",))
-                yield None
-                self.undo_to(m)
+            self.log(("atom", goal))
+            self.log(("exit",))
+            yield None
+            self.undo_to(m)
             return
         if rules is None:
             return  # a call to a predicate with no rules fails
@@ -739,7 +765,7 @@ class Engine:
             hide = rule.hide_prefix
             # The hidden head unifications run before the frame is pushed,
             # so a clause whose head does not match costs no frame.
-            for _ in self.solve(body[:hide], True) if hide else _ONCE:
+            for _ in self._conj(self.solve_constraint, body[:hide]) if hide else _ONCE:
                 m = self.mark()
                 self.log(("atom", goal))
                 # A ground key never changes: only a call that was not
@@ -798,9 +824,17 @@ class Engine:
         return ("eq", self.resolve(t))
 
     def c_forall(self, var: Var, goal):
+        """One alternative, a commit step carrying the driver of var's
+        pieces; resumed, the forall undoes to its mark and fails."""
         m = self.mark()
         self.log(("forall", Forall(var, goal)))
-        label = _goal_label(goal)
+        yield ([self._pieces(var, goal), None],)
+        self.undo_to(m)
+
+    def _pieces(self, var: Var, goal):
+        """The goal of each piece of var's domain still to cover, in order.
+        The loop resumes it once it has committed to the previous piece's
+        first answer, whose bindings and constraints stay on the trail."""
         # A stack of pieces: the next one is on top, so new pieces are
         # pushed in reverse to be taken in order.
         pending = [store_mod.TOP]
@@ -808,23 +842,15 @@ class Engine:
             piece = pending.pop()
             nv = fresh_var("_")
             goal2 = subst_goal(goal, {var.id: nv})
-            self.forall_trace.append((label, piece))
+            self.forall_trace.append((goal, piece))
             if not self.apply(piece, nv):
                 continue  # the piece itself is unsatisfiable: nothing to cover
-            # Commit to the piece's first answer: the dropped search keeps
-            # its bindings and constraints on the trail.
-            for _ in self.solve((goal2,)):
-                break
-            else:
-                break  # a piece with no answer: the forall fails
+            yield goal2
             ans = self.dump(nv)
             if ans == piece:
                 continue
             pending += reversed(store_mod.add(store_mod.dual(ans), piece))
-        else:
-            self.log(("exit",))
-            yield
-        self.undo_to(m)
+        self.log(("exit",))
 
     # -- queries -------------------------------------------------------------------
 
@@ -896,14 +922,6 @@ class Engine:
             stack.extend(reversed(node.children))
         out.append(Lit("nmr_check"))
         return out
-
-
-def _goal_label(goal):
-    if isinstance(goal, Lit):
-        return goal.pred
-    if isinstance(goal, CmpLit):
-        return goal.op
-    return "forall"
 
 
 def run_query(cp: CompiledProgram, query: Query, max_answers: int = 0):

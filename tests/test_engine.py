@@ -316,7 +316,7 @@ def test_owed_disequalities_cover_exactly_the_allowed_instances(excluded, t):
     names = [v for v in (_Y, _Z) if e._occurs(v.id, t)]
     views = [
         [e.dump(v) for v in names]
-        for _ in e.solve_constraint(CmpLit("=", x, t), quiet=True)
+        for _ in e.solve_constraint(CmpLit("=", x, t))
     ]
     for values in itertools.product(_DOMAIN, repeat=len(names)):
         instance = subst_term(t, {v.id: val for v, val in zip(names, values)})
@@ -679,6 +679,9 @@ def _chain(n):
     return "".join(f"p{i} :- p{i + 1}. " for i in range(n)) + f"p{n}."
 
 
+NESTED_NEGATION = "a(z). a(s(X)) :- not b(X). b(X) :- c(X,Y), not a(X). c(X,k)."
+
+
 def _max_frame_depth(monkeypatch, text, query):
     """The deepest Python stack seen at a loop check while answering."""
     depths = [0]
@@ -704,6 +707,13 @@ def test_the_python_stack_does_not_grow_with_the_derivation(monkeypatch):
     assert chain[0] == chain[1]
     cnt = [_max_frame_depth(monkeypatch, CNT, f"?- cnt({n}).") for n in (100, 1000)]
     assert cnt[0] == cnt[1]
+    # Each not b(...) is a forall over Y whose piece calls a(...) again:
+    # nested foralls are choice points of the same loop.
+    nested = [
+        _max_frame_depth(monkeypatch, NESTED_NEGATION, "?- a(" + "s(" * n + "z" + ")" * n + ").")
+        for n in (25, 50)
+    ]
+    assert nested[0] == nested[1]
 
 
 def test_a_twenty_thousand_rule_chain_answers_through_the_cli(tmp_path):

@@ -6,7 +6,7 @@ from fractions import Fraction
 from scasp.engine import Engine
 from scasp.parser import parse_query
 from scasp.store import TOP
-from scasp.terms import Const, Lit, fresh_var
+from scasp.terms import Const, Forall, Lit, fresh_var
 
 from helpers import answers, compiled, sat_view_num
 
@@ -32,7 +32,7 @@ def lin(*entries):
 def test_forall_narrows_through_both_negation_pieces():
     e = Engine(compiled(NARROWING))
     a = fresh_var("A")
-    gen = e.c_forall(a, Lit("p", (a,)))
+    gen = e.solve((Forall(a, Lit("p", (a,))),))
     next(gen)
     gen.close()
     assert [view for _, view in e.forall_trace] == [
@@ -45,7 +45,7 @@ def test_forall_narrows_through_both_negation_pieces():
 def test_forall_over_one_bounded_clause_fails():
     e = Engine(compiled("p(X) :- X .<. 3."))
     x = fresh_var("X")
-    gen = e.c_forall(x, Lit("p", (x,)))
+    gen = e.solve((Forall(x, Lit("p", (x,))),))
     assert list(gen) == []
     # The uncovered remainder {X >= 3} is exactly where the retry failed.
     assert [view for _, view in e.forall_trace] == [TOP, lin((">=", 3))]
@@ -76,7 +76,7 @@ def test_uncoverable_disequality_split_fails():
 def test_forall_success_views_satisfy_the_goal():
     e = Engine(compiled(NARROWING))
     a = fresh_var("A")
-    gen = e.c_forall(a, Lit("p", (a,)))
+    gen = e.solve((Forall(a, Lit("p", (a,))),))
     next(gen)
     gen.close()
     rng = random.Random(13)
@@ -109,7 +109,7 @@ def test_forall_covers_a_bound_with_a_symbolic_exclusion_in_either_order():
     for body in ("Y .>. 2, Y \\= a", "Y \\= a, Y .>. 2"):
         e = Engine(compiled(f"s(Y) :- {body}.  s(Y) :- Y .=<. 2."))
         x = fresh_var("X")
-        gen = e.c_forall(x, Lit("s", (x,)))
+        gen = e.solve((Forall(x, Lit("s", (x,))),))
         assert next(gen, "failed") is None, body
         gen.close()
         assert [view for _, view in e.forall_trace] == [TOP, lin(("<=", 2))], body
