@@ -40,11 +40,13 @@ Since terms are resolved before each assert, the store is never handed a
 variable it fixed before.
 
 Unification is a plain function: unify binds or reports a clash, leaving
-its bindings on the trail for the caller to undo.  The one way it can
-branch is binding a variable with excluded terms to a non-ground term,
-which owes a disequality per excluded term; the binding is made at once
-and the owed pairs are left in Engine.owed, for the constraint `=` and the
-loop check to pay as choice points.  A compiled head is distinct fresh
+its bindings on the trail for the caller to undo.  Two ground structures
+unify when they are equal, binding nothing, and unequal ones mostly differ
+in hash, so unify rejects them at once.  The one way it can branch is
+binding a variable with excluded terms to a non-ground term, which owes a
+disequality per excluded term; the binding is made at once and the owed
+pairs are left in Engine.owed, for the constraint `=` and the loop check
+to pay as choice points.  A compiled head is distinct fresh
 variables, so a clause is tried without unifying its head: the renaming of
 its body maps the head's variables to the call's arguments, and any
 constants or repeated variables of the source head are matched by the
@@ -52,10 +54,12 @@ hidden `=` goals leading the body.
 
 The log holds one (kind, goal) event per step -- an 'atom' call, a
 'constraint', a 'chs' or 'proved' shortcut, a 'forall' -- plus an 'exit'
-closing each atom and forall; an answer turns it into a tree of Nodes,
-each carrying one resolved goal.  A goal's polarity is read from its
-PredInfo (duals are negation markers) and a user predicate's complement
-from the compiled program's neg_of table, never from predicate names.
+closing each atom and forall.  It is the pre-order of an answer's tree of
+Nodes, each carrying one resolved goal, so one walk of it per answer
+builds the tree, the model and the order of the answer's variables,
+resolving a structure many events share once.  A goal's polarity is read
+from its PredInfo (duals are negation markers) and a user predicate's
+complement from the compiled program's neg_of table, never from names.
 
 Loops on the call path are classified before a goal is resolved:
 
@@ -153,7 +157,7 @@ __all__ = ["Engine", "Answer", "Node", "run_query"]
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     """One step of a justification tree: a resolved goal and its subproof."""
 
@@ -290,11 +294,12 @@ class Engine:
         """A term with every bound variable replaced by its value."""
         return self._resolved((t,), False)[0]
 
-    def _resolved(self, args, ground):
+    def _resolved(self, args, ground, memo=None):
         """A tuple of terms with every bound variable replaced by its value,
         or None when ground is set and an unbound variable remains.  A
         tuple or structure with nothing bound beneath it comes back as it
-        is, so ground terms are shared, not copied."""
+        is, so ground terms are shared, not copied; memo, if given, maps the
+        id of each non-ground structure met to its copy, for one snapshot."""
         out = None
         for i, a in enumerate(args):
             t = self.deref(a)
@@ -302,11 +307,15 @@ class Engine:
                 if ground:
                     return None
             elif isinstance(t, Struct) and not t.ground:
-                sub = self._resolved(t.args, ground)
-                if sub is None:
-                    return None
-                if sub is not t.args:
-                    t = Struct(t.functor, sub)
+                r = memo.get(id(t)) if memo is not None else None
+                if r is None:
+                    sub = self._resolved(t.args, ground, memo)
+                    if sub is None:
+                        return None
+                    r = t if sub is t.args else Struct(t.functor, sub)
+                    if memo is not None:
+                        memo[id(t)] = r
+                t = r
             if out is None:
                 if t is a:
                     continue
@@ -357,6 +366,8 @@ class Engine:
         if isinstance(a, Const) and isinstance(b, Const):
             return a == b
         if isinstance(a, Struct) and isinstance(b, Struct) and a.key == b.key:
+            if a.ground and b.ground:
+                return a == b  # nothing to bind: most mismatches differ in hash
             for x, y in zip(a.args, b.args):
                 if not self.unify(x, y):
                     return False
@@ -870,58 +881,50 @@ class Engine:
     # -- answer snapshots ------------------------------------------------------------
 
     def _snapshot(self, query: Query, number: int, t0: float) -> Answer:
+        """One walk of the log builds the justification ('atom' and 'forall'
+        events open a node that the matching 'exit' closes), the model
+        (user atoms and chs shortcuts, first derivation first) and the
+        unbound variables in Answer.variables()'s order: the model's all
+        occur in the justification, and the bindings' come last."""
         elapsed = (time.perf_counter() - t0) * 1000.0
-        roots = self._build_tree()
-        model = self._collect_model(roots)
-        bindings = [(name, self.resolve(v)) for name, v in query.vars]
-        ans = Answer(number, elapsed, bindings, model, roots, {})
-        ans.views = {v.id: self.dump(v) for v in ans.variables()}
-        return ans
-
-    def _build_tree(self):
-        """Justification nodes from the event log; 'atom' and 'forall'
-        events open a node that the matching 'exit' closes."""
+        memo = {}  # for this answer: the log keeps its keys alive
+        pred_info = self.cp.pred_info
         root = Node("root")
         stack = [root]
+        model, in_model = [], set()
+        found, seen = [], set()
         for ev in self.events:
-            if ev[0] == "exit":
+            kind = ev[0]
+            if kind == "exit":
                 stack.pop()
                 continue
-            node = Node(ev[0], self._resolve_goal(ev[1]))
+            goal = self._resolve_goal(ev[1], memo)
+            node = Node(kind, goal)
             stack[-1].children.append(node)
-            if ev[0] == "atom" or ev[0] == "forall":
+            goal_vars(goal, found, seen)
+            if kind == "atom" or kind == "forall":
                 stack.append(node)
-        return root.children
+            if (kind == "atom" or kind == "chs") and not goal.neg:
+                info = pred_info.get(goal.pred)
+                key = (goal.pred, goal.args)
+                if info is not None and info.kind == "user" and key not in in_model:
+                    in_model.add(key)
+                    model.append(goal)
+        model.append(Lit("nmr_check"))
+        bindings = [(name, self._resolved((v,), False, memo)[0]) for name, v in query.vars]
+        for _, t in bindings:
+            term_vars(t, found, seen)
+        views = {v.id: self.dump(v) for v in found}
+        return Answer(number, elapsed, bindings, model, root.children, views)
 
-    def _resolve_goal(self, goal):
+    def _resolve_goal(self, goal, memo):
         if isinstance(goal, Lit):
-            args = self._resolved(goal.args, False)
+            args = self._resolved(goal.args, False, memo)
             return goal if args is goal.args else Lit(goal.pred, args, goal.neg)
         if isinstance(goal, CmpLit):
-            return CmpLit(goal.op, self.resolve(goal.lhs), self.resolve(goal.rhs))
-        return Forall(goal.var, self._resolve_goal(goal.goal))
-
-    def _collect_model(self, roots):
-        out = []
-        seen = set()
-
-        def consider(lit):
-            info = self.cp.pred_info.get(lit.pred)
-            if lit.neg or info is None or info.kind != "user":
-                return
-            key = (lit.pred, lit.args)
-            if key not in seen:
-                seen.add(key)
-                out.append(lit)
-
-        stack = roots[::-1]
-        while stack:
-            node = stack.pop()
-            if node.kind == "atom" or node.kind == "chs":
-                consider(node.goal)
-            stack.extend(reversed(node.children))
-        out.append(Lit("nmr_check"))
-        return out
+            lhs, rhs = self._resolved((goal.lhs, goal.rhs), False, memo)
+            return CmpLit(goal.op, lhs, rhs)
+        return Forall(goal.var, self._resolve_goal(goal.goal, memo))
 
 
 def run_query(cp: CompiledProgram, query: Query, max_answers: int = 0):

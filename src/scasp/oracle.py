@@ -31,10 +31,6 @@ class GroundProgram:
     universe: tuple  # every atom constructible from the program's signature
 
 
-def _atom(lit: Lit):
-    return (lit.pred, lit.args)
-
-
 def _term_constants(t, out):
     if isinstance(t, Const):
         out.add(t)

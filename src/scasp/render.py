@@ -9,7 +9,8 @@ answer.  Bound variables print as their value.
 
 The justification layout writes one node per line: a node with children
 ends in `` :-`` and indents its children three further columns; a leaf ends
-in ``,`` when a sibling follows and in ``.`` when it closes its group.
+in ``,`` when a sibling follows and in ``.`` when it closes its group, in
+one pass that builds each depth's indentation once.
 """
 
 from __future__ import annotations
@@ -75,22 +76,29 @@ class Renderer:
             return "%s(%s)" % (node.kind, label)
         return label
 
-    def _node_lines(self, node: Node, depth, last, out):
-        pad = "   " * depth
-        label = self._node_label(node)
-        if node.children:
-            out.append("%s%s :-" % (pad, label))
-            for i, child in enumerate(node.children):
-                self._node_lines(child, depth + 1, i == len(node.children) - 1, out)
-        else:
-            out.append("%s%s%s" % (pad, label, "." if last else ","))
-
     def justification_text(self):
-        out = []
+        # A stack of (node, depth, last), as a proof may be deeper than the
+        # recursion limit; pads[d] breaks the line and indents to depth d.
+        out, pads = [], ["\n"]
+        label = self._node_label
         roots = self.answer.justification
-        for i, node in enumerate(roots):
-            self._node_lines(node, 0, i == len(roots) - 1, out)
-        return "\n".join(out)
+        stack = [(node, 0, i == 0) for i, node in enumerate(reversed(roots))]
+        while stack:
+            node, depth, last = stack.pop()
+            if depth == len(pads):
+                pads.append(pads[-1] + "   ")
+            kids = node.children
+            if kids:
+                out += (pads[depth], label(node), " :-")
+                depth += 1
+                stack.append((kids[-1], depth, True))
+                for kid in kids[-2::-1]:
+                    stack.append((kid, depth, False))
+            else:
+                out += (pads[depth], label(node), "." if last else ",")
+        if out:
+            out[0] = ""  # no line break before the first line
+        return "".join(out)
 
     def _model_labels(self):
         atoms = self.answer.model

@@ -10,8 +10,12 @@ after construction, so values derived from the fields are computed once and
 kept.  They are the inner loop of resolution, so Var, Const, Struct, Lit and
 CmpLit are slotted classes rather than dataclasses.  Two are equal when they
 are of the same class with equal fields, and hash consistently with that.
-A derived value (a key, a flag, a cached hash) is never pickled: a pickle
-holds the fields alone, since string hashes differ between processes.
+A derived value (a key, a flag, a cached hash or text) is never pickled: a
+pickle holds the fields alone, since string hashes differ between processes.
+format_term keeps the text of a ground structure with no arithmetic functor
+on top, which no name or operator changes, if it is at most TEXT_CACHE_MAX
+characters long: each level of a d-deep term has its own text, and keeping
+them all would hold O(d^2) characters.
 """
 
 from __future__ import annotations
@@ -99,7 +103,7 @@ class Struct:
     level of a deep term), and walks skip a ground subterm in one step.
     """
 
-    __slots__ = ("functor", "args", "key", "ground", "arith", "_hash")
+    __slots__ = ("functor", "args", "key", "ground", "arith", "_hash", "_text")
     __match_args__ = ("functor", "args")
 
     def __init__(self, functor: str, args: tuple):
@@ -119,14 +123,23 @@ class Struct:
         self._hash = hash((functor, args))
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            # Unequal structures mostly differ in hash: reject them at once.
-            return self is other or (
-                self._hash == other._hash
-                and self.functor == other.functor
-                and self.args == other.args
-            )
-        return NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # Unequal structures mostly differ in hash.  An explicit stack, as
+        # nested tuples compare through C, which 3.12 stops a few hundred deep.
+        pairs = [(self, other)]
+        while pairs:
+            x, y = pairs.pop()
+            if x is y:
+                continue
+            if x._hash != y._hash or x.key != y.key:
+                return False
+            for a, b in zip(x.args, y.args):
+                if a.__class__ is Struct and b.__class__ is Struct:
+                    pairs.append((a, b))
+                elif a != b:
+                    return False
+        return True
 
     def __hash__(self):
         return self._hash
@@ -346,6 +359,7 @@ def format_number(q: Fraction) -> str:
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
+TEXT_CACHE_MAX = 1024  # the longest text format_term keeps (module docstring)
 
 
 def format_term(t: Term, names=None, prec: int = 0, right: bool = False) -> str:
@@ -359,12 +373,6 @@ def format_term(t: Term, names=None, prec: int = 0, right: bool = False) -> str:
                 return f"({s})"
             return s
         return t.value
-    if t.functor == "." and len(t.args) == 2:
-        items, tail = list_parts(t)
-        inner = ",".join(format_term(i, names) for i in items)
-        if tail == NIL:
-            return f"[{inner}]"
-        return f"[{inner}|{format_term(tail, names)}]"
     if t.functor in ARITH_OPS and len(t.args) == 2:
         p = _PREC[t.functor]
         s = (
@@ -375,8 +383,19 @@ def format_term(t: Term, names=None, prec: int = 0, right: bool = False) -> str:
         if p < prec or (p == prec and right):
             return f"({s})"
         return s
-    inner = ",".join(format_term(a, names) for a in t.args)
-    return f"{t.functor}({inner})" if t.args else f"{t.functor}()"
+    if t.ground:
+        s = getattr(t, "_text", None)
+        if s is not None:
+            return s
+    if t.functor == "." and len(t.args) == 2:
+        items, tail = list_parts(t)
+        s = "[" + ",".join(format_term(i, names) for i in items)
+        s += "]" if tail == NIL else f"|{format_term(tail, names)}]"
+    else:
+        s = f"{t.functor}({','.join(format_term(a, names) for a in t.args)})"
+    if t.ground and len(s) <= TEXT_CACHE_MAX:
+        t._text = s
+    return s
 
 
 def format_terms(*ts) -> list:

@@ -8,6 +8,7 @@ import pickle
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from scasp.terms import (
     Rule,
     Struct,
     Var,
+    format_term,
     fresh_var,
     rename_goal,
     subst_term,
@@ -716,6 +718,35 @@ def test_the_python_stack_does_not_grow_with_the_derivation(monkeypatch):
     assert nested[0] == nested[1]
 
 
+def test_ground_structures_unify_by_equality(monkeypatch):
+    # Two ground structures unify when they are equal, so the loop check's
+    # scan of open `not a(...)` frames compares each pair at once instead
+    # of walking both terms.
+    calls = [0]
+    orig = Engine.unify
+
+    def counting(self, a, b):
+        calls[0] += 1
+        return orig(self, a, b)
+
+    monkeypatch.setattr(Engine, "unify", counting)
+    n = 100
+    assert len(answers(NESTED_NEGATION, "?- a(" + "s(" * n + "z" + ")" * n + ").")) == 1
+    assert calls[0] <= 20_000
+    # Equal but separately built terms, deeper than comparing nested
+    # tuples can go on Python 3.12, unify and bind nothing.
+    e = engine_for()
+    deep = []
+    for leaf in ("z", "z", "y"):
+        t = Const(leaf)
+        for _ in range(2_000):
+            t = Struct("s", (t,))
+        deep.append(t)
+    m = e.mark()
+    assert e.unify(deep[0], deep[1]) and e.mark() == m
+    assert not e.unify(deep[0], deep[2])
+
+
 def test_a_twenty_thousand_rule_chain_answers_through_the_cli(tmp_path):
     # In a child process, so that a crash of the interpreter fails this test
     # alone.  The justification would print 20,000 nested levels: omit it.
@@ -753,24 +784,50 @@ def test_a_sixteen_thousand_deep_term_answers_through_the_api():
 
 
 def test_the_model_snapshot_walks_a_deep_proof_without_recursion():
-    # A proof deeper than the recursion limit: the model still lists its
-    # atoms in pre-order, first derivation first.
+    # A log nested deeper than the recursion limit: the snapshot's model
+    # still lists its atoms in pre-order, first derivation first.
     e = engine_for("q(X) :- q(X). q(a).")
     depth = sys.getrecursionlimit() + 10
-    root = node = Node("atom", Lit("q", (Const(0),)))
-    for i in range(1, depth):
-        child = Node("atom", Lit("q", (Const(i),)))
-        node.children.append(child)
-        node = child
-    node.children.append(Node("chs", Lit("q", (Const(0),))))
-    root.children.append(Node("atom", Lit("q", (Const("b"),))))
+    e.events = [("atom", Lit("q", (Const(i),))) for i in range(depth)]
+    e.events.append(("chs", Lit("q", (Const(0),))))
+    e.events += [("exit",)] * (depth - 1)
+    e.events += [("atom", Lit("q", (Const("b"),))), ("exit",), ("exit",)]
     try:
-        model = e._collect_model([root])
+        model = e._snapshot(Query(()), 1, time.perf_counter()).model
     except RecursionError:
         model = None  # asserted outside the handler: a short report
     assert model is not None, "the snapshot recursed once per proof level"
     assert [lit.args[0].value for lit in model[:-1]] == list(range(depth)) + ["b"]
     assert model[-1] == Lit("nmr_check")
+
+
+def _model_by_walk(ans, pred_info):
+    """The model as a pre-order walk of the justification lists it."""
+    out, seen = [], set()
+    stack = ans.justification[::-1]
+    while stack:
+        node = stack.pop()
+        lit = node.goal
+        if node.kind in ("atom", "chs") and not lit.neg:
+            info = pred_info.get(lit.pred)
+            if info is not None and info.kind == "user" and (lit.pred, lit.args) not in seen:
+                seen.add((lit.pred, lit.args))
+                out.append(lit)
+        stack.extend(reversed(node.children))
+    return out + [Lit("nmr_check")]
+
+
+@pytest.mark.parametrize("program, n", [("stream", 0), ("yale", 0), ("tsp", 2), ("hanoi", 2)])
+def test_one_walk_of_the_log_gives_the_documented_orders(program, n):
+    # The snapshot builds tree, model and variable order in one walk of the
+    # log: the variables come in Answer.variables()'s order, and the model
+    # in the pre-order of the justification.
+    cp = compiled((ROOT / "tests" / "programs" / f"{program}.pl").read_text())
+    got = list(Engine(cp).run_query(cp.query, n))
+    assert got
+    for ans in got:
+        assert list(ans.views) == [v.id for v in ans.variables()]
+        assert ans.model == _model_by_walk(ans, cp.pred_info)
 
 
 @pytest.mark.parametrize(
@@ -807,8 +864,12 @@ def test_structures_keep_their_hash_and_flags_out_of_pickles():
     assert (t.ground, t.arith) == (True, True)
     assert (f(x).ground, f(x).arith, f(x, three).arith) == (False, False, True)
     assert hash(t) == hash(f(Const("a"), f(three)))
+    # A formatted structure keeps its text, but pickles without it.
+    assert format_term(t) == "f(a,f(1+2))" and t._text == "f(a,f(1+2))"
+    assert pickle.dumps(t) == pickle.dumps(f(Const("a"), f(three)))
     copy = pickle.loads(pickle.dumps(t))
     assert copy == t and hash(copy) == hash(t)
+    assert not hasattr(copy, "_text")
     assert (copy.ground, copy.arith, copy.key) == (True, True, ("f", 2))
     # String hashes differ between processes, so a term pickled under one
     # hash seed must hash, unpickled under another, as an equal term built

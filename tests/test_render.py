@@ -5,15 +5,21 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from scasp import terms
 from scasp.cli import main
 from scasp.compiler import compile_program
 from scasp.engine import run_query
 from scasp.parser import parse_program, parse_query
 from scasp.render import Renderer, render_answer, render_answer_json, _name_for
+from scasp.terms import (
+    ARITH_OPS, NIL, Const, Struct, Var, format_term, fresh_var, list_parts, mk_list,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).parent / "data"
@@ -170,3 +176,99 @@ def test_sections_can_be_suppressed():
         render_answer_json(ans, cp.pred_info, cp.shows, with_model=False)
     )
     assert "model" not in obj and "justification" in obj
+
+
+# -- the text cache ---------------------------------------------------------------
+
+
+def _reference_text(t, names, prec=0, right=False):
+    """format_term's text by its rules, recursively and with no cache."""
+    if isinstance(t, Var):
+        return names.get(t.id) or (t.name if t.name != "_" else f"_G{t.id}")
+    if isinstance(t, Const):
+        if not t.is_number:
+            return t.value
+        q = t.value
+        s = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+        return f"({s})" if prec > 0 and q < 0 else s
+    items, tail = list_parts(t)
+    if items:
+        inner = ",".join(_reference_text(i, names) for i in items)
+        return f"[{inner}]" if tail == NIL else f"[{inner}|{_reference_text(tail, names)}]"
+    if t.functor in ARITH_OPS and len(t.args) == 2:
+        p = {"+": 1, "-": 1, "*": 2, "/": 2}[t.functor]
+        s = (_reference_text(t.args[0], names, p) + t.functor
+             + _reference_text(t.args[1], names, p, True))
+        return f"({s})" if p < prec or (p == prec and right) else s
+    return f"{t.functor}({','.join(_reference_text(a, names) for a in t.args)})"
+
+
+_NAMED = fresh_var("_")  # printed through the names map
+_LEAVES = st.one_of(
+    st.fractions(min_value=-5, max_value=5, max_denominator=3).map(Const),
+    st.sampled_from([Const("a"), Const("b"), NIL, fresh_var("X"), fresh_var("_"), _NAMED]),
+)
+
+
+def _compound(sub):
+    return st.one_of(
+        st.tuples(st.sampled_from(ARITH_OPS), sub, sub).map(lambda p: Struct(p[0], p[1:])),
+        st.tuples(sub, sub).map(lambda p: Struct("f", p)),
+        sub.map(lambda a: Struct("g", (a,))),
+        st.lists(sub, max_size=3).map(mk_list),
+        st.tuples(st.lists(sub, min_size=1, max_size=3), sub).map(lambda p: mk_list(*p)),
+    )
+
+
+_TERMS = st.recursive(_LEAVES, _compound, max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TERMS, _TERMS)
+def test_cached_texts_agree_with_an_uncached_reference(t, u):
+    # t is shared by places of every precedence and side; the whole term is
+    # formatted twice, the second time from the texts the first one kept.
+    names = {_NAMED.id: "A"}
+    whole = Struct("h", (
+        t, Struct("-", (u, t)), Struct("*", (t, u)), mk_list([t], t),
+        Struct("/", (Struct("+", (t, u)), t)), Struct("-", (t, Struct("-", (t, u)))),
+    ))
+    for term in (t, whole, whole):
+        assert format_term(term, names) == _reference_text(term, names)
+    for prec, right in ((1, False), (1, True), (2, False), (2, True)):
+        assert format_term(t, names, prec, right) == _reference_text(t, names, prec, right)
+
+
+def test_cached_texts_keep_memory_linear_in_the_term():
+    # Every level of a deep ground term has its own text, about 5 MB in all
+    # here; only texts of at most TEXT_CACHE_MAX characters are kept.
+    pad = Const("x" * 100)
+    t = Const("z")
+    for _ in range(300):
+        t = Struct("f", (t, pad))
+    tracemalloc.start()
+    try:
+        text = format_term(t)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(text) == 300 * 104 + 1
+    assert kept < 2_000_000
+
+
+def test_formatting_an_answer_is_linear_in_its_terms(monkeypatch):
+    # nat(s^200(z)) proves nat of every level: each level's text is built
+    # from the kept text of the level below, not formatted again.
+    cp, ans = first_answer(
+        "nat(z). nat(s(X)) :- nat(X).", "?- nat(" + "s(" * 200 + "z" + ")" * 200 + ")."
+    )
+    calls = [0]
+    orig = terms.format_term
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(terms, "format_term", counting)
+    render_answer(ans, cp.pred_info, cp.shows)
+    assert calls[0] <= 2_000
