@@ -3,8 +3,8 @@
 The engine resolves goals top-down over the compiled database without any
 grounding.  All state lives in one trail-recorded structure: variable
 bindings, each variable's constraint domain, one linear-arithmetic store,
-a registry of already-proved atoms, the call path, and an event log from
-which answers reconstruct their justification.
+a registry of already-proved atoms and the call path.  The trail is also
+the event log from which answers reconstruct their justification.
 
 Resolution is one loop (solve), run once per query, over a linked list of
 goals still to prove and a flat stack of choice points, as a WAM keeps one
@@ -15,9 +15,17 @@ call's frame; a forall's yields a commit step (below); a constraint or a
 loop-check shortcut yields None, nothing left to prove.  Every generator
 obeys one rule: it undoes its previous alternative when it is resumed
 (yield, then undo_to its mark), never on close, so backtracking resumes
-the topmost choice point and dropping a search undoes nothing.  Pushing
-and popping a frame are trail entries too, so an undo restores the call
-path with everything else.  The Python stack does not grow with the
+the topmost choice point and dropping a search undoes nothing.  A goal's
+last alternative leaves no choice point, as a WAM's trust_me keeps none:
+the generator sets det as it yields it, and the loop drops the generator
+unresumed.  The choice point below then undoes that alternative with its
+own, since its mark lies beneath every trail entry the goal made.  Calls
+whose last selected clause matched without paying an owed disequality,
+constraints that yield at most once, loop-check shortcuts and foralls
+are determinate this way; a `\\=` between structures of one functor and
+an owed payment are not, as each may hold in several ways.  Pushing and
+popping a frame are trail entries too, so an undo restores the call path
+with everything else.  The Python stack does not grow with the
 derivation: the only nesting left is a clause's hidden head unifications,
 a conjunction of constraint generators as deep as the head's arity, which
 never enters a call.
@@ -52,12 +60,15 @@ its body maps the head's variables to the call's arguments, and any
 constants or repeated variables of the source head are matched by the
 hidden `=` goals leading the body.
 
-The log holds one (kind, goal) event per step -- an 'atom' call, a
-'constraint', a 'chs' or 'proved' shortcut, a 'forall' -- plus an 'exit'
-closing each atom and forall.  It is the pre-order of an answer's tree of
-Nodes, each carrying one resolved goal, so one walk of it per answer
-builds the tree, the model and the order of the answer's variables,
-resolving a structure many events share once.  A goal's polarity is read
+The log is the trail's event entries: one (kind, goal) per step -- an
+'atom' call, a 'constraint', a 'chs' or 'proved' shortcut, a 'forall' --
+plus an 'exit' closing each atom and forall.  A call's 'atom' and 'exit'
+entries carry its frame, so undoing them pops and re-pushes it.  Read in
+trail order, skipping bindings, domains, stores and registrations, the
+log is the pre-order of an answer's tree of Nodes, each carrying one
+resolved goal, so one walk of it per answer builds the tree, the model
+and the order of the answer's variables, resolving a structure many
+events share once.  A goal's polarity is read
 from its PredInfo (duals are negation markers) and a user predicate's
 complement from the compiled program's neg_of table, never from names.
 
@@ -118,9 +129,9 @@ of the choice-point stack at that moment.  Reaching a commit step means
 the piece before it is proved: the loop cuts the choice points above that
 depth, as a WAM cut does, keeping the answer's bindings and constraints
 on the trail, and resumes the driver for the next piece.  A piece with no
-answer backtracks into the forall's own choice point, which undoes to its
-mark and fails; constraints the pieces placed on outer variables persist
-until then.
+answer backtracks past the forall, which keeps no choice point, into the
+one below it, which undoes the forall with its own alternative; constraints
+the pieces placed on outer variables persist until then.
 """
 
 from __future__ import annotations
@@ -199,6 +210,7 @@ _ONCE = (None,)
 _FAIL = object()  # next() of an exhausted choice point
 _MK = attrgetter("mk")
 _SHORTCUT = {"succeed_coinductive": "chs", "succeed_proved": "proved"}
+_EVENTS = frozenset(("atom", "constraint", "chs", "proved", "forall"))  # trail tags
 RATIONAL = object()  # dom entry of a variable a rational constraint mentions
 
 
@@ -231,7 +243,6 @@ class Engine:
         self.proved = {}  # (name, arity) -> [args, ...]
         self._proved_keys = {}  # (name, ground key) -> count
         self._proved_open = {}  # (name, arity) -> [(args, wi, w, ui, u), ...]
-        self.events = []
         self.frames = []
         self._by_pred = {}  # (name, arity) -> [frame, ...]
         self._open = {}  # (name, arity) -> [frame not ground at push, ...]
@@ -239,6 +250,7 @@ class Engine:
         self.trail = []
         self.call_gkey = None  # ground key of the goal classify_loop saw last
         self.owed = []  # (term, excluded term) disequalities binds left unpaid
+        self.det = False  # set as a generator yields its last alternative
         self.forall_trace = []  # diagnostic: (goal, view) per piece
 
     # -- trail ---------------------------------------------------------------
@@ -253,6 +265,12 @@ class Engine:
             tag = entry[0]
             if tag == "bind":
                 del self.cells[entry[1]]
+            elif tag == "atom":
+                if entry[2] is not None:
+                    self._pop()
+            elif tag == "exit":
+                if entry[1] is not None:
+                    self._push(entry[1])
             elif tag == "dom":
                 if entry[2] is None:
                     del self.dom[entry[1]]
@@ -260,11 +278,7 @@ class Engine:
                     self.dom[entry[1]] = entry[2]
             elif tag == "lin":
                 self.lin = entry[1]
-            elif tag == "push":
-                self._pop()
-            elif tag == "pop":
-                self._push(entry[1])
-            elif tag == "proved":
+            elif tag == "registered":
                 key, pk = entry[1], entry[2]
                 self.proved[key].pop()
                 if pk is None:
@@ -273,12 +287,7 @@ class Engine:
                     del self._proved_keys[pk]
                 else:
                     self._proved_keys[pk] -= 1
-            else:  # 'ev'
-                self.events.pop()
-
-    def log(self, event):
-        self.events.append(event)
-        self.trail.append(("ev",))
+            # Any other tag is an event that changed nothing else.
 
     # -- terms -----------------------------------------------------------------
 
@@ -382,9 +391,16 @@ class Engine:
 
     def _conj(self, solve, items, i=0):
         """Solutions of the conjunction of solve(item) over items[i:]
-        (i < len(items)), in order."""
+        (i < len(items)), in order; det is left set on a solution that is
+        the last of every conjunct."""
+        if i + 1 == len(items):
+            yield from solve(items[i])
+            return
         for _ in solve(items[i]):
-            yield from self._conj(solve, items, i + 1) if i + 1 < len(items) else _ONCE
+            det, self.det = self.det, False
+            for _ in self._conj(solve, items, i + 1):
+                self.det = det and self.det
+                yield
 
     def _pay(self, owed):
         """Solutions of the owed disequalities, in order."""
@@ -536,10 +552,17 @@ class Engine:
             if ok and owed:
                 yield from self._pay(owed)
             elif ok:
+                self.det = True
                 yield
         elif op == "\\=" and not arith and not (self._numericish(l) and self._numericish(r)):
-            yield from self.assert_neq_term(l, r)
+            a, b = self.deref(l), self.deref(r)
+            if isinstance(a, Struct) and isinstance(b, Struct) and a.key == b.key:
+                yield from self.assert_neq_term(a, b)  # one alternative per argument
+            elif self._neq(a, b):
+                self.det = True
+                yield
         elif self._assert_linear(op, l, r):
+            self.det = True
             yield
         self.undo_to(m)
 
@@ -677,13 +700,15 @@ class Engine:
         """Solutions of the conjunction goals: one loop over the goals still
         to prove, a linked list of (goal, rest) cells, and a stack of choice
         points, (generator of alternatives, goals after its goal).  An
-        alternative is a tuple of goals to prove first, or None.  Besides
-        goals, the list holds two kinds of step: a call's exit step
-        (goal, frame), and a forall's commit step [piece driver, depth],
-        whose depth is None before the first piece.  The loop logs a
-        constraint's event just before it pushes the constraint's choice
-        point, so the choice point below undoes it; calls, shortcuts and
-        foralls log their own."""
+        alternative is a tuple of goals to prove first, or None.  A goal's
+        last alternative leaves no choice point: the generator sets det as
+        it yields it, and the loop pops it, so the choice point below
+        undoes the goal with its own alternative.  Besides goals, the list
+        holds two kinds of step: a call's exit step (goal, frame), and a
+        forall's commit step [piece driver, depth], whose depth is None
+        before the first piece.  The loop logs a constraint's event just
+        before it pushes the constraint's choice point, so the choice point
+        below undoes it; calls, shortcuts and foralls log their own."""
         todo = None
         for goal in reversed(goals):
             todo = (goal, todo)
@@ -696,14 +721,13 @@ class Engine:
                 if type(goal) is tuple:  # a call's exit step: its body is proved
                     goal, fr = goal
                     self._pop()
-                    self.trail.append(("pop", fr))
-                    self.log(("exit",))
+                    self.trail.append(("exit", fr))
                     self._register_proved(goal, fr.gkey)
                     continue
                 if isinstance(goal, Lit):
                     gen = self.solve_call(goal)
                 elif isinstance(goal, CmpLit):
-                    self.log(("constraint", goal))
+                    self.trail.append(("constraint", goal))
                     gen = self.solve_constraint(goal)
                 elif isinstance(goal, Forall):
                     gen = self.c_forall(goal.var, goal.goal)
@@ -722,6 +746,9 @@ class Engine:
                 gen, todo = choices[-1]
                 body = next(gen, _FAIL)
                 if body is not _FAIL:
+                    if self.det:  # its last alternative: the trail undoes it
+                        self.det = False
+                        choices.pop()
                     break
                 choices.pop()
             else:
@@ -732,16 +759,17 @@ class Engine:
 
     def solve_call(self, goal: Lit):
         """Alternatives of a call: per matching clause, the rest of its body
-        and the exit step that pops its frame."""
+        and the exit step that pops its frame.  A shortcut's alternative
+        and the last clause's are its last (see solve)."""
         rules = self.cp.rules.get(goal.key)
-        m = self.mark()
+        trail = self.trail
         if goal.neg:
             # A negation rewrite_query found no dual for: the predicate is
             # not in the program, so it holds vacuously.
-            self.log(("atom", goal))
-            self.log(("exit",))
+            trail.append(("atom", goal, None))
+            trail.append(("exit", None))
+            self.det = True
             yield None
-            self.undo_to(m)
             return
         if rules is None:
             return  # a call to a predicate with no rules fails
@@ -749,9 +777,9 @@ class Engine:
         if act == "fail_odd" or act == "fail_positive":
             return
         if act != "continue":
-            self.log((_SHORTCUT[act], goal))
+            trail.append((_SHORTCUT[act], goal))
+            self.det = True
             yield None
-            self.undo_to(m)
             return
         gkey = self.call_gkey
         index = self.cp.first_arg.get(goal.key)
@@ -768,6 +796,7 @@ class Engine:
                 by_key, wildcards = index
                 rules = by_key.get(key, wildcards)
         fr = _Frame(goal, self.cp.pred_info[goal.pred])
+        last = rules[-1] if rules else None
         for rule in rules:
             # A compiled head is distinct variables: they stand for the
             # call's arguments, so only the body is renamed.
@@ -777,13 +806,15 @@ class Engine:
             # The hidden head unifications run before the frame is pushed,
             # so a clause whose head does not match costs no frame.
             for _ in self._conj(self.solve_constraint, body[:hide]) if hide else _ONCE:
+                # The last clause's alternative is the call's last unless its
+                # hidden `=` goals paid owed disequalities, which may branch.
+                self.det = rule is last and (self.det or not hide)
                 m = self.mark()
-                self.log(("atom", goal))
                 # A ground key never changes: only a call that was not
                 # ground may have become ground since.
                 fr.gkey = self._ground_args(goal.args) if gkey is None else gkey
+                trail.append(("atom", goal, fr))
                 self._push(fr)
-                self.trail.append(("push",))
                 yield body[hide:] + ((goal, fr),)
                 self.undo_to(m)
 
@@ -805,7 +836,7 @@ class Engine:
             self._proved_open.setdefault(goal.key, []).append((goal.args, wi, w, ui, u))
         else:
             self._proved_keys[pk] = self._proved_keys.get(pk, 0) + 1
-        self.trail.append(("proved", goal.key, pk))
+        self.trail.append(("registered", goal.key, pk))
 
     # -- universal quantification ----------------------------------------------
 
@@ -835,12 +866,11 @@ class Engine:
         return ("eq", self.resolve(t))
 
     def c_forall(self, var: Var, goal):
-        """One alternative, a commit step carrying the driver of var's
-        pieces; resumed, the forall undoes to its mark and fails."""
-        m = self.mark()
-        self.log(("forall", Forall(var, goal)))
+        """One alternative, its last: a commit step carrying the driver of
+        var's pieces."""
+        self.trail.append(("forall", Forall(var, goal)))
+        self.det = True
         yield ([self._pieces(var, goal), None],)
-        self.undo_to(m)
 
     def _pieces(self, var: Var, goal):
         """The goal of each piece of var's domain still to cover, in order.
@@ -861,7 +891,7 @@ class Engine:
             if ans == piece:
                 continue
             pending += reversed(store_mod.add(store_mod.dual(ans), piece))
-        self.log(("exit",))
+        self.trail.append(("exit", None))
 
     # -- queries -------------------------------------------------------------------
 
@@ -893,11 +923,13 @@ class Engine:
         stack = [root]
         model, in_model = [], set()
         found, seen = [], set()
-        for ev in self.events:
+        for ev in self.trail:
             kind = ev[0]
             if kind == "exit":
                 stack.pop()
                 continue
+            if kind not in _EVENTS:
+                continue  # a binding, domain, store or registry entry
             goal = self._resolve_goal(ev[1], memo)
             node = Node(kind, goal)
             stack[-1].children.append(node)

@@ -1,14 +1,17 @@
 """Engine behavior: unification, disequality, loops, and consistency checks."""
 
+import gc
 import importlib.util
 import itertools
 import json
+import json.scanner
 import os
 import pickle
 import re
 import subprocess
 import sys
 import time
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -137,6 +140,15 @@ def test_diseq_same_variable_fails():
     e = engine_for()
     x = fresh_var("X")
     assert list(e.assert_neq_term(x, x)) == []
+
+
+def test_diseq_over_structures_keeps_every_alternative():
+    # f(X,Y) \= f(a,b) holds by X \= a or by Y \= b: two alternatives, so
+    # its choice point stays after the first, unlike a determinate goal's.
+    text = "p(X,Y) :- f(X,Y) \\= f(a,b), q(X), q(Y).  q(a). q(b)."
+    got = [(binding(a, "X"), binding(a, "Y")) for a in answers(text, "?- p(X,Y).")]
+    a, b = Const("a"), Const("b")
+    assert got == [(b, a), (b, b), (a, a), (b, a)]
 
 
 def test_diseq_against_nonground_term_is_a_restriction():
@@ -747,6 +759,47 @@ def test_ground_structures_unify_by_equality(monkeypatch):
     assert not e.unify(deep[0], deep[2])
 
 
+def _held_at_first_answer(text, query):
+    """Live solve_call generators at a query's first answer, and the growth
+    of the collector's tracked objects from before the query to then."""
+    e = engine_for(text)
+    q = parse_query(query)
+    gc.collect()
+    before = len(gc.get_objects())
+    running = e.run_query(q)
+    next(running)
+    gc.collect()
+    objects = gc.get_objects()
+    code = Engine.solve_call.__code__
+    live = sum(type(o) is types.GeneratorType and o.gi_code is code for o in objects)
+    running.close()
+    return live, len(objects) - before
+
+
+@pytest.mark.parametrize(
+    "text, query",
+    [
+        (_chain(1000), "?- p0."),
+        (CNT, "?- cnt(1000)."),
+        ("nat(z). nat(s(X)) :- nat(X).", "?- nat(" + "s(" * 500 + "z" + ")" * 500 + ")."),
+    ],
+    ids=["chain1000", "cnt1000", "nat500"],
+)
+def test_determinate_calls_leave_no_choice_point(text, query):
+    # Each call here takes its last clause, so it keeps no choice point: the
+    # choice point below undoes it.  A choice point per call would hold
+    # 1,002, 1,002 and 502 suspended generators.
+    live, _ = _held_at_first_answer(text, query)
+    assert live <= 3
+
+
+def test_a_countdown_holds_few_objects_per_step():
+    # What a countdown step leaves for the collector to scan: 32 tracked
+    # objects with a choice point per call, 19 without.
+    _, grown = _held_at_first_answer(CNT, "?- cnt(1000).")
+    assert grown / 1000 <= 25
+
+
 def test_a_twenty_thousand_rule_chain_answers_through_the_cli(tmp_path):
     # In a child process, so that a crash of the interpreter fails this test
     # alone.  The justification would print 20,000 nested levels: omit it.
@@ -786,12 +839,13 @@ def test_a_sixteen_thousand_deep_term_answers_through_the_api():
 def test_the_model_snapshot_walks_a_deep_proof_without_recursion():
     # A log nested deeper than the recursion limit: the snapshot's model
     # still lists its atoms in pre-order, first derivation first.
+    # The log is the trail's event entries; its other entries are skipped.
     e = engine_for("q(X) :- q(X). q(a).")
     depth = sys.getrecursionlimit() + 10
-    e.events = [("atom", Lit("q", (Const(i),))) for i in range(depth)]
-    e.events.append(("chs", Lit("q", (Const(0),))))
-    e.events += [("exit",)] * (depth - 1)
-    e.events += [("atom", Lit("q", (Const("b"),))), ("exit",), ("exit",)]
+    e.trail = [("atom", Lit("q", (Const(i),)), None) for i in range(depth)]
+    e.trail += [("registered", ("q", 1), None), ("chs", Lit("q", (Const(0),)))]
+    e.trail += [("exit", None)] * (depth - 1)
+    e.trail += [("atom", Lit("q", (Const("b"),)), None), ("exit", None), ("exit", None)]
     try:
         model = e._snapshot(Query(()), 1, time.perf_counter()).model
     except RecursionError:
@@ -1127,9 +1181,21 @@ def test_benchmark_wide_queries_pass_their_checks(monkeypatch):
         assert checks.check(q.expect, got) is None, q.key
 
 
+def _decode(text):
+    """json.loads, falling back on the pure-Python scanner where the C one
+    raises RecursionError at a fixed nesting depth (Python 3.12)."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        decoder = json.JSONDecoder()
+        decoder.scan_once = json.scanner.py_make_scanner(decoder)
+        return decoder.decode(text)
+
+
 def test_benchmark_deep_queries_pass_their_checks(monkeypatch):
     # The deep workload's long derivations (hanoi, countdowns, deep ground
-    # terms, chains), checked against the benchmark's references.
+    # terms, chains), checked against the benchmark's references.  A chain
+    # answer nests 2,000 levels deep.
     workloads = _perfbench("workloads", monkeypatch)
     checks = _perfbench("checks", monkeypatch)
     wl = workloads.deep(41, ROOT)
@@ -1137,7 +1203,7 @@ def test_benchmark_deep_queries_pass_their_checks(monkeypatch):
     for q in wl.queries:
         cp = programs[q.program]
         got = [
-            json.loads(render_answer_json(a, cp.pred_info, cp.shows))
+            _decode(render_answer_json(a, cp.pred_info, cp.shows))
             for a in Engine(cp).run_query(parse_query(q.text), q.bound)
         ]
         assert checks.check(q.expect, got) is None, q.key
