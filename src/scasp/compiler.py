@@ -20,8 +20,11 @@ Three passes:
    the same way as duals (plus a re-derivation alternative for headed
    rules), all called from `nmr_check`, which is appended to every query.
 
-After compilation every body literal is a positive call: a negated user
-literal calls its dual, found in `CompiledProgram.neg_of`.  The rules are
+Every predicate's dual is named in `CompiledProgram.neg_of` before any rule
+is built, so each rule is built once and every body literal of the
+executable rules is a positive call: a negated user literal calls its
+dual.  `source_rules` keeps the rules as written, for dumping; one with a
+negated goal is indexed as a copy calling the duals.  The rules are
 indexed by predicate and, for user predicates, by the first argument of
 each source head (`CompiledProgram.first_arg`).  `synth_name`
 spells every generated name and returns its `PredInfo`, which is how the
@@ -151,38 +154,39 @@ def _is_reserved(name: str) -> bool:
     )
 
 
-def _check_goals(goals, line, col):
-    """Reject goals (forall bodies included) that name a generated predicate."""
+def _check_goals(goals, line, col, free):
+    """Reject goals (forall bodies included) that name a generated predicate;
+    free holds names already found not to, and gains each name checked."""
     for g in goals:
         while isinstance(g, Forall):
             g = g.goal
-        if isinstance(g, Lit) and _is_reserved(g.pred):
-            raise CompileError(
-                f"predicate name {g.pred!r} is reserved ({RESERVED_NOTE})", line, col
-            )
+        if isinstance(g, Lit) and g.pred not in free:
+            if _is_reserved(g.pred):
+                raise CompileError(
+                    f"predicate name {g.pred!r} is reserved ({RESERVED_NOTE})", line, col
+                )
+            free.add(g.pred)
 
 
 def _check_reserved(program: Program):
+    free = set()
     for rule in program.rules:
         heads = () if rule.head is None else (rule.head,)
-        _check_goals(heads + rule.body, rule.line, rule.col)
+        _check_goals(heads + rule.body, rule.line, rule.col, free)
     if program.query is not None:
-        check_query(program.query)
+        _check_goals(program.query.goals, program.query.line, program.query.col, free)
 
 
 def check_query(query: Query):
     """Reject a query that calls a generated predicate (a dual, a check)."""
-    _check_goals(query.goals, query.line, query.col)
+    _check_goals(query.goals, query.line, query.col, set())
 
 
-def normalize_rule(rule: Rule):
-    """Give the head distinct fresh variables; returns (rule, hidden count)."""
-    if rule.head is None or not rule.head.args:
-        return rule, 0
-    seen = set()
-    new_args = []
-    prefix = []
-    for arg in rule.head.args:
+def normalize_rule(rule: Rule) -> CompiledRule:
+    """The rule with distinct fresh variables as head arguments, re-equated
+    with the original arguments by leading `=` goals that it hides."""
+    seen, new_args, prefix = set(), [], []
+    for arg in rule.head.args if rule.head is not None else ():
         if isinstance(arg, Var) and arg.id not in seen:
             seen.add(arg.id)
             new_args.append(arg)
@@ -190,10 +194,8 @@ def normalize_rule(rule: Rule):
             v = fresh_var("_")
             prefix.append(CmpLit("=", v, arg))
             new_args.append(v)
-    if not prefix:
-        return rule, 0
-    head = Lit(rule.head.pred, tuple(new_args))
-    return Rule(head, tuple(prefix) + rule.body, rule.line, rule.col), len(prefix)
+    head = Lit(rule.head.pred, tuple(new_args)) if prefix else rule.head
+    return CompiledRule(head, tuple(prefix) + rule.body, len(prefix))
 
 
 def _positive_prefix(body, upto=None):
@@ -202,10 +204,11 @@ def _positive_prefix(body, upto=None):
     return [g for g in body[:stop] if isinstance(g, CmpLit) or (isinstance(g, Lit) and not g.neg)]
 
 
-def _dual_goal(goal):
-    """The alternatives whose disjunction negates one body goal."""
+def _dual_goal(goal, neg_of):
+    """The alternatives whose disjunction negates one body goal; a negated
+    call names its dual in neg_of."""
     if isinstance(goal, Lit):
-        return [Lit(goal.pred, goal.args, not goal.neg)]
+        return [Lit(goal.pred, goal.args) if goal.neg else Lit(neg_of[goal.key], goal.args)]
     return [CmpLit(op, goal.lhs, goal.rhs) for op in _DUAL_OP[goal.op]]
 
 
@@ -215,12 +218,12 @@ def _wrap_foralls(vs, goal):
     return goal
 
 
-def _clause_pieces(body):
+def _clause_pieces(body, neg_of):
     """One negated alternative per body goal, each with its positive prefix."""
     pieces = []
     for j, goal in enumerate(body):
         prefix = _positive_prefix(body, j)
-        for alt in _dual_goal(goal):
+        for alt in _dual_goal(goal, neg_of):
             pieces.append(prefix + [alt])
     return pieces
 
@@ -232,22 +235,23 @@ def _emit_pieces(spell, head_vars, body_vars, pieces, out, infos, allow_inline=F
     body=True, of its helper); names and infos go into infos.  head_vars
     are the predicate's arguments; body_vars get wrapped in forall() --
     through the helper unless a lone single-literal alternative can sit in
-    the forall directly.
+    the forall directly.  Returns the predicate's name.
     """
     head_name, infos[head_name] = spell()
     head = Lit(head_name, tuple(head_vars))
     if not body_vars:
         for piece in pieces:
             out.append(CompiledRule(head, tuple(piece)))
-        return
+        return head_name
     if allow_inline and len(pieces) == 1 and len(pieces[0]) == 1:
         out.append(CompiledRule(head, (_wrap_foralls(body_vars, pieces[0][0]),)))
-        return
+        return head_name
     body_name, infos[body_name] = spell(body=True)
     inner = Lit(body_name, tuple(head_vars) + tuple(body_vars))
     out.append(CompiledRule(head, (_wrap_foralls(body_vars, inner),)))
     for piece in pieces:
         out.append(CompiledRule(inner, tuple(piece)))
+    return head_name
 
 
 def _clause_body_vars(head_vars, body):
@@ -257,28 +261,27 @@ def _clause_body_vars(head_vars, body):
     return found
 
 
-def dualize_predicate(name, arity, clauses, multi=False):
+def dualize_predicate(key, clauses, neg_of, multi=False):
     """Dual rules for one predicate: an umbrella plus per-clause sub-duals.
 
-    clauses are normalized rules; multi says the name has several arities.
-    Returns (rules, {generated name: PredInfo}) with the umbrella rule
-    first; a predicate without clauses gets an umbrella fact.
+    clauses are normalized rules; neg_of names the umbrella of every
+    predicate they call, this one's included, and each negated call the
+    rules make calls it; multi says the name has several arities.  Returns
+    (rules, {sub-dual name: PredInfo}) with the umbrella rule first; a
+    predicate without clauses gets an umbrella fact.
     """
+    name, arity = key
     spelled = arity if multi else None
-    out = []
-    infos = {}
-    umbrella_vars = [fresh_var("_") for _ in range(arity)]
-    umbrella, infos[umbrella] = synth_name("umbrella", name, spelled)
-    umbrella_head = Lit(umbrella, tuple(umbrella_vars))
-    spells = [partial(synth_name, "dual", name, spelled, i) for i in range(1, len(clauses) + 1)]
-    umbrella_body = tuple(Lit(spell()[0], tuple(umbrella_vars)) for spell in spells)
-    out.append(CompiledRule(umbrella_head, umbrella_body))
-    for spell, rule in zip(spells, clauses):
+    umbrella_vars = tuple(fresh_var("_") for _ in range(arity))
+    subs, infos, calls = [], {}, []
+    for i, rule in enumerate(clauses, 1):
         head_vars = list(rule.head.args)  # distinct vars after normalization
         body_vars = _clause_body_vars(head_vars, rule.body)
-        pieces = _clause_pieces(rule.body)
-        _emit_pieces(spell, head_vars, body_vars, pieces, out, infos)
-    return out, infos
+        pieces = _clause_pieces(rule.body, neg_of)
+        spell = partial(synth_name, "dual", name, spelled, i)
+        sub = _emit_pieces(spell, head_vars, body_vars, pieces, subs, infos)
+        calls.append(Lit(sub, umbrella_vars))
+    return [CompiledRule(Lit(neg_of[key], umbrella_vars), tuple(calls))] + subs, infos
 
 
 def _dependency_graph(rules):
@@ -311,8 +314,9 @@ def _odd_loop(adj, neg_key, head_key) -> bool:
     return False
 
 
-def generate_nmr_checks(normalized, adj):
-    """chk_i rules for denials and odd-loop rules, plus the nmr_check rule.
+def generate_nmr_checks(normalized, adj, neg_of):
+    """chk_i rules for denials and odd-loop rules, plus the nmr_check rule;
+    a negated call in them names its dual in neg_of.
 
     Returns (rules, {generated name: PredInfo}).
     """
@@ -331,10 +335,9 @@ def generate_nmr_checks(normalized, adj):
         if not constrained:
             continue
         idx += 1
-        spell = partial(synth_name, "chk", index=idx)
         head_vars = list(rule.head.args) if rule.head is not None else []
         body_vars = _clause_body_vars(head_vars, rule.body)
-        pieces = _clause_pieces(rule.body)
+        pieces = _clause_pieces(rule.body, neg_of)
         if rule.head is not None:
             rederive = not any(
                 isinstance(g, Lit)
@@ -345,9 +348,10 @@ def generate_nmr_checks(normalized, adj):
             )
             if rederive:
                 pieces.append(_positive_prefix(rule.body) + [Lit(rule.head.pred, rule.head.args)])
-        _emit_pieces(spell, head_vars, body_vars, pieces, out, infos, allow_inline=True)
+        spell = partial(synth_name, "chk", index=idx)
+        chk = _emit_pieces(spell, head_vars, body_vars, pieces, out, infos, allow_inline=True)
         call_vars = [fresh_var("_") for _ in head_vars]
-        chk_calls.append(_wrap_foralls(call_vars, Lit(spell()[0], tuple(call_vars))))
+        chk_calls.append(_wrap_foralls(call_vars, Lit(chk, tuple(call_vars))))
     nmr, infos[nmr] = synth_name("nmr")
     out.append(CompiledRule(Lit(nmr), tuple(chk_calls)))
     return out, infos
@@ -357,71 +361,52 @@ def compile_program(program: Program) -> CompiledProgram:
     """Compile a parsed program into the executable rule database."""
     _check_reserved(program)
     cp = CompiledProgram(shows=set(program.shows), query=program.query)
-
-    normalized = []
-    for rule in program.rules:
-        nrule, hidden = normalize_rule(rule)
-        normalized.append((nrule, hidden))
+    cp.source_rules = normalized = [normalize_rule(rule) for rule in program.rules]
 
     # Every predicate mentioned anywhere needs a dual, including undefined
-    # ones (their negation simply holds).
-    pred_keys = []
-    seen_keys = set()
-
-    def note(key):
-        if key not in seen_keys:
-            seen_keys.add(key)
-            pred_keys.append(key)
-
-    for nrule, _ in normalized:
-        if nrule.head is not None:
-            note(nrule.head.key)
-        for g in nrule.body:
+    # ones (their negation simply holds): its keys in order of first mention.
+    pred_keys, clauses_of = {}, {}
+    for cr in normalized:
+        if cr.head is not None:
+            pred_keys[cr.head.key] = None
+            clauses_of.setdefault(cr.head.key, []).append(cr)
+        for g in cr.body:
             if isinstance(g, Lit):
-                note(g.key)
+                pred_keys[g.key] = None
     if program.query is not None:
         for g in program.query.goals:
             if isinstance(g, Lit):
-                note(g.key)
+                pred_keys[g.key] = None
 
+    # Each dual is named before any rule is built, so every rule is built
+    # once, its negated calls naming duals.
     arities = Counter(name for name, _ in pred_keys)
-    for name, _ in pred_keys:
-        cp.pred_info.setdefault(name, PredInfo("user", name, False))
-
-    clauses_of = {}
-    for nrule, hidden in normalized:
-        if nrule.head is not None:
-            clauses_of.setdefault(nrule.head.key, []).append(nrule)
-        cp.source_rules.append(CompiledRule(nrule.head, nrule.body, hidden))
-
-    # Dual rules.
     for key in pred_keys:
         name, ar = key
-        rules, infos = dualize_predicate(name, ar, clauses_of.get(key, []), arities[name] > 1)
+        if name not in cp.pred_info:
+            cp.pred_info[name] = PredInfo("user", name, False)
+        umbrella, cp.pred_info[umbrella] = synth_name(
+            "umbrella", name, ar if arities[name] > 1 else None
+        )
+        cp.neg_of[key] = umbrella
+    for key in pred_keys:
+        rules, infos = dualize_predicate(key, clauses_of.get(key, []), cp.neg_of, arities[key[0]] > 1)
         cp.dual_rules.extend(rules)
         cp.pred_info.update(infos)
-        cp.neg_of[key] = rules[0].head.pred
-
-    # Consistency checks.
-    adj = _dependency_graph([r for r, _ in normalized])
-    cp.nmr_rules, infos = generate_nmr_checks([r for r, _ in normalized], adj)
+    cp.nmr_rules, infos = generate_nmr_checks(normalized, _dependency_graph(normalized), cp.neg_of)
     cp.pred_info.update(infos)
 
-    # Rewrite all bodies to positive calls and index the database.
-    for cr in cp.source_rules + cp.dual_rules + cp.nmr_rules:
-        if cr.head is not None:
-            body = tuple(rewrite_goal(g, cp.neg_of) for g in cr.body)
-            cp.rules.setdefault(cr.head.key, []).append(
-                CompiledRule(cr.head, body, cr.hide_prefix)
-            )
-    # Generated heads have only variable arguments, and no generated name is
-    # a user name, so a user predicate's rules are its source clauses in
-    # order and only they can carry a first-argument key.
+    # Index the database.  Generated heads have only variable arguments, and
+    # no generated name is a user name, so a user predicate's rules are its
+    # source clauses in order and only they can carry a first-argument key.
     keys_of = {}
-    for rule in program.rules:
+    for rule, cr in zip(program.rules, normalized):
         if rule.head is not None:
+            cp.rules.setdefault(cr.head.key, []).append(_calling_duals(cr, cp.neg_of))
             first = rule.head.args[0] if rule.head.args else None
             keys_of.setdefault(rule.head.key, []).append(first_arg_key(first))
+    for cr in cp.dual_rules + cp.nmr_rules:
+        cp.rules.setdefault(cr.head.key, []).append(cr)
     for pred, keys in keys_of.items():
         if any(k is not None for k in keys):
             cp.first_arg[pred] = _first_arg_entry(cp.rules[pred], keys)
@@ -505,14 +490,25 @@ def _first_arg_entry(clauses, keys):
 
 
 def rewrite_goal(goal, neg_of):
-    """Replace negated literals with calls to their duals (neg_of maps a
-    literal's (name, arity) to its dual); one with no dual stays negated."""
+    """Replace a negated literal with a call to its dual (neg_of maps a
+    literal's (name, arity) to its dual); one with no dual stays negated.
+    A goal with nothing to replace comes back as it is."""
     if isinstance(goal, Lit):
         dual = neg_of.get(goal.key) if goal.neg else None
         return goal if dual is None else Lit(dual, goal.args)
     if isinstance(goal, Forall):
-        return Forall(goal.var, rewrite_goal(goal.goal, neg_of))
+        inner = rewrite_goal(goal.goal, neg_of)
+        return goal if inner is goal.goal else Forall(goal.var, inner)
     return goal
+
+
+def _calling_duals(cr: CompiledRule, neg_of) -> CompiledRule:
+    """A source rule whose negated goals call their duals: the rule itself
+    when it has none."""
+    body = tuple(rewrite_goal(g, neg_of) for g in cr.body)
+    # Unchanged goals are the same objects, which tuple equality takes as
+    # equal without comparing them.
+    return cr if body == cr.body else CompiledRule(cr.head, body, cr.hide_prefix)
 
 
 def rewrite_query(query: Query, cp: CompiledProgram) -> Query:

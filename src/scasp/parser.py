@@ -11,6 +11,7 @@ literals is read as an exact rational constant anywhere a term is expected.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from fractions import Fraction
 
 from .terms import (
@@ -40,100 +41,84 @@ class ParseError(Exception):
         super().__init__(f"{filename}:{line}:{col}: {message}")
 
 
+# One match per token: the whitespace and comments before a token are
+# skipped inside its match, and the token is the named group that matched.
+# Every position matches something, so a text is one run of matches that
+# ends in EOF; BAD is a character no token starts with.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<WS>\s+)
-    | (?P<COMMENT>%[^\n]*)
-    | (?P<SHOW>\#show\b)
-    | (?P<ARROW>:-)
-    | (?P<QUERY>\?-)
-    | (?P<DOTOP>\.=<\.|\.>=\.|\.\\=\.|\.=\.|\.<\.|\.>\.)
-    | (?P<NUMBER>\d+\.\d+|\d+)
-    | (?P<NEQ>\\=)
-    | (?P<EQ>=)
-    | (?P<NAME>[a-z][A-Za-z0-9_]*)
+    (?:\s+|%[^\n]*)*
+    (?:
+      (?P<NAME>[a-z][A-Za-z0-9_]*)
     | (?P<VAR>[A-Z_][A-Za-z0-9_]*)
-    | (?P<PUNCT>[()\[\]|,.+\-*/])
+    | (?P<LPAR>\() | (?P<RPAR>\)) | (?P<COMMA>,)
+    | (?P<NUMBER>\d+\.\d+|\d+)
+    | (?P<DOTOP>\.=<\.|\.>=\.|\.\\=\.|\.=\.|\.<\.|\.>\.)
+    | (?P<DOT>\.) | (?P<ARROW>:-) | (?P<EQ>=) | (?P<NEQ>\\=)
+    | (?P<LBRACK>\[) | (?P<RBRACK>\]) | (?P<BAR>\|)
+    | (?P<PLUS>\+) | (?P<MINUS>-) | (?P<STAR>\*) | (?P<SLASH>/)
+    | (?P<QUERY>\?-) | (?P<SHOW>\#show\b)
+    | (?P<EOF>\Z) | (?P<BAD>.)
+    )
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
-
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return f"Token({self.kind},{self.text!r})"
-
-
-def _tokenize(text, filename):
-    tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}",
-                filename,
-                line,
-                pos - line_start + 1,
-            )
-        kind = m.lastgroup
-        lexeme = m.group()
-        if kind not in ("WS", "COMMENT"):
-            if kind == "PUNCT":
-                kind = lexeme
-            tokens.append(_Token(kind, lexeme, line, pos - line_start + 1))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + lexeme.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("EOF", "", line, pos - line_start + 1))
-    return tokens
+_CONSTRAINT_KINDS = ("EQ", "NEQ", "DOTOP")
+# What may follow the left side of a constraint in a body: its operator, or
+# an arithmetic operator that continues it.
+_EXPR_KINDS = _CONSTRAINT_KINDS + ("PLUS", "MINUS", "STAR", "SLASH")
 
 
 class _Parser:
     def __init__(self, text, filename):
+        self.text = text
         self.filename = filename
-        self.tokens = _tokenize(text, filename)
+        self._newlines = None
+        # (kind, text, offset) per token, padded so that peek(1) at the
+        # end still finds EOF.
+        tokens = [
+            (m.lastgroup, m.group(m.lastindex), m.start(m.lastindex))
+            for m in _TOKEN_RE.finditer(text)
+        ]
+        tokens.append(tokens[-1])
+        self.kinds, self.texts, self.offsets = zip(*tokens)
         self.pos = 0
         self.varmap = {}
+        if "BAD" in self.kinds:
+            i = self.kinds.index("BAD")
+            self.error(f"unexpected character {self.texts[i]!r}", i)
 
     # -- token helpers ------------------------------------------------
 
     def peek(self, ahead=0):
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        """The kind of a coming token."""
+        return self.kinds[self.pos + ahead]
 
     def next(self):
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
+        """Consume a token and return its text."""
+        self.pos += 1
+        return self.texts[self.pos - 1]
 
-    def expect(self, kind, what=None):
-        tok = self.peek()
-        if tok.kind != kind:
-            self.error(f"expected {what or kind}, found {tok.text or 'end of input'!r}", tok)
+    def expect(self, kind, what):
+        if self.kinds[self.pos] != kind:
+            found = self.texts[self.pos] or "end of input"
+            self.error(f"expected {what}, found {found!r}")
         return self.next()
 
-    def error(self, message, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(message, self.filename, tok.line, tok.col)
+    def position(self, i):
+        """(line, column) of token i, both counted from 1."""
+        if self._newlines is None:
+            self._newlines = [m.start() for m in re.finditer("\n", self.text)]
+        off = self.offsets[i]
+        line = bisect_right(self._newlines, off)
+        return line + 1, off - (self._newlines[line - 1] if line else -1)
+
+    def error(self, message, i=None):
+        line, col = self.position(self.pos if i is None else i)
+        raise ParseError(message, self.filename, line, col)
 
     # -- variables ----------------------------------------------------
-
-    def new_clause_scope(self):
-        self.varmap = {}
 
     def lookup_var(self, name):
         if name == "_":
@@ -149,88 +134,113 @@ class _Parser:
     # numeric literals is folded into a rational constant.
 
     def parse_number(self):
-        tok = self.expect("NUMBER", "a number")
-        return Const(Fraction(tok.text))
+        text = self.expect("NUMBER", "a number")
+        return Fraction(text) if "." in text else Fraction(int(text))
 
     def parse_rational(self):
         """NUMBER or NUMBER/NUMBER or -NUMBER[...]."""
-        neg = False
-        if self.peek().kind == "-":
-            self.next()
-            neg = True
-        c = self.parse_number()
-        q = c.value
-        if self.peek().kind == "/" and self.peek(1).kind == "NUMBER":
-            self.next()
-            d = self.parse_number().value
+        neg = self.peek() == "MINUS"
+        if neg:
+            self.pos += 1
+        q = self.parse_number()
+        if self.peek() == "SLASH" and self.peek(1) == "NUMBER":
+            self.pos += 1
+            d = self.parse_number()
             if d == 0:
                 self.error("division by zero in rational literal")
             q = q / d
         return Const(-q if neg else q)
 
     def parse_term(self):
-        tok = self.peek()
-        if tok.kind == "VAR":
-            self.next()
-            return self.lookup_var(tok.text)
-        if tok.kind == "NUMBER" or tok.kind == "-":
-            return self.parse_rational()
-        if tok.kind == "NAME":
-            self.next()
-            if self.peek().kind == "(":
-                self.next()
-                args = self.parse_term_list()
-                self.expect(")", "')'")
-                return Struct(tok.text, tuple(args))
-            return Const(tok.text)
-        if tok.kind == "[":
-            return self.parse_list()
-        self.error(f"expected a term, found {tok.text or 'end of input'!r}")
+        """A term, read with an explicit stack of the compound terms still
+        open, so that its depth costs no Python stack."""
+        kinds, texts = self.kinds, self.texts
+        # Each open compound is (functor, items read so far); the functor is
+        # None for a list and "|" once its tail follows.
+        stack = []
+        while True:
+            i = self.pos
+            kind = kinds[i]
+            if kind == "VAR":
+                self.pos = i + 1
+                t = self.lookup_var(texts[i])
+            elif kind == "NAME":
+                if kinds[i + 1] == "LPAR":
+                    self.pos = i + 2
+                    stack.append((texts[i], []))
+                    continue
+                self.pos = i + 1
+                t = Const(texts[i])
+            elif kind == "NUMBER" or kind == "MINUS":
+                t = self.parse_rational()
+            elif kind == "LBRACK":
+                if kinds[i + 1] == "RBRACK":
+                    self.pos = i + 2
+                    t = NIL
+                else:
+                    self.pos = i + 1
+                    stack.append((None, []))
+                    continue
+            else:
+                self.error(f"expected a term, found {texts[i] or 'end of input'!r}")
+            # t is whole: close each compound it completes.
+            while stack:
+                functor, items = stack[-1]
+                if functor == "|":
+                    self.expect("RBRACK", "']'")
+                    stack.pop()
+                    t = mk_list(items, t)
+                    continue
+                items.append(t)
+                kind = kinds[self.pos]
+                if kind == "COMMA":
+                    self.pos += 1
+                    break
+                if functor is not None:
+                    self.expect("RPAR", "')'")
+                    stack.pop()
+                    t = Struct(functor, tuple(items))
+                elif kind == "BAR":
+                    self.pos += 1
+                    stack[-1] = ("|", items)
+                    break
+                else:
+                    self.expect("RBRACK", "']'")
+                    stack.pop()
+                    t = mk_list(items)
+            else:
+                return t
 
-    def parse_term_list(self):
+    def parse_atom(self, neg=False):
+        """NAME or NAME(term, ...), read straight into a literal."""
+        name = self.next()
+        if self.kinds[self.pos] != "LPAR":
+            return Lit(name, (), neg)
+        self.pos += 1
         args = [self.parse_term()]
-        while self.peek().kind == ",":
-            self.next()
+        while self.kinds[self.pos] == "COMMA":
+            self.pos += 1
             args.append(self.parse_term())
-        return args
-
-    def parse_list(self):
-        self.expect("[")
-        if self.peek().kind == "]":
-            self.next()
-            return NIL
-        items = [self.parse_term()]
-        while self.peek().kind == ",":
-            self.next()
-            items.append(self.parse_term())
-        tail = NIL
-        if self.peek().kind == "|":
-            self.next()
-            tail = self.parse_term()
-        self.expect("]", "']'")
-        return mk_list(items, tail)
+        self.expect("RPAR", "')'")
+        return Lit(name, tuple(args), neg)
 
     # -- arithmetic expressions ------------------------------------------
-    # Only meaningful on the sides of a constraint operator.  Returns the
-    # term plus a flag telling whether it is also shaped like an atom call.
+    # Only meaningful on the sides of a constraint operator.  first is a
+    # primary the caller has already read.
 
-    def parse_additive(self):
-        t, callish = self.parse_multiplicative()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().text
-            r, _ = self.parse_multiplicative()
-            t = self._fold(op, t, r)
-            callish = False
-        return t, callish
+    def parse_additive(self, first=None):
+        t = self.parse_multiplicative(first)
+        while self.peek() in ("PLUS", "MINUS"):
+            op = self.next()
+            t = self._fold(op, t, self.parse_multiplicative())
+        return t
 
-    def parse_multiplicative(self):
-        t, callish = self.parse_unary()
-        while self.peek().kind in ("*", "/"):
-            op = self.next().text
-            r, _ = self.parse_unary()
-            t = self._fold(op, t, r)
-            callish = False
-        return t, callish
+    def parse_multiplicative(self, first=None):
+        t = self.parse_unary() if first is None else first
+        while self.peek() in ("STAR", "SLASH"):
+            op = self.next()
+            t = self._fold(op, t, self.parse_unary())
+        return t
 
     def _fold(self, op, l, r):
         if isinstance(l, Const) and l.is_number and isinstance(r, Const) and r.is_number:
@@ -247,135 +257,113 @@ class _Parser:
         return Struct(op, (l, r))
 
     def parse_unary(self):
-        tok = self.peek()
-        if tok.kind == "-":
-            self.next()
-            if self.peek().kind != "NUMBER":
+        kind = self.peek()
+        if kind == "MINUS":
+            self.pos += 1
+            if self.peek() != "NUMBER":
                 self.error("'-' must be followed by a number")
-            c = self.parse_number()
-            return Const(-c.value), False
-        return self.parse_primary()
-
-    def parse_primary(self):
-        tok = self.peek()
-        if tok.kind == "(":
-            self.next()
-            t, _ = self.parse_additive()
-            self.expect(")", "')'")
-            return t, False
-        if tok.kind == "NAME":
-            t = self.parse_term()
-            return t, True
-        t = self.parse_term()
-        return t, False
+            return Const(-self.parse_number())
+        if kind == "LPAR":
+            self.pos += 1
+            t = self.parse_additive()
+            self.expect("RPAR", "')'")
+            return t
+        return self.parse_term()
 
     # -- goals ------------------------------------------------------------
 
     def parse_body(self):
         goals = [self.parse_body_element()]
-        while self.peek().kind == ",":
-            self.next()
+        while self.peek() == "COMMA":
+            self.pos += 1
             goals.append(self.parse_body_element())
         return goals
 
     def parse_body_element(self):
-        tok = self.peek()
-        if tok.kind == "NAME" and tok.text == "not":
-            self.next()
-            atom_tok = self.peek()
-            if atom_tok.kind != "NAME" or atom_tok.text == "not":
-                self.error("'not' must be followed by an atom", atom_tok)
-            atom = self.parse_term()
-            if self.peek().kind in ("EQ", "NEQ", "DOTOP"):
-                self.error("'not' cannot be applied to a constraint", tok)
-            return self._as_lit(atom, neg=True, tok=atom_tok)
-        lhs, callish = self.parse_additive()
-        nxt = self.peek()
-        if nxt.kind in ("EQ", "NEQ", "DOTOP"):
-            self.next()
-            rhs, _ = self.parse_additive()
-            return CmpLit(nxt.text, lhs, rhs)
-        if not callish:
-            self.error("expected a constraint operator after expression", nxt)
-        return self._as_lit(lhs, neg=False, tok=tok)
-
-    def _as_lit(self, t, neg, tok):
-        if isinstance(t, Const) and not t.is_number:
-            return Lit(t.value, (), neg)
-        if isinstance(t, Struct):
-            return Lit(t.functor, t.args, neg)
-        self.error("expected an atom", tok)
+        i = self.pos
+        if self.kinds[i] == "NAME":
+            if self.texts[i] == "not":
+                self.pos += 1
+                if self.peek() != "NAME" or self.texts[self.pos] == "not":
+                    self.error("'not' must be followed by an atom")
+                atom = self.parse_atom(neg=True)
+                if self.peek() in _CONSTRAINT_KINDS:
+                    self.error("'not' cannot be applied to a constraint", i)
+                return atom
+            atom = self.parse_atom()
+            if self.peek() not in _EXPR_KINDS:
+                return atom
+            # The atom is the left side of a constraint after all.
+            lhs = self.parse_additive(Struct(atom.pred, atom.args) if atom.args else Const(atom.pred))
+        else:
+            lhs = self.parse_additive()
+        if self.peek() not in _CONSTRAINT_KINDS:
+            self.error("expected a constraint operator after expression")
+        op = self.next()
+        return CmpLit(op, lhs, self.parse_additive())
 
     def parse_head(self):
-        tok = self.peek()
-        if tok.kind != "NAME":
-            self.error(f"expected a clause head, found {tok.text or 'end of input'!r}")
-        if tok.text == "not":
-            self.error("a clause head cannot be negated", tok)
-        atom = self.parse_term()
-        return self._as_lit(atom, neg=False, tok=tok)
+        if self.peek() != "NAME":
+            self.error(f"expected a clause head, found {self.texts[self.pos] or 'end of input'!r}")
+        if self.texts[self.pos] == "not":
+            self.error("a clause head cannot be negated")
+        return self.parse_atom()
 
     # -- clauses ------------------------------------------------------------
 
     def parse_program(self):
         program = Program()
-        while self.peek().kind != "EOF":
-            self.new_clause_scope()
-            tok = self.peek()
-            if tok.kind == "SHOW":
-                self.next()
+        while self.peek() != "EOF":
+            self.varmap = {}
+            start = self.pos
+            kind = self.peek()
+            if kind == "SHOW":
+                self.pos += 1
                 while True:
-                    name = self.expect("NAME", "a predicate name").text
-                    self.expect("/", "'/'")
-                    ar = self.expect("NUMBER", "an arity")
-                    if "." in ar.text:
-                        self.error("arity must be an integer", ar)
-                    program.shows.add((name, int(ar.text)))
-                    if self.peek().kind != ",":
+                    name = self.expect("NAME", "a predicate name")
+                    self.expect("SLASH", "'/'")
+                    arity = self.expect("NUMBER", "an arity")
+                    if "." in arity:
+                        self.error("arity must be an integer", self.pos - 1)
+                    program.shows.add((name, int(arity)))
+                    if self.peek() != "COMMA":
                         break
-                    self.next()
-                self.expect(".", "'.'")
+                    self.pos += 1
+                self.expect("DOT", "'.'")
                 continue
-            if tok.kind == "QUERY":
-                self.next()
-                if self.peek().kind == ".":
+            if kind == "QUERY":
+                self.pos += 1
+                if self.peek() == "DOT":
                     self.error("query must contain at least one goal")
                 goals = self.parse_body()
-                self.expect(".", "'.'")
-                program.query = Query(tuple(goals), self._query_vars(), tok.line, tok.col)
+                self.expect("DOT", "'.'")
+                program.query = Query(tuple(goals), tuple(self.varmap.items()), *self.position(start))
                 continue
-            if tok.kind == "ARROW":
-                self.next()
+            if kind == "ARROW":
+                self.pos += 1
+                head = None
                 body = self.parse_body()
-                self.expect(".", "'.'")
-                program.rules.append(Rule(None, tuple(body), tok.line, tok.col))
-                continue
-            head = self.parse_head()
-            if self.peek().kind == "ARROW":
-                self.next()
-                body = self.parse_body()
-                self.expect(".", "'.'")
-                program.rules.append(Rule(head, tuple(body), tok.line, tok.col))
             else:
-                self.expect(".", "'.'")
-                program.rules.append(Rule(head, (), tok.line, tok.col))
+                head = self.parse_head()
+                if self.peek() == "ARROW":
+                    self.pos += 1
+                    body = self.parse_body()
+                else:
+                    body = ()
+            self.expect("DOT", "'.'")
+            program.rules.append(Rule(head, tuple(body), *self.position(start)))
         return program
 
-    def _query_vars(self):
-        return tuple((name, v) for name, v in self.varmap.items())
-
     def parse_query(self):
-        self.new_clause_scope()
-        tok = self.peek()
-        if tok.kind == "QUERY":
-            self.next()
-        if self.peek().kind in (".", "EOF"):
+        if self.peek() == "QUERY":
+            self.pos += 1
+        if self.peek() in ("DOT", "EOF"):
             self.error("query must contain at least one goal")
         goals = self.parse_body()
-        if self.peek().kind == ".":
-            self.next()
+        if self.peek() == "DOT":
+            self.pos += 1
         self.expect("EOF", "end of query")
-        return Query(tuple(goals), self._query_vars(), tok.line, tok.col)
+        return Query(tuple(goals), tuple(self.varmap.items()), *self.position(0))
 
 
 def parse_program(text: str, filename: str = "<program>") -> Program:

@@ -1,11 +1,29 @@
 """Shared utilities for the test suite."""
 
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from scasp.compiler import compile_program
 from scasp.engine import Engine, run_query
 from scasp.parser import parse_program, parse_query
 from scasp.terms import CmpLit, Const, Forall, Lit, Struct, Var
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def perfbench_module(name, monkeypatch):
+    """perfbench/<name>.py, imported for one test (perfbench is no package)."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    # Dataclasses look their module up while the module executes.
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def compiled(text):

@@ -4,9 +4,13 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
+from scasp import cli
 from scasp.cli import main
 
 PROGRAMS = Path(__file__).parent / "programs"
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def write(tmp_path, name, text):
@@ -217,9 +221,23 @@ def test_dual_labels_of_a_multi_arity_predicate_match_the_dump(tmp_path, capsys)
         assert label in dump, label
 
 
-def test_internal_error_exits_2_with_one_line(tmp_path, capsys):
-    deep = "s(" * 60000 + "z" + ")" * 60000
-    path = write(tmp_path, "deep.pl", f"p({deep}).")
+@pytest.mark.parametrize("program", ["hanoi", "stream", "tsp", "yale"])
+def test_dump_compiled_matches_the_golden_files(capsys, program):
+    # The compiled form of the four showcase programs -- source rules, duals
+    # and checks -- byte for byte, as frozen in tests/data/golden.
+    rc, out, err = run(capsys, str(PROGRAMS / f"{program}.pl"), "--dump-compiled")
+    assert rc == 0 and err == ""
+    assert out == (GOLDEN / f"{program}.compiled.txt").read_text()
+
+
+def test_internal_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    # An exception the solver does not document is one line and exit 2,
+    # never a traceback or "no answers".
+    def overflow(program):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "compile_program", overflow)
+    path = write(tmp_path, "p.pl", "p(a).")
     rc, out, err = run(capsys, path, "-q", "?- p(X).")
     assert rc == 2
     assert err.startswith("scasp: internal error: RecursionError: ")

@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from scasp import compiler
 from scasp.engine import Engine
 from scasp.errors import CompileError
 from scasp.parser import parse_program, parse_query
 from scasp.terms import CmpLit, Const, Forall, Lit, Query, Var, fresh_var
 
-from helpers import answers, compiled
+from helpers import answers, compiled, perfbench_module
 
 
 # -- name and structure canonicalization -----------------------------------------
@@ -238,6 +239,30 @@ def test_source_rules_keep_one_entry_per_parsed_clause():
         prefix = mine.body[: mine.hide_prefix]
         assert all(isinstance(g, CmpLit) and g.op == "=" for g in prefix)
         assert len(mine.body) == len(original.body) + mine.hide_prefix
+
+
+def test_each_compiled_rule_is_built_once(monkeypatch):
+    # Duals are named before any rule is built, so a dual or check rule is
+    # built once, calls and all; a source rule is built a second time only
+    # to make its negated goals call their duals.
+    workloads = perfbench_module("workloads", monkeypatch)
+    built = []
+
+    class Counted(compiler.CompiledRule):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(compiler, "CompiledRule", Counted)
+    for text in (TWO_CLAUSE_PROGRAM, workloads.wide(41).programs["family"]):
+        built.clear()
+        cp = compiled(text)
+        rewritten = sum(
+            any(isinstance(g, Lit) and g.neg for g in cr.body) for cr in cp.source_rules
+        )
+        assert 0 < len(built) <= (
+            len(cp.source_rules) + len(cp.dual_rules) + len(cp.nmr_rules) + rewritten
+        )
 
 
 def test_head_normalization_hides_the_introduced_prefix():

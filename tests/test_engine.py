@@ -41,7 +41,7 @@ from scasp.terms import (
     subst_term,
 )
 
-from helpers import alpha_eq_term, answers, binding, compiled, engine_for, num
+from helpers import alpha_eq_term, answers, binding, compiled, engine_for, num, perfbench_module
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -817,8 +817,7 @@ def test_a_twenty_thousand_rule_chain_answers_through_the_cli(tmp_path):
 def test_a_sixteen_thousand_deep_term_answers_through_the_api():
     # In a child process, so that a crash of the interpreter fails this test
     # alone.  Building the term, its flags and its hash must not recurse
-    # once per level.  The term is built, not parsed: the parser recurses
-    # per level, which overflows the C stack under Python 3.10.
+    # once per level.
     code = (
         "from scasp import Engine, compile_program, parse_program\n"
         "from scasp.terms import Const, Lit, Query, Struct\n"
@@ -1153,22 +1152,11 @@ def test_a_point_query_tries_a_handful_of_clauses(monkeypatch):
     assert len(calls) <= 5
 
 
-def _perfbench(name, monkeypatch):
-    spec = importlib.util.spec_from_file_location(
-        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    # Dataclasses look their module up while the module executes.
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_benchmark_wide_queries_pass_their_checks(monkeypatch):
     # The wide workload's point queries, checked against the references the
     # benchmark computes from its generated facts.
-    workloads = _perfbench("workloads", monkeypatch)
-    checks = _perfbench("checks", monkeypatch)
+    workloads = perfbench_module("workloads", monkeypatch)
+    checks = perfbench_module("checks", monkeypatch)
     wl = workloads.wide(41)
     assert len(wl.queries) == 50
     cp = compiled(wl.programs["family"])
@@ -1196,8 +1184,8 @@ def test_benchmark_deep_queries_pass_their_checks(monkeypatch):
     # The deep workload's long derivations (hanoi, countdowns, deep ground
     # terms, chains), checked against the benchmark's references.  A chain
     # answer nests 2,000 levels deep.
-    workloads = _perfbench("workloads", monkeypatch)
-    checks = _perfbench("checks", monkeypatch)
+    workloads = perfbench_module("workloads", monkeypatch)
+    checks = perfbench_module("checks", monkeypatch)
     wl = workloads.deep(41, ROOT)
     programs = {key: compiled(text) for key, text in wl.programs.items()}
     for q in wl.queries:

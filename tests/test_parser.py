@@ -1,11 +1,15 @@
 """Parsing: surface syntax to terms, rules, queries, and directives."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scasp.compiler import compile_program
+from scasp.compiler import check_query, compile_program
 from scasp.errors import CompileError
 from scasp.parser import ParseError, parse_program, parse_query
 from scasp.terms import (
@@ -130,6 +134,34 @@ def test_parse_error_reports_position():
         parse_query("?- p(X")
 
 
+def test_deep_terms_parse_without_recursion():
+    # In a child process, so that a crash of the interpreter fails this test
+    # alone.  A 60,000-deep fact parses, compiles and answers (the answer is
+    # not rendered: printing a term still recurses once per level), and a
+    # 16,000-deep query parses.
+    code = (
+        "from scasp import Engine, compile_program, parse_program, parse_query\n"
+        "def depth(t):\n"
+        "    n = 0\n"
+        "    while type(t).__name__ == 'Struct':\n"
+        "        t, n = t.args[0], n + 1\n"
+        "    return n\n"
+        "deep = 's(' * 60_000 + 'z' + ')' * 60_000\n"
+        "cp = compile_program(parse_program(f'p({deep}).'))\n"
+        "answer = next(iter(Engine(cp).run_query(parse_query('?- p(X).'))))\n"
+        "print(depth(dict(answer.bindings)['X']))\n"
+        "q = parse_query('?- nat(' + 's(' * 16_000 + 'z' + ')' * 16_000 + ').')\n"
+        "print(depth(q.goals[0].args[0]))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout == "60000\n16000\n"
+
+
 def test_round_trip_through_formatter():
     texts = [
         "p(a).",
@@ -232,3 +264,128 @@ def test_parse_and_compile_fail_only_with_their_own_errors(clauses, edits, sep):
         compile_program(parse_program(text))
     except (ParseError, CompileError):
         pass
+
+
+# -- source positions: line:col against a reference computed from offsets ---------
+#
+# Programs are laid out from clause templates with whitespace, tabs, blank
+# lines, '\r\n' and comments between tokens; every error planted in one must
+# report the line and column of the offending token, counted from the
+# offsets at which the layout put the tokens.
+
+_GAPS = [" ", "  ", "\t", "\n", "\r\n", "\n\n", " % note\n", "\t%\r\n", "\n  % x y\n\t"]
+# Each template's tokens, with the index of its head name (None for a
+# denial, a query or a directive) and of the name of a body atom.
+_TEMPLATES = [
+    (["p", "(", "a", ")", "."], 0, None),
+    (["q", "(", "X", ",", "f", "(", "Y", ")", ")", ":-", "p", "(", "X", ")", ",",
+      "not", "r", "(", "Y", ")", "."], 0, 10),
+    (["s", ":-", "X", "=", "[", "a", "|", "T", "]", ",", "t", "(", "T", ")", "."], 0, 10),
+    ([":-", "p", "(", "X", ")", ",", "X", ".<.", "3", "."], None, 1),
+    (["#show", "p", "/", "1", "."], None, None),
+]
+_QUERY = (["?-", "p", "(", "X", ")", ",", "not", "q", "(", "X", ",", "b", ")", "."], None, 1)
+
+
+def _line_col(text, offset):
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _lay_out(draw, clauses):
+    """The program text and, per clause, the offset of each of its tokens."""
+    gap = st.sampled_from(_GAPS)
+    text = draw(st.sampled_from(["", *_GAPS]))
+    offsets = []
+    for tokens in clauses:
+        offs = []
+        for i, tok in enumerate(tokens):
+            if i:
+                text += draw(gap)
+            offs.append(len(text))
+            text += tok
+        offsets.append(offs)
+        text += draw(gap)
+    return text, offsets
+
+
+_PLANTS = ["none", "bad_char", "missing_dot", "end_of_input", "head", "body", "query"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_errors_and_clauses_report_their_source_positions(data):
+    draw = data.draw
+    picks = draw(st.lists(st.sampled_from(_TEMPLATES), min_size=1, max_size=5))
+    picks = [(list(toks), head, body) for toks, head, body in picks]
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(picks)))
+        picks.insert(at, (list(_QUERY[0]), _QUERY[1], _QUERY[2]))
+    plant = draw(st.sampled_from(_PLANTS))
+    want = None  # (ParseError or CompileError, the index of the clause, of its token)
+    if plant == "bad_char":
+        i = draw(st.integers(0, len(picks) - 1))
+        j = draw(st.integers(0, len(picks[i][0]) - 1))
+        picks[i][0].insert(j, "$")
+        want = (ParseError, i, j)
+    elif plant == "missing_dot":
+        # Before a clause that starts with a head, the next token is the one
+        # that finds no '.'; after the last clause it is the end of input.
+        i = draw(st.integers(0, len(picks) - 1))
+        nxt = i + 1 if i + 1 < len(picks) else None
+        if nxt is None or picks[nxt][1] == 0:
+            picks[i][0].pop()
+            want = (ParseError, nxt, 0)
+    elif plant == "end_of_input":
+        i = draw(st.integers(0, len(picks) - 1))
+        j = draw(st.integers(1, len(picks[i][0]) - 1))
+        picks = picks[:i] + [(picks[i][0][:j], None, None)]
+        want = (ParseError, None, 0)
+    elif plant != "none":
+        slot = {"head": 1, "body": 2, "query": 2}[plant]
+        able = [
+            i for i, (toks, *slots) in enumerate(picks)
+            if slots[slot - 1] is not None and (plant == "query") == (toks[0] == "?-")
+        ]
+        if able:
+            i = draw(st.sampled_from(able))
+            picks[i][0][picks[i][slot]] = draw(st.sampled_from(["not_p", "chk_1", "p__1", "nmr_check"]))
+            want = (CompileError, i, 0)
+    text, offsets = _lay_out(draw, [toks for toks, _, _ in picks])
+
+    if want is None:
+        prog = parse_program(text)
+        starts = [offs[0] for (toks, _, _), offs in zip(picks, offsets) if toks[0] not in ("#show", "?-")]
+        assert [(r.line, r.col) for r in prog.rules] == [_line_col(text, s) for s in starts]
+        queries = [offs[0] for (toks, _, _), offs in zip(picks, offsets) if toks[0] == "?-"]
+        if queries:
+            assert (prog.query.line, prog.query.col) == _line_col(text, queries[-1])
+        compile_program(prog)
+        return
+    kind, i, j = want
+    offset = len(text) if i is None else offsets[i][j]
+    with pytest.raises(kind) as info:
+        compile_program(parse_program(text, filename="t.pl"))
+    err = info.value
+    assert (err.line, err.col) == _line_col(text, offset), (text, plant)
+    if kind is ParseError:
+        assert str(err).startswith(f"t.pl:{err.line}:{err.col}: ")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_query_alone_reports_its_source_position(data):
+    # With or without its '?-', a query starts at its first token, and a
+    # reserved name in it is reported there.
+    tokens = list(_QUERY[0]) if data.draw(st.booleans()) else list(_QUERY[0][1:])
+    reserved = data.draw(st.booleans())
+    if reserved:
+        tokens[tokens.index("p")] = "not_p"
+    text, (offsets,) = _lay_out(data.draw, [tokens])
+    q = parse_query(text)
+    assert (q.line, q.col) == _line_col(text, offsets[0])
+    if reserved:
+        with pytest.raises(CompileError) as info:
+            check_query(q)
+        assert (info.value.line, info.value.col) == (q.line, q.col)
+    else:
+        check_query(q)
