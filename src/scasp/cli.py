@@ -10,20 +10,21 @@ ground program computed by the brute-force reference semantics.
 Exit codes: 0 when at least one answer was found (or ``-n 0`` exhausted
 an empty search without error), 1 when answers were requested but none
 exist, 2 for usage, file, parse, compile, or solver-restriction errors,
-and for any internal error (reported as one ``scasp: internal error:``
-line on stderr).
+for a closed standard output, and for any internal error (reported as
+one ``scasp: internal error:`` line on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .compiler import check_query, compile_program, display_query, dump_compiled
 from .engine import Engine
-from .errors import CompileError, SolverError
+from .errors import ScaspError
 from .oracle import atom_key, ground, stable_models
-from .parser import ParseError, parse_program, parse_query
+from .parser import parse_program, parse_query
 from .render import render_answer, render_answer_json
 from .terms import Lit, Program, format_goal
 
@@ -72,13 +73,26 @@ def _load(paths):
 
 
 def main(argv=None) -> int:
+    """Run the CLI and return its exit code.  An exception from any stage
+    ends here, as one line on stderr and exit 2."""
     try:
-        return _main(argv)
-    except (ParseError, CompileError, SolverError, OSError):
-        raise
+        rc = _main(argv)
+        # A closed stdout fails here, not in the interpreter's flush at exit.
+        sys.stdout.flush()
+        return rc
+    except ScaspError as e:
+        print(e, file=sys.stderr)
+    except OSError as e:
+        print(f"scasp: {e}", file=sys.stderr)
+        if isinstance(e, BrokenPipeError):
+            # The interpreter flushes stdout again at exit: send what is
+            # left nowhere, or that flush fails too.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     except Exception as e:  # never let a crash pass as "no answers" (exit 1)
         print(f"scasp: internal error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
+    return 2
 
 
 def _main(argv) -> int:
@@ -90,21 +104,10 @@ def _main(argv) -> int:
     if args.answers < 0:
         print("scasp: -n must be >= 0", file=sys.stderr)
         return 2
-    try:
-        program = _load(args.files)
-    except OSError as e:
-        print(f"scasp: {e}", file=sys.stderr)
-        return 2
-    except ParseError as e:
-        print(str(e), file=sys.stderr)
-        return 2
+    program = _load(args.files)
 
     if args.oracle:
-        try:
-            models = stable_models(ground(program))
-        except SolverError as e:
-            print(str(e), file=sys.stderr)
-            return 2
+        models = stable_models(ground(program))
         for m in models:
             atoms = [format_goal(Lit(p, t)) for p, t in sorted(m, key=atom_key)]
             print("{ %s }" % ", ".join(atoms))
@@ -113,27 +116,14 @@ def _main(argv) -> int:
             return 1
         return 0
 
-    try:
-        cp = compile_program(program)
-    except CompileError as e:
-        name = args.files[0] if len(args.files) == 1 else "input"
-        print(f"{name}:{e.line}:{e.col}: {e.message}", file=sys.stderr)
-        return 2
-
+    cp = compile_program(program)
     if args.dump_compiled:
         sys.stdout.write(dump_compiled(cp))
         return 0
 
     if args.query:
-        try:
-            query = parse_query(args.query)
-            check_query(query)
-        except ParseError as e:
-            print(str(e), file=sys.stderr)
-            return 2
-        except CompileError as e:
-            print(f"<query>:{e.line}:{e.col}: {e.message}", file=sys.stderr)
-            return 2
+        query = parse_query(args.query)
+        check_query(query)
     else:
         query = cp.query
     if query is None:
@@ -143,33 +133,20 @@ def _main(argv) -> int:
     if not args.json_lines:
         print(display_query(query))
         print()
+    render = render_answer_json if args.json_lines else render_answer
+    end = "\n" if args.json_lines else "\n\n"
     count = 0
-    try:
-        engine = Engine(cp)
-        for ans in engine.run_query(query, args.answers):
-            count += 1
-            if args.json_lines:
-                print(render_answer_json(
-                    ans, cp.pred_info, cp.shows,
-                    with_model=not args.no_model,
-                    with_justification=not args.no_just,
-                ))
-            else:
-                print(render_answer(
-                    ans, cp.pred_info, cp.shows,
-                    with_model=not args.no_model,
-                    with_justification=not args.no_just,
-                ))
-                print()
-    except SolverError as e:
-        print(str(e), file=sys.stderr)
-        return 2
+    for ans in Engine(cp).run_query(query, args.answers):
+        count += 1
+        print(render(
+            ans, cp.pred_info, cp.shows,
+            with_model=not args.no_model,
+            with_justification=not args.no_just,
+        ), end=end)
     exhausted = args.answers == 0 or count < args.answers
     if exhausted and not args.json_lines:
         print("no")
-    if count:
-        return 0
-    return 0 if args.answers == 0 else 1
+    return 0 if count or args.answers == 0 else 1
 
 
 if __name__ == "__main__":

@@ -154,16 +154,18 @@ def _is_reserved(name: str) -> bool:
     )
 
 
-def _check_goals(goals, line, col, free):
-    """Reject goals (forall bodies included) that name a generated predicate;
-    free holds names already found not to, and gains each name checked."""
+def _check_goals(goals, source, free):
+    """Reject goals (forall bodies included) that name a generated predicate,
+    at the position of source (a rule or query); free holds names already
+    found not to, and gains each name checked."""
     for g in goals:
         while isinstance(g, Forall):
             g = g.goal
         if isinstance(g, Lit) and g.pred not in free:
             if _is_reserved(g.pred):
                 raise CompileError(
-                    f"predicate name {g.pred!r} is reserved ({RESERVED_NOTE})", line, col
+                    f"predicate name {g.pred!r} is reserved ({RESERVED_NOTE})",
+                    source.line, source.col, source.file,
                 )
             free.add(g.pred)
 
@@ -172,14 +174,14 @@ def _check_reserved(program: Program):
     free = set()
     for rule in program.rules:
         heads = () if rule.head is None else (rule.head,)
-        _check_goals(heads + rule.body, rule.line, rule.col, free)
+        _check_goals(heads + rule.body, rule, free)
     if program.query is not None:
-        _check_goals(program.query.goals, program.query.line, program.query.col, free)
+        _check_goals(program.query.goals, program.query, free)
 
 
 def check_query(query: Query):
     """Reject a query that calls a generated predicate (a dual, a check)."""
-    _check_goals(query.goals, query.line, query.col, set())
+    _check_goals(query.goals, query, set())
 
 
 def normalize_rule(rule: Rule) -> CompiledRule:

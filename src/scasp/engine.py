@@ -159,7 +159,6 @@ from .terms import (
     fresh_var,
     goal_vars,
     rename_goal,
-    subst_goal,
     term_vars,
 )
 
@@ -879,10 +878,12 @@ class Engine:
         # A stack of pieces: the next one is on top, so new pieces are
         # pushed in reverse to be taken in order.
         pending = [store_mod.TOP]
+        # Each piece renames var alone: every other variable maps to itself.
+        mapping = {v.id: v for v in goal_vars(goal)}
         while pending:
             piece = pending.pop()
-            nv = fresh_var("_")
-            goal2 = subst_goal(goal, {var.id: nv})
+            nv = mapping[var.id] = fresh_var("_")
+            goal2 = rename_goal(goal, mapping)
             self.forall_trace.append((goal, piece))
             if not self.apply(piece, nv):
                 continue  # the piece itself is unsatisfiable: nothing to cover

@@ -14,6 +14,7 @@ import re
 from bisect import bisect_right
 from fractions import Fraction
 
+from .errors import ParseError
 from .terms import (
     NIL,
     CmpLit,
@@ -28,17 +29,6 @@ from .terms import (
 )
 
 __all__ = ["ParseError", "parse_program", "parse_query"]
-
-
-class ParseError(Exception):
-    """Syntax error with a source position."""
-
-    def __init__(self, message, filename="<program>", line=0, col=0):
-        self.message = message
-        self.filename = filename
-        self.line = line
-        self.col = col
-        super().__init__(f"{filename}:{line}:{col}: {message}")
 
 
 # One match per token: the whitespace and comments before a token are
@@ -147,7 +137,7 @@ class _Parser:
             self.pos += 1
             d = self.parse_number()
             if d == 0:
-                self.error("division by zero in rational literal")
+                self.error("division by zero in rational literal", self.pos - 1)
             q = q / d
         return Const(-q if neg else q)
 
@@ -231,22 +221,23 @@ class _Parser:
     def parse_additive(self, first=None):
         t = self.parse_multiplicative(first)
         while self.peek() in ("PLUS", "MINUS"):
-            op = self.next()
-            t = self._fold(op, t, self.parse_multiplicative())
+            op, at = self.next(), self.pos
+            t = self._fold(op, t, self.parse_multiplicative(), at)
         return t
 
     def parse_multiplicative(self, first=None):
         t = self.parse_unary() if first is None else first
         while self.peek() in ("STAR", "SLASH"):
-            op = self.next()
-            t = self._fold(op, t, self.parse_unary())
+            op, at = self.next(), self.pos
+            t = self._fold(op, t, self.parse_unary(), at)
         return t
 
-    def _fold(self, op, l, r):
+    def _fold(self, op, l, r, at):
+        """l op r, folded when both are numbers; at is r's first token."""
         if isinstance(l, Const) and l.is_number and isinstance(r, Const) and r.is_number:
             if op == "/":
                 if r.value == 0:
-                    self.error("division by zero")
+                    self.error("division by zero", at)
                 return Const(l.value / r.value)
             if op == "+":
                 return Const(l.value + r.value)
@@ -337,7 +328,8 @@ class _Parser:
                     self.error("query must contain at least one goal")
                 goals = self.parse_body()
                 self.expect("DOT", "'.'")
-                program.query = Query(tuple(goals), tuple(self.varmap.items()), *self.position(start))
+                varmap = tuple(self.varmap.items())
+                program.query = Query(tuple(goals), varmap, *self.position(start), self.filename)
                 continue
             if kind == "ARROW":
                 self.pos += 1
@@ -351,7 +343,7 @@ class _Parser:
                 else:
                     body = ()
             self.expect("DOT", "'.'")
-            program.rules.append(Rule(head, tuple(body), *self.position(start)))
+            program.rules.append(Rule(head, tuple(body), *self.position(start), self.filename))
         return program
 
     def parse_query(self):
@@ -363,7 +355,7 @@ class _Parser:
         if self.peek() == "DOT":
             self.pos += 1
         self.expect("EOF", "end of query")
-        return Query(tuple(goals), tuple(self.varmap.items()), *self.position(0))
+        return Query(tuple(goals), tuple(self.varmap.items()), *self.position(0), self.filename)
 
 
 def parse_program(text: str, filename: str = "<program>") -> Program:

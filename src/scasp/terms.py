@@ -29,7 +29,7 @@ __all__ = [
     "Var", "Const", "Struct", "Term", "Lit", "CmpLit", "Forall", "Goal",
     "Rule", "Query", "Program", "NIL", "ARITH_OPS", "CONSTRAINT_OPS",
     "fresh_var", "mk_list", "list_parts", "term_vars", "goal_vars",
-    "rename_term", "rename_goal", "subst_term", "subst_goal",
+    "rename_term", "rename_goal",
     "format_term", "format_terms", "format_goal", "format_rule",
 ]
 
@@ -232,8 +232,9 @@ class Rule:
 
     head: Optional[Lit]
     body: tuple = ()
-    line: int = 0
+    line: int = 0  # source position, for errors
     col: int = 0
+    file: str = field(default="<program>", compare=False)
 
 
 @dataclass(frozen=True)
@@ -244,6 +245,7 @@ class Query:
     vars: tuple = ()
     line: int = field(default=0, compare=False)  # source position, for errors
     col: int = field(default=0, compare=False)
+    file: str = field(default="<query>", compare=False)
 
 
 @dataclass
@@ -321,24 +323,6 @@ def rename_goal(g: Goal, mapping: dict) -> Goal:
     return Forall(rename_term(g.var, mapping), rename_goal(g.goal, mapping))
 
 
-def subst_term(t: Term, mapping: dict) -> Term:
-    """Copy a term replacing only the variables present in mapping; a
-    ground structure comes back as it is."""
-    if isinstance(t, Var):
-        return mapping.get(t.id, t)
-    if isinstance(t, Struct) and not t.ground:
-        return Struct(t.functor, tuple(subst_term(a, mapping) for a in t.args))
-    return t
-
-
-def subst_goal(g: Goal, mapping: dict) -> Goal:
-    if isinstance(g, Lit):
-        return Lit(g.pred, tuple(subst_term(a, mapping) for a in g.args), g.neg)
-    if isinstance(g, CmpLit):
-        return CmpLit(g.op, subst_term(g.lhs, mapping), subst_term(g.rhs, mapping))
-    return Forall(subst_term(g.var, mapping), subst_goal(g.goal, mapping))
-
-
 # ---------------------------------------------------------------------------
 # Printing.  format_term produces text the parser accepts back, so compiled
 # programs can be dumped and re-read.
@@ -363,6 +347,9 @@ TEXT_CACHE_MAX = 1024  # the longest text format_term keeps (module docstring)
 
 
 def format_term(t: Term, names=None, prec: int = 0, right: bool = False) -> str:
+    """The text of a term; prec and right place it as an operand of an
+    arithmetic operator.  A structure is walked with an explicit stack, so
+    that a term's depth costs no Python stack."""
     if isinstance(t, Var):
         return _var_name(t, names)
     if isinstance(t, Const):
@@ -373,29 +360,59 @@ def format_term(t: Term, names=None, prec: int = 0, right: bool = False) -> str:
                 return f"({s})"
             return s
         return t.value
-    if t.functor in ARITH_OPS and len(t.args) == 2:
-        p = _PREC[t.functor]
-        s = (
-            format_term(t.args[0], names, p, False)
-            + t.functor
-            + format_term(t.args[1], names, p, True)
-        )
-        if p < prec or (p == prec and right):
-            return f"({s})"
+    s = getattr(t, "_text", None) if t.ground else None
+    if s is not None:
         return s
-    if t.ground:
-        s = getattr(t, "_text", None)
+    out = []
+    # Each entry is a text to print, a (term, prec, right) to print, or the
+    # (structure, index in out) at which the text of a ground one began.
+    todo = [(t, prec, right)]
+    while todo:
+        e = todo.pop()
+        if e.__class__ is str:
+            out.append(e)
+            continue
+        if len(e) == 2:
+            t, i = e
+            # A piece is a character or more (bar an empty name, which at
+            # worst skips a keep), so a longer run of pieces cannot fit.
+            if len(out) - i <= TEXT_CACHE_MAX:
+                s = "".join(out[i:])
+                if len(s) <= TEXT_CACHE_MAX:
+                    t._text = s
+            continue
+        t, prec, right = e
+        if t.__class__ is not Struct:
+            out.append(format_term(t, names, prec))
+            continue
+        s = getattr(t, "_text", None) if t.ground else None
         if s is not None:
-            return s
-    if t.functor == "." and len(t.args) == 2:
-        items, tail = list_parts(t)
-        s = "[" + ",".join(format_term(i, names) for i in items)
-        s += "]" if tail == NIL else f"|{format_term(tail, names)}]"
-    else:
-        s = f"{t.functor}({','.join(format_term(a, names) for a in t.args)})"
-    if t.ground and len(s) <= TEXT_CACHE_MAX:
-        t._text = s
-    return s
+            out.append(s)
+            continue
+        f, args = t.functor, t.args
+        if f in _PREC and len(args) == 2:
+            p = _PREC[f]
+            if p < prec or (p == prec and right):
+                todo += (")", (args[1], p, True), f, (args[0], p, False), "(")
+            else:
+                todo += ((args[1], p, True), f, (args[0], p, False))
+            continue
+        if t.ground:
+            todo.append((t, len(out)))
+        if f == "." and len(args) == 2:
+            items, tail = list_parts(t)
+            todo += ("]",) if tail == NIL else ("]", (tail, 0, False), "|")
+            opening = "["
+        else:
+            items = args
+            todo.append(")")
+            opening = f + "("
+        for k in range(len(items) - 1, -1, -1):
+            todo.append((items[k], 0, False))
+            if k:
+                todo.append(",")
+        todo.append(opening)
+    return "".join(out)
 
 
 def format_terms(*ts) -> list:

@@ -1,15 +1,20 @@
 """Command-line driver: flags, exit codes, and stream formats."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from scasp import cli
 from scasp.cli import main
+from scasp.compiler import RESERVED_NOTE
 
 PROGRAMS = Path(__file__).parent / "programs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
@@ -258,3 +263,143 @@ def test_queries_may_not_call_generated_predicates(tmp_path, capsys):
     rc, out, err = run(capsys, embedded)
     assert rc == 2 and out == ""
     assert err.startswith(f"{embedded}:2:1: predicate name") and "reserved" in err
+
+
+def _overflow(program):
+    raise RecursionError("maximum recursion depth exceeded")
+
+
+# Each documented way for the CLI to end: (files, arguments, exit code, the
+# whole of stderr).  "{p.pl}" stands for the path of file p.pl.
+_ENDINGS = {
+    "missing file": (
+        {}, ["{absent.pl}"], 2,
+        "scasp: [Errno 2] No such file or directory: '{absent.pl}'\n",
+    ),
+    "parse error": (
+        {"bad.pl": "p(a).\nq(b)"}, ["{bad.pl}"], 2,
+        "{bad.pl}:2:5: expected '.', found 'end of input'\n",
+    ),
+    "compile error": (
+        {"bad.pl": "p(a).\nnot_p(a)."}, ["{bad.pl}", "-q", "?- p(X)."], 2,
+        f"{{bad.pl}}:2:1: predicate name 'not_p' is reserved ({RESERVED_NOTE})\n",
+    ),
+    "parse error in -q": (
+        {"p.pl": "p(a)."}, ["{p.pl}", "-q", "?- p(X"], 2,
+        "<query>:1:7: expected ')', found 'end of input'\n",
+    ),
+    "compile error in -q": (
+        {"p.pl": "p(a)."}, ["{p.pl}", "-q", "?- not_p(b)."], 2,
+        f"<query>:1:1: predicate name 'not_p' is reserved ({RESERVED_NOTE})\n",
+    ),
+    "solver restriction": (
+        {"p.pl": "p(a)."}, ["{p.pl}", "-q", "?- X \\= f(Y)."], 2,
+        "nonground_disequality: X \\= f(Y) needs a ground right-hand side\n",
+    ),
+    "solver restriction under --oracle": (
+        {"p.pl": "p(X) :- X .<. 3."}, ["{p.pl}", "--oracle"], 2,
+        "unsupported_constraint: oracle input must be constraint-free, found .<.\n",
+    ),
+    "internal error": (
+        {"p.pl": "p(a)."}, ["{p.pl}", "-q", "?- p(X)."], 2,
+        "scasp: internal error: RecursionError: maximum recursion depth exceeded\n",
+    ),
+    "usage error": (
+        {"p.pl": "p(a)."}, ["{p.pl}", "-n", "-3"], 2, "scasp: -n must be >= 0\n",
+    ),
+    "no query": (
+        {"p.pl": "p(a)."}, ["{p.pl}"], 2,
+        "scasp: no query (use -q or an embedded ?- directive)\n",
+    ),
+    "no answers": ({"p.pl": "p(a)."}, ["{p.pl}", "-q", "?- p(b).", "-n", "1"], 1, ""),
+    "answers": ({"p.pl": "p(a)."}, ["{p.pl}", "-q", "?- p(X)."], 0, ""),
+    "-n 0 exhausted": ({"p.pl": "p(a)."}, ["{p.pl}", "-q", "?- p(b).", "-n", "0"], 0, ""),
+}
+
+
+@pytest.mark.parametrize("ending", list(_ENDINGS))
+def test_every_ending_has_its_exit_code_and_one_line(tmp_path, capsys, monkeypatch, ending):
+    files, argv, code, err = _ENDINGS[ending]
+    paths = {name: str(tmp_path / name) for name in ("absent.pl", *files)}
+    for name, text in files.items():
+        write(tmp_path, name, text)
+    if ending == "internal error":
+        monkeypatch.setattr(cli, "compile_program", _overflow)
+
+    def fill(text):
+        for name, path in paths.items():
+            text = text.replace("{%s}" % name, path)
+        return text
+
+    rc, _, got = run(capsys, *map(fill, argv))
+    assert (rc, got) == (code, fill(err))
+
+
+def test_argparse_usage_errors_exit_2(capsys):
+    # argparse prints its usage, then one error line.
+    for argv in (["--answers"], [], ["p.pl", "--no-such-flag"]):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "", argv
+        assert err.startswith("usage: scasp ") and err.splitlines()[-1].startswith("scasp: error: ")
+
+
+def test_compile_errors_name_the_file_they_come_from(tmp_path, capsys):
+    # Of two files, the second holds the fault, whether in parsing or in
+    # compiling.
+    first = write(tmp_path, "f1.pl", "p(a).")
+    second = write(tmp_path, "f2.pl", "q(b).\nr(c).\nnot_q(a).")
+    rc, _, err = run(capsys, first, second, "-q", "?- p(X).")
+    assert rc == 2
+    assert err == f"{second}:3:1: predicate name 'not_q' is reserved ({RESERVED_NOTE})\n"
+    third = write(tmp_path, "f3.pl", "q(b).\nr(c) :- s(.")
+    rc, _, err = run(capsys, first, third, "-q", "?- p(X).")
+    assert rc == 2 and err.startswith(f"{third}:2:11: ")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("facts, read", [(20_000, 100), (2, 0)])
+def test_a_closed_stdout_exits_2_with_one_line(tmp_path, unbuffered, facts, read):
+    # The reader takes `read` bytes and closes the pipe: mid-stream for many
+    # answers, or before the first write for two (a buffered stdout then
+    # meets the closed pipe only when it is flushed).
+    path = write(tmp_path, "many.pl", "".join(f"p({i}).\n" for i in range(facts)))
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "scasp.cli", path, "-q", "?- p(X)."],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.read(read)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2, err
+    assert err == "scasp: [Errno 32] Broken pipe\n"
+
+
+def test_deep_ground_terms_print(tmp_path):
+    # In a child process, so that a crash of the interpreter fails this test
+    # alone: the CLI answers and echoes a 16,000-deep query, and format_term
+    # prints a 60,000-deep term.
+    nat = "nat(" + "s(" * 16_000 + "z" + ")" * 16_000 + ")"
+    code = (
+        "import sys\n"
+        "from scasp.cli import main\n"
+        "from scasp.terms import Const, Struct, format_term\n"
+        "n = 60_000\n"
+        "t = Const('z')\n"
+        "for _ in range(n):\n"
+        "    t = Struct('s', (t,))\n"
+        "assert format_term(t) == 's(' * n + 'z' + ')' * n\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    program = write(tmp_path, "nat.pl", "nat(z). nat(s(X)) :- nat(X).")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", code, program, "-q", f"?- {nat}.", "--no-just", "--no-model"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines()[0] == f"?- {nat}."

@@ -38,7 +38,7 @@ from scasp.terms import (
     format_term,
     fresh_var,
     rename_goal,
-    subst_term,
+    rename_term,
 )
 
 from helpers import alpha_eq_term, answers, binding, compiled, engine_for, num, perfbench_module
@@ -250,6 +250,41 @@ def test_an_implicit_equality_binds_the_variable():
     assert _bindings_text("X .=. Y + Z, Y + Z .>=. 0, Y + Z .=<. 0") == ["X = 0 ? "]
 
 
+ARITHMETIC = """
+dbl(X,Y) :- Y .=. 2*X.
+half(X,Y) :- Y .=. X/4.
+big(X,Y) :- Y .=. 3*X, X .>. 1.
+par(X,Y) :- Y .=. (X+1)*2.
+fold(X) :- X .=. (1+1)/4.
+inv(Y) :- X .>. 0, Y .=. 2/X.
+a(X,Y) :- X .>. 0, Y .<. 0, X = Y.
+"""
+
+
+@pytest.mark.parametrize("query, texts", [
+    # Scaling by a constant and dividing by one, solved either way round.
+    ("?- dbl(3,Y).", ["Y = 6 ? "]),
+    ("?- dbl(X,5).", ["X = 5/2 ? "]),
+    ("?- half(2,Y).", ["Y = 1/2 ? "]),
+    ("?- big(X,Y).", ["X = {A.>.1},\nY = {B.>.3} ? "]),
+    ("?- big(X,3).", []),
+    # A parenthesised sum, and a quotient of two literals folded when read.
+    ("?- par(2,Y).", ["Y = 6 ? "]),
+    ("?- par(X,6).", ["X = 2 ? "]),
+    ("?- fold(X).", ["X = 1/2 ? "]),
+    # Two rational variables with disjoint bounds cannot alias.
+    ("?- a(X,Y).", []),
+])
+def test_linear_arithmetic_by_constants(query, texts):
+    assert [Renderer(a).bindings_text() for a in answers(ARITHMETIC, query)] == texts
+
+
+def test_division_by_an_unknown_is_nonlinear():
+    with pytest.raises(SolverError) as info:
+        answers(ARITHMETIC, "?- inv(Y).")
+    assert info.value.code == "nonlinear_constraint" and "2/X" in str(info.value)
+
+
 def test_error_text_does_not_depend_on_earlier_programs():
     # Unnamed variables are numbered within each message, not by the
     # process-wide variable counter.
@@ -333,7 +368,7 @@ def test_owed_disequalities_cover_exactly_the_allowed_instances(excluded, t):
         for _ in e.solve_constraint(CmpLit("=", x, t))
     ]
     for values in itertools.product(_DOMAIN, repeat=len(names)):
-        instance = subst_term(t, {v.id: val for v, val in zip(names, values)})
+        instance = rename_term(t, {v.id: val for v, val in zip(names, values)})
         covered = any(all(map(_allows, sol, values)) for sol in views)
         assert covered == (instance not in excluded), (instance, views)
 
@@ -680,13 +715,13 @@ def test_deep_ground_argument_is_shared_not_copied(monkeypatch):
 
 
 def test_substitution_shares_ground_arguments():
-    # forall substitutes a fresh variable into its goal once per piece; a
-    # ground argument comes back as the same object, as in rename_term.
+    # forall renames its variable to a fresh one once per piece; a ground
+    # argument comes back as the same object.
     x, nv = fresh_var("X"), fresh_var("_")
     ground = f(Const("a"), f(num(1)))
-    out = subst_term(f(x, ground), {x.id: nv})
+    out = rename_term(f(x, ground), {x.id: nv})
     assert out.args[0] is nv and out.args[1] is ground
-    assert subst_term(ground, {x.id: nv}) is ground
+    assert rename_term(ground, {x.id: nv}) is ground
 
 
 def _chain(n):

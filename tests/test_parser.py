@@ -1,6 +1,7 @@
 """Parsing: surface syntax to terms, rules, queries, and directives."""
 
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scasp.compiler import check_query, compile_program
-from scasp.errors import CompileError
+import scasp
+from scasp.errors import CompileError, ScaspError
 from scasp.parser import ParseError, parse_program, parse_query
 from scasp.terms import (
     CmpLit,
@@ -134,10 +136,66 @@ def test_parse_error_reports_position():
         parse_query("?- p(X")
 
 
+def test_parse_and_compile_errors_are_one_kind_of_error():
+    # Both are ScaspErrors carrying a file, a line and a column; parse_query
+    # and parse_program stamp each query and rule with its file.
+    assert scasp.ParseError is ParseError and issubclass(ParseError, ScaspError)
+    with pytest.raises(ScaspError) as info:
+        parse_program("p(a)\nq(b).", filename="bad.pl")
+    assert isinstance(info.value, ParseError)
+    assert (info.value.filename, info.value.line, info.value.col) == ("bad.pl", 2, 1)
+    with pytest.raises(ScaspError) as info:
+        compile_program(parse_program("p(a).\n  not_p(b).", filename="f.pl"))
+    err = info.value
+    assert isinstance(err, CompileError)
+    assert (err.filename, err.line, err.col) == ("f.pl", 2, 3)
+    assert str(err) == f"f.pl:2:3: {err.message}"
+    assert str(CompileError("m", 1, 2)) == "<program>:1:2: m"
+    prog = parse_program("p(a). ?- p(X).", filename="f.pl")
+    assert prog.rules[0].file == prog.query.file == "f.pl"
+    assert parse_query("?- p(X).").file == "<query>"
+    # The file is where a clause came from, not what it is.
+    assert prog.rules == parse_program("p(a).").rules
+
+
+@pytest.mark.parametrize("err", [
+    ParseError("m", "f.pl", 1, 2),
+    CompileError("m", 1, 2, "f.pl"),
+    CompileError("m"),
+])
+def test_source_errors_survive_a_pickle(err):
+    # Errors cross process boundaries (multiprocessing) by pickle.
+    copy = pickle.loads(pickle.dumps(err))
+    assert type(copy) is type(err) and str(copy) == str(err)
+    assert (copy.message, copy.filename, copy.line, copy.col) == (
+        err.message, err.filename, err.line, err.col)
+
+
+@pytest.mark.parametrize("text, where, message", [
+    # A zero divisor is reported at its own token.
+    ("p(X) :- X .=. 1/0.", "1:17", "division by zero in rational literal"),
+    ("p(X) :- X .=. (1+1)/0.", "1:21", "division by zero"),
+    ("q :- not p .=. 1.", "1:6", "'not' cannot be applied to a constraint"),
+    ("p(X) :- X .=. -Y.", "1:16", "'-' must be followed by a number"),
+    ("#show p/1.5.", "1:9", "arity must be an integer"),
+    ("?- .", "1:4", "query must contain at least one goal"),
+])
+def test_parse_errors_point_at_the_offending_token(text, where, message):
+    with pytest.raises(ParseError) as info:
+        parse_program(text)
+    assert str(info.value) == f"<program>:{where}: {message}"
+
+
+def test_an_empty_query_and_a_show_list():
+    with pytest.raises(ParseError) as info:
+        parse_query("")
+    assert str(info.value) == "<query>:1:1: query must contain at least one goal"
+    assert parse_program("#show p/1, q/2.").shows == {("p", 1), ("q", 2)}
+
+
 def test_deep_terms_parse_without_recursion():
     # In a child process, so that a crash of the interpreter fails this test
-    # alone.  A 60,000-deep fact parses, compiles and answers (the answer is
-    # not rendered: printing a term still recurses once per level), and a
+    # alone.  A 60,000-deep fact parses, compiles and answers, and a
     # 16,000-deep query parses.
     code = (
         "from scasp import Engine, compile_program, parse_program, parse_query\n"
@@ -367,8 +425,7 @@ def test_errors_and_clauses_report_their_source_positions(data):
         compile_program(parse_program(text, filename="t.pl"))
     err = info.value
     assert (err.line, err.col) == _line_col(text, offset), (text, plant)
-    if kind is ParseError:
-        assert str(err).startswith(f"t.pl:{err.line}:{err.col}: ")
+    assert str(err) == f"t.pl:{err.line}:{err.col}: {err.message}"
 
 
 @settings(max_examples=100, deadline=None)
