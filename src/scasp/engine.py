@@ -458,17 +458,21 @@ class Engine:
     def assert_neq_term(self, a, b):
         """Solutions of a \\= b under the excluded-term discipline: one
         per argument pair that can differ when both sides are structures of
-        one functor, else at most one."""
-        a = self.deref(a)
-        b = self.deref(b)
-        if isinstance(a, Struct) and isinstance(b, Struct) and a.key == b.key:
-            for x, y in zip(a.args, b.args):
-                yield from self.assert_neq_term(x, y)
-            return
-        m = self.mark()
-        if self._neq(a, b):
-            yield
-        self.undo_to(m)
+        one functor, else at most one.  The argument pairs are taken in
+        order, depth first, from an explicit stack: each is dereferenced
+        when reached, once the alternatives before it are undone."""
+        pairs = [(a, b)]
+        while pairs:
+            a, b = pairs.pop()
+            a = self.deref(a)
+            b = self.deref(b)
+            if isinstance(a, Struct) and isinstance(b, Struct) and a.key == b.key:
+                pairs += zip(reversed(a.args), reversed(b.args))
+                continue
+            m = self.mark()
+            if self._neq(a, b):
+                yield
+            self.undo_to(m)
 
     def _neq(self, a, b) -> bool:
         """Record a \\= b for dereferenced terms that are not structures of
@@ -860,7 +864,7 @@ class Engine:
         if isinstance(t, Var):
             d = self.dom.get(t.id)
             if d is RATIONAL:
-                return store_mod.lin_canon(self.lin.project(t.id))
+                return store_mod.lin_view(self.lin, t.id)
             return ("neq", d) if d else store_mod.TOP
         return ("eq", self.resolve(t))
 

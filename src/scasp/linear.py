@@ -242,18 +242,14 @@ def _bounds(cons, vid):
         if not others:
             break
         cons = _fm_step(cons, min(others))
+    # Every row left is over vid alone, so _tighten keeps at most one row
+    # -vid + c <= 0 (vid >= c) and one row vid + c <= 0 (vid <= -c).
     lo = hi = None
-    for form, strict in cons:
-        coef = form_coef(form, vid)
-        if coef == 0:
-            continue
-        val = -form[0] / coef
-        if coef > 0:
-            if hi is None or val < hi[0] or (val == hi[0] and strict):
-                hi = (val, strict)
+    for (c, ((_, k),)), strict in _tighten(cons):
+        if k > 0:
+            hi = (-c, strict)
         else:
-            if lo is None or val > lo[0] or (val == lo[0] and strict):
-                lo = (val, strict)
+            lo = (c, strict)
     return lo, hi
 
 
@@ -394,12 +390,15 @@ class LinearStore:
         return True
 
     def project(self, vid: int):
-        """Constraints on a single variable, as (op, value) pairs.
+        """Constraints on a single variable, as (op, value) pairs, in the
+        one canonical form of rational bounds.
 
         The tightest lower bound, the tightest upper bound, and the excluded
         points in ascending order; unconstrained variables yield [].  The
-        store has an interior point, so the bounds never meet.
-        ``store.lin_canon`` turns the list into a canonical view.
+        store has an interior point, so the bounds never meet, and an
+        excluded point lies within them: on a closed bound it makes that
+        bound strict instead.  So two stores allow the same values of vid
+        exactly when their projections are equal.
         """
         cons = list(self.ineqs)
         sub = self.subst.get(vid)
@@ -416,9 +415,10 @@ class LinearStore:
                 excluded |= self._forced_zero_points(cons, vid, form)
         out = []
         if lo:
-            out.append((">" if lo[1] else ">=", lo[0]))
+            out.append((">" if lo[1] or lo[0] in excluded else ">=", lo[0]))
         if hi:
-            out.append(("<" if hi[1] else "<=", hi[0]))
+            out.append(("<" if hi[1] or hi[0] in excluded else "<=", hi[0]))
+        excluded -= {val for _, val in out}
         return out + [("!=", val) for val in sorted(excluded)]
 
     def _forced_zero_points(self, cons, vid, form):

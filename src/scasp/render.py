@@ -5,36 +5,27 @@ then the model, then the query bindings, and each distinct unbound variable
 gets the next name in A..Z, AA, AB, ...  A variable with an attached
 constraint view prints inline as its store, e.g. ``{A.>.2, A.<.3}`` or
 ``{A.\\=.[a,b]}``, so every occurrence shows the knowledge active in the
-answer.  Bound variables print as their value.
+answer; each variable's text is made once per answer.  Bound variables
+print as their value.
 
 The justification layout writes one node per line: a node with children
 ends in `` :-`` and indents its children three further columns; a leaf ends
 in ``,`` when a sibling follows and in ``.`` when it closes its group, in
-one pass that builds each depth's indentation once.
+one pass that builds each depth's indentation once.  The JSON record is
+written by the encoder but for its justification, which is written with an
+explicit stack and spliced in as its last field.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from .engine import Answer, Node
 from .linear import OP_TEXT
 from .terms import format_goal, format_number, format_term
 
 __all__ = ["Renderer", "render_answer", "render_answer_json"]
-
-
-class _StoreNames:
-    """Dict-like view handing format_term the store-annotated variable text."""
-
-    def __init__(self, renderer):
-        self.renderer = renderer
-
-    def __contains__(self, vid):
-        return True
-
-    def __getitem__(self, vid):
-        return self.renderer._var_text(vid)
 
 
 class Renderer:
@@ -44,34 +35,19 @@ class Renderer:
         self.answer = answer
         self.pred_info = pred_info or {}
         self.shows = shows or set()
-        self.names = {vid: _name_for(i) for i, vid in enumerate(answer.views)}
-        self._store_names = _StoreNames(self)
-
-    # -- terms with inline stores -------------------------------------------
-
-    def _var_text(self, vid):
-        name = self.names.get(vid)
-        if name is None:
-            name = self.names[vid] = _name_for(len(self.names))
-        view = self.answer.views.get(vid, ("top",))
-        if view[0] == "neq":
-            items = sorted((self.term_str(t) for t in view[1]))
-            return "{%s%s[%s]}" % (name, OP_TEXT["!="], ",".join(items))
-        if view[0] == "lin":
-            parts = [
-                "%s%s%s" % (name, OP_TEXT[op], format_number(val))
-                for op, val in view[1]
-            ]
-            return "{%s}" % ", ".join(parts)
-        return name
+        # Each unbound variable's text, view included, made once per answer.
+        self.texts = {
+            vid: _view_text(_name_for(i), view)
+            for i, (vid, view) in enumerate(answer.views.items())
+        }
 
     def term_str(self, t):
-        return format_term(t, names=self._store_names)
+        return format_term(t, names=self.texts)
 
     # -- sections -----------------------------------------------------------
 
     def _node_label(self, node: Node):
-        label = format_goal(node.goal, self._store_names, self.pred_info)
+        label = format_goal(node.goal, self.texts, self.pred_info)
         if node.kind == "chs" or node.kind == "proved":
             return "%s(%s)" % (node.kind, label)
         return label
@@ -104,7 +80,7 @@ class Renderer:
         atoms = self.answer.model
         if self.shows:
             atoms = [lit for lit in atoms if lit.key in self.shows]
-        return [format_goal(lit, self._store_names, self.pred_info) for lit in atoms]
+        return [format_goal(lit, self.texts, self.pred_info) for lit in atoms]
 
     def model_text(self):
         return "[ %s ]" % ", ".join(self._model_labels())
@@ -119,7 +95,8 @@ class Renderer:
             lines.append("%s = %s%s" % (name, self.term_str(t), end))
         return "\n".join(lines)
 
-    def json_object(self, with_model=True, with_justification=True):
+    def json_object(self, with_model=True):
+        """The record's fields before the justification."""
         obj = {
             "answer": self.answer.number,
             "time_ms": round(self.answer.time_ms, 3),
@@ -131,17 +108,52 @@ class Renderer:
         }
         if with_model:
             obj["model"] = self._model_labels()
-        if with_justification:
-            obj["justification"] = [
-                self._json_node(n) for n in self.answer.justification
-            ]
         return obj
 
-    def _json_node(self, node: Node):
-        out = {"label": self._node_label(node)}
-        if node.children:
-            out["children"] = [self._json_node(c) for c in node.children]
-        return out
+    def justification_json(self):
+        """The justification as a JSON list of {"label": ..., "children":
+        [...]} objects, a leaf without "children".  As justification_text,
+        it walks with an explicit stack: a proof may be deeper than the
+        recursion limit, and than the JSON encoder's nesting limit."""
+        out, todo = ["["], ["]"]
+        _push_nodes(todo, self.answer.justification)
+        while todo:
+            e = todo.pop()
+            if e.__class__ is str:
+                out.append(e)
+                continue
+            # What json.dumps writes for a string, without its dispatch.
+            out += ('{"label": ', encode_basestring_ascii(self._node_label(e)))
+            if e.children:
+                out.append(', "children": [')
+                todo.append("]}")
+                _push_nodes(todo, e.children)
+            else:
+                out.append("}")
+        return "".join(out)
+
+
+def _push_nodes(todo, nodes):
+    """Push nodes on a stack, with the separators between them, so that
+    they come off it in order."""
+    for i in range(len(nodes) - 1, -1, -1):
+        todo.append(nodes[i])
+        if i:
+            todo.append(", ")
+
+
+def _view_text(name, view):
+    """A variable's name, with its view as a store if it has one."""
+    if view[0] == "neq":
+        items = sorted(format_term(t) for t in view[1])  # ground terms
+        return "{%s%s[%s]}" % (name, OP_TEXT["!="], ",".join(items))
+    if view[0] == "lin":
+        parts = [
+            "%s%s%s" % (name, OP_TEXT[op], format_number(val))
+            for op, val in view[1]
+        ]
+        return "{%s}" % ", ".join(parts)
+    return name
 
 
 def _name_for(i):
@@ -174,10 +186,8 @@ def render_answer(answer: Answer, pred_info=None, shows=None,
 
 def render_answer_json(answer: Answer, pred_info=None, shows=None,
                        with_model=True, with_justification=True):
-    obj = Renderer(answer, pred_info, shows).json_object(with_model, with_justification)
-    try:
-        return json.dumps(obj)
-    except RecursionError:
-        # From Python 3.12 the C encoder stops at a fixed nesting depth, below
-        # a deep justification's; the pure-Python encoder writes the same text.
-        return "".join(json.JSONEncoder().iterencode(obj))
+    r = Renderer(answer, pred_info, shows)
+    text = json.dumps(r.json_object(with_model))
+    if not with_justification:
+        return text
+    return '%s, "justification": %s}' % (text[:-1], r.justification_json())

@@ -11,9 +11,11 @@ tuples:
     ('lin', ((op, value), ...))    rational bounds/exclusions, canonically
                                    ordered lower, upper, then excluded points
 
-lin_canon() is the one canonical form of rational bounds: the engine passes
-a variable's raw projection through it, so two views entail each other
-exactly when they compare equal with ``==``.  dual() negates a view into a
+A rational view holds the rational store's own projection
+(LinearStore.project), the one canonical form of rational bounds: lin_view()
+reads it from the engine's store, and lin_canon() from a store of its own
+that conjoins a list of entries.  So two views entail each other exactly
+when they compare equal with ``==``.  dual() negates a view into a
 covering list of disjoint views, and add() conjoins a list of candidate
 views with a base view, dropping inconsistent results.
 """
@@ -23,10 +25,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import SolverError
-from .linear import complement
-from .terms import Const, format_term, format_terms
+from .linear import LinearStore, complement
+from .terms import Const, Var, format_term, format_terms
 
-__all__ = ["TOP", "view_conj", "dual", "add", "lin_canon"]
+__all__ = ["TOP", "view_conj", "dual", "add", "lin_canon", "lin_view"]
 
 TOP = ("top",)  # the view that says nothing about the variable
 
@@ -35,73 +37,27 @@ def _is_num(t) -> bool:
     return isinstance(t, Const) and t.is_number
 
 
-def lin_canon(entries):
-    """Normalize one-variable rational constraints; None when unsatisfiable.
+def lin_view(store, vid):
+    """The view of one variable the rational store does not fix: its
+    projection, already canonical."""
+    entries = store.project(vid)
+    return ("lin", tuple(entries)) if entries else TOP
 
-    Accepts (op, value) pairs with op in = != < <= > >=; returns a canonical
-    view: TOP, ('eq', Const), or ('lin', entries) with the tightest lower
-    bound first, then the tightest upper bound, then excluded points in
-    ascending order (excluded points equal to a closed bound stricten it).
-    """
-    lo = hi = None
-    eqs = set()
-    neqs = set()
+
+def lin_canon(entries):
+    """The canonical view of (op, value) pairs, op in = != < <= > >=: TOP,
+    ('eq', Const) or ('lin', entries); None when unsatisfiable.  They are
+    conjoined in a store of their own, on a variable no term uses; once the
+    store fixes it, the rest are checked against the value."""
+    store, x = LinearStore.empty(), Var(0)
     for op, val in entries:
-        val = Fraction(val)
-        if op == "=":
-            eqs.add(val)
-        elif op == "!=":
-            neqs.add(val)
-        elif op in (">", ">="):
-            cand = (val, op == ">")
-            if lo is None or cand[0] > lo[0] or (cand[0] == lo[0] and cand[1]):
-                lo = cand
-        elif op in ("<", "<="):
-            cand = (val, op == "<")
-            if hi is None or cand[0] < hi[0] or (cand[0] == hi[0] and cand[1]):
-                hi = cand
-        else:
-            raise ValueError(f"unknown linear operator {op!r}")
-    if eqs:
-        if len(eqs) > 1:
+        got = store.assert_terms(op, x, Const(Fraction(val)))
+        if got is None:
             return None
-        val = next(iter(eqs))
-        if val in neqs:
-            return None
-        if lo and (val < lo[0] or (val == lo[0] and lo[1])):
-            return None
-        if hi and (val > hi[0] or (val == hi[0] and hi[1])):
-            return None
-        return ("eq", Const(val))
-    if lo and hi:
-        if lo[0] > hi[0]:
-            return None
-        if lo[0] == hi[0]:
-            if lo[1] or hi[1]:
-                return None
-            if lo[0] in neqs:
-                return None
-            return ("eq", Const(lo[0]))
-    if lo and not lo[1] and lo[0] in neqs:
-        neqs.discard(lo[0])
-        lo = (lo[0], True)
-    if hi and not hi[1] and hi[0] in neqs:
-        neqs.discard(hi[0])
-        hi = (hi[0], True)
-    out = []
-    if lo:
-        out.append((">" if lo[1] else ">=", lo[0]))
-    if hi:
-        out.append(("<" if hi[1] else "<=", hi[0]))
-    for val in sorted(neqs):
-        if lo and (val < lo[0] or (val == lo[0] and lo[1])):
-            continue
-        if hi and (val > hi[0] or (val == hi[0] and hi[1])):
-            continue
-        out.append(("!=", val))
-    if not out:
-        return TOP
-    return ("lin", tuple(out))
+        store, fixed = got
+        if fixed:
+            x = Const(fixed[0][1])
+    return ("eq", x) if isinstance(x, Const) else lin_view(store, x.id)
 
 
 def view_conj(a, b):
@@ -120,8 +76,7 @@ def view_conj(a, b):
         # other is 'lin': only a rational can satisfy rational constraints
         if not _is_num(t):
             return None
-        merged = lin_canon(list(other[1]) + [("=", t.value)])
-        return merged
+        return lin_canon(list(other[1]) + [("=", t.value)])
     if a[0] == "neq" and b[0] == "neq":
         return ("neq", a[1] | b[1])
     if a[0] == "neq" or b[0] == "neq":

@@ -29,7 +29,7 @@ __all__ = [
     "Var", "Const", "Struct", "Term", "Lit", "CmpLit", "Forall", "Goal",
     "Rule", "Query", "Program", "NIL", "ARITH_OPS", "CONSTRAINT_OPS",
     "fresh_var", "mk_list", "list_parts", "term_vars", "goal_vars",
-    "rename_term", "rename_goal",
+    "rename_term", "rename_terms", "rename_goal",
     "format_term", "format_terms", "format_goal", "format_rule",
 ]
 
@@ -304,22 +304,44 @@ def goal_vars(g: Goal, acc=None, seen=None):
 
 def rename_term(t: Term, mapping: dict) -> Term:
     """Copy a term replacing every variable; unseen ids get fresh variables."""
-    if isinstance(t, Var):
-        v = mapping.get(t.id)
-        if v is None:
-            v = fresh_var(t.name)
-            mapping[t.id] = v
-        return v
-    if isinstance(t, Struct) and not t.ground:
-        return Struct(t.functor, tuple(rename_term(a, mapping) for a in t.args))
-    return t
+    return rename_terms((t,), mapping)[0]
+
+
+def rename_terms(ts: tuple, mapping: dict) -> tuple:
+    """rename_term of each term of a tuple.  Ground subterms are shared, not
+    copied.  A structure is walked with an explicit stack, so that a term's
+    depth costs no Python stack."""
+    # The structures being copied, outermost first: each one's functor, an
+    # iterator over its arguments and the copies made of those before it.
+    stack = []
+    f, it, args = None, iter(ts), []
+    while True:
+        for a in it:
+            cls = a.__class__
+            if cls is Var:
+                v = mapping.get(a.id)
+                if v is None:
+                    v = mapping[a.id] = fresh_var(a.name)
+                args.append(v)
+            elif cls is Struct and not a.ground:
+                stack.append((f, it, args))
+                f, it, args = a.functor, iter(a.args), []
+                break
+            else:
+                args.append(a)
+        else:
+            if not stack:
+                return tuple(args)
+            t = Struct(f, tuple(args))
+            f, it, args = stack.pop()
+            args.append(t)
 
 
 def rename_goal(g: Goal, mapping: dict) -> Goal:
     if isinstance(g, Lit):
-        return Lit(g.pred, tuple(rename_term(a, mapping) for a in g.args), g.neg)
+        return Lit(g.pred, rename_terms(g.args, mapping), g.neg)
     if isinstance(g, CmpLit):
-        return CmpLit(g.op, rename_term(g.lhs, mapping), rename_term(g.rhs, mapping))
+        return CmpLit(g.op, *rename_terms((g.lhs, g.rhs), mapping))
     return Forall(rename_term(g.var, mapping), rename_goal(g.goal, mapping))
 
 

@@ -724,6 +724,76 @@ def test_substitution_shares_ground_arguments():
     assert rename_term(ground, {x.id: nv}) is ground
 
 
+def _stack_depth():
+    """The number of Python frames below the caller's."""
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_renaming_a_deep_term_keeps_the_python_stack_flat():
+    # forall renames its goal, which may hold a call's deep argument: the
+    # copy runs at one Python depth, however deep the variable lies.
+    depths = []
+
+    class Probe(dict):
+        def get(self, key, default=None):
+            depths.append(_stack_depth())
+            return dict.get(self, key, default)
+
+    for n in (10, 2000):
+        x = fresh_var("X")
+        t = x
+        for _ in range(n):
+            t = f(t)
+        out = rename_term(t, Probe())
+        for _ in range(n):
+            out = out.args[0]
+        assert isinstance(out, Var) and out.id != x.id
+    assert depths[0] == depths[1]
+
+
+def test_a_disequality_between_deep_structures_keeps_the_python_stack_flat(monkeypatch):
+    # s^n(A) \= s^n(b) has one alternative, A \= b, reached through n
+    # argument pairs without nesting a generator per pair.
+    depths = []
+    orig = Engine._neq
+
+    def measuring(self, a, b):
+        depths.append(_stack_depth())
+        return orig(self, a, b)
+
+    monkeypatch.setattr(Engine, "_neq", measuring)
+    for n in (10, 2000):
+        e, x = engine_for(), fresh_var("A")
+        a, b = x, Const("b")
+        for _ in range(n):
+            a, b = Struct("s", (a,)), Struct("s", (b,))
+        assert sum(1 for _ in e.assert_neq_term(a, b)) == 1
+    assert depths[0] == depths[1]
+
+
+def test_the_dual_of_a_call_with_a_deep_argument_answers_through_the_cli(tmp_path):
+    # In a child process, so that a crash of the interpreter fails this test
+    # alone.  not r(...) runs a forall whose goal holds the 2,000-deep
+    # argument, and each of its pieces renames that goal.
+    path = tmp_path / "dual.pl"
+    path.write_text(
+        "r(X) :- t(X, Y).\n"
+        "t(X, Y) :- Y .>. 0, u(X).\n"
+        "?- not r(" + "s(" * 2000 + "Z" + ")" * 2000 + ").\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "scasp.cli", str(path), "--no-just", "--no-model"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "Z = A ? " in done.stdout
+
+
 def _chain(n):
     return "".join(f"p{i} :- p{i + 1}. " for i in range(n)) + f"p{n}."
 
@@ -737,11 +807,7 @@ def _max_frame_depth(monkeypatch, text, query):
     orig = Engine.classify_loop
 
     def measuring(self, goal):
-        depth, frame = 0, sys._getframe()
-        while frame is not None:
-            depth += 1
-            frame = frame.f_back
-        depths.append(depth)
+        depths.append(_stack_depth())
         return orig(self, goal)
 
     monkeypatch.setattr(Engine, "classify_loop", measuring)

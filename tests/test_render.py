@@ -149,7 +149,16 @@ def test_json_of_a_deep_justification_is_written_whole():
     n = 1000
     text = " ".join(f"p{i} :- p{i + 1}." for i in range(n)) + f" p{n}."
     cp, ans = first_answer(text, "?- p0.")
-    obj = Renderer(ans, cp.pred_info, cp.shows).json_object()
+    r = Renderer(ans, cp.pred_info, cp.shows)
+
+    def as_object(node):
+        out = {"label": r._node_label(node)}
+        if node.children:
+            out["children"] = [as_object(kid) for kid in node.children]
+        return out
+
+    # The whole record as nested objects, for the pure-Python encoder.
+    obj = {**r.json_object(), "justification": [as_object(n) for n in ans.justification]}
     got = render_answer_json(ans, cp.pred_info, cp.shows)
     assert got == "".join(json.JSONEncoder().iterencode(obj))
     assert got.count('"children"') == n

@@ -3,13 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from scasp.errors import SolverError
 from scasp.store import TOP, add, dual, lin_canon, view_conj
 from scasp.terms import Const, Struct, fresh_var
 
-from helpers import pick_witness_num, sat_view_num
+from helpers import engine_for, pick_witness_num, sat_entry, sat_view_num
 
 
 def lin(*entries):
@@ -164,3 +164,45 @@ def test_every_satisfiable_view_has_a_witness(entries):
     if view is None:
         return
     assert sat_view_num(view, pick_witness_num(view))
+
+
+# -- the one canonical form -------------------------------------------------
+#
+# forall stops once the view of an answer equals the piece it covers, so a
+# view must depend only on the values its entries allow.
+
+any_entries = st.lists(
+    st.tuples(st.sampled_from(["<", "<=", ">", ">=", "=", "!="]), rationals),
+    max_size=6,
+)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_the_view_does_not_depend_on_the_order_of_its_entries(data):
+    entries = data.draw(any_entries)
+    assert lin_canon(data.draw(st.permutations(entries))) == lin_canon(entries)
+
+
+@settings(deadline=None)
+@given(any_entries)
+def test_a_rational_satisfies_the_view_exactly_when_it_satisfies_every_entry(entries):
+    view = lin_canon(entries)
+    # Each entry's value and a point either side of it: two values differ
+    # by at least 1/36, so the grid meets every interval the entries leave.
+    eps = Fraction(1, 100)
+    grid = {Fraction(0)} | {val + d for _, val in entries for d in (-eps, 0, eps)}
+    for x in sorted(grid):
+        holds = all(sat_entry(op, x, val) for op, val in entries)
+        assert (view is not None and sat_view_num(view, x)) == holds, x
+
+
+@settings(deadline=None)
+@given(any_entries)
+def test_a_view_applied_to_a_fresh_variable_reads_back_as_itself(entries):
+    view = lin_canon(entries)
+    if view is None:
+        return
+    e, x = engine_for(), fresh_var("X")
+    assert e.apply(view, x)
+    assert e.dump(x) == view
