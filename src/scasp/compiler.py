@@ -55,6 +55,7 @@ from .terms import (
     Rule,
     Struct,
     Var,
+    collector_paused,
     format_goal,
     format_rule,
     fresh_var,
@@ -359,6 +360,7 @@ def generate_nmr_checks(normalized, adj, neg_of):
     return out, infos
 
 
+@collector_paused
 def compile_program(program: Program) -> CompiledProgram:
     """Compile a parsed program into the executable rule database."""
     _check_reserved(program)

@@ -24,6 +24,7 @@ from .terms import (
     Query,
     Rule,
     Struct,
+    collector_paused,
     fresh_var,
     mk_list,
 )
@@ -358,6 +359,7 @@ class _Parser:
         return Query(tuple(goals), tuple(self.varmap.items()), *self.position(0), self.filename)
 
 
+@collector_paused
 def parse_program(text: str, filename: str = "<program>") -> Program:
     """Parse a program text into rules, #show directives, and an optional query."""
     return _Parser(text, filename).parse_program()

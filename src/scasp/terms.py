@@ -20,6 +20,8 @@ them all would hold O(d^2) characters.
 
 from __future__ import annotations
 
+import functools
+import gc
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,8 +30,8 @@ from typing import Optional, Union
 __all__ = [
     "Var", "Const", "Struct", "Term", "Lit", "CmpLit", "Forall", "Goal",
     "Rule", "Query", "Program", "NIL", "ARITH_OPS", "CONSTRAINT_OPS",
-    "fresh_var", "mk_list", "list_parts", "term_vars", "goal_vars",
-    "rename_term", "rename_terms", "rename_goal",
+    "collector_paused", "fresh_var", "mk_list", "list_parts", "term_vars",
+    "goal_vars", "rename_term", "rename_terms", "rename_goal",
     "format_term", "format_terms", "format_goal", "format_rule",
 ]
 
@@ -253,6 +255,30 @@ class Program:
     rules: list = field(default_factory=list)
     shows: set = field(default_factory=set)
     query: Optional[Query] = None
+
+
+def collector_paused(load):
+    """Run a loader with automatic cyclic collection off, then put the
+    caller's setting back, on return and on an error alike.
+
+    Loading makes no reference cycles: terms are immutable and built from
+    their parts, and the rule tables hold them in plain containers.  All it
+    builds stays alive, so each collection during a load would scan it and
+    free nothing.  The switch is process-wide: another thread allocating
+    meanwhile runs without automatic collections too.
+    """
+
+    @functools.wraps(load)
+    def paused(*args, **kwargs):
+        was_on = gc.isenabled()
+        gc.disable()
+        try:
+            return load(*args, **kwargs)
+        finally:
+            if was_on:
+                gc.enable()
+
+    return paused
 
 
 def mk_list(items, tail: Term = NIL) -> Term:
