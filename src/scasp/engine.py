@@ -19,16 +19,19 @@ the topmost choice point and dropping a search undoes nothing.  A goal's
 last alternative leaves no choice point, as a WAM's trust_me keeps none:
 the generator sets det as it yields it, and the loop drops the generator
 unresumed.  The choice point below then undoes that alternative with its
-own, since its mark lies beneath every trail entry the goal made.  Calls
-whose last selected clause matched without paying an owed disequality,
-constraints that yield at most once, loop-check shortcuts and foralls
-are determinate this way; a `\\=` between structures of one functor and
-an owed payment are not, as each may hold in several ways.  Pushing and
+own, since its mark lies beneath every trail entry the goal made.  Every
+constraint's last alternative is determinate this way (a `\\=` between
+structures of one functor, or an owed payment, may hold in several ways,
+one per argument pair, and the last pair's is the last), and so are
+loop-check shortcuts, foralls, and a call's last selected clause once its
+hidden head unifications take their last alternative.  Pushing and
 popping a frame are trail entries too, so an undo restores the call path
 with everything else.  The Python stack does not grow with the
 derivation: the only nesting left is a clause's hidden head unifications,
 a conjunction of constraint generators as deep as the head's arity, which
-never enters a call.
+never enters a call.  Nor does it grow with a term's depth: no term walk
+recurses.  Resolving, unifying, the occurs check, a disequality and a
+linear form each walk a term with an explicit stack, as a WAM does.
 
 One map, dom, says which constraint domain an unbound variable lives in:
 a frozenset of excluded ground terms, or RATIONAL once any rational
@@ -44,8 +47,9 @@ nothing on a rational variable, and such a variable never binds to one.
 aliased like any others, the store learning their equality first.  A
 value the store fixes lives only in the binding: the store reports it
 once, the engine binds the variable at once, and the store forgets it.
-Since terms are resolved before each assert, the store is never handed a
-variable it fixed before.
+A constraint goal resolves its two sides once, and their arith flag says
+whether `=` or `\\=` goes to the store; as terms are resolved before each
+assert, the store is never handed a variable it fixed before.
 
 Unification is a plain function: unify binds or reports a clash, leaving
 its bindings on the trail for the caller to undo.  Two ground structures
@@ -307,44 +311,64 @@ class Engine:
         or None when ground is set and an unbound variable remains.  A
         tuple or structure with nothing bound beneath it comes back as it
         is, so ground terms are shared, not copied; memo, if given, maps the
-        id of each non-ground structure met to its copy, for one snapshot."""
-        out = None
-        for i, a in enumerate(args):
-            t = self.deref(a)
-            if isinstance(t, Var):
-                if ground:
-                    return None
-            elif isinstance(t, Struct) and not t.ground:
-                r = memo.get(id(t)) if memo is not None else None
-                if r is None:
-                    sub = self._resolved(t.args, ground, memo)
-                    if sub is None:
-                        return None
-                    r = t if sub is t.args else Struct(t.functor, sub)
-                    if memo is not None:
-                        memo[id(t)] = r
-                t = r
+        id of each non-ground structure met to its copy, for one snapshot.
+        A structure is walked with an explicit stack of the parents entered,
+        each with the index reached and the copies made before it (None
+        while they are its own arguments)."""
+        cells = self.cells
+        stack = None
+        s, i, out = None, 0, None  # the structure whose args are walked
+        while True:
+            if i < len(args):
+                t = a = args[i]
+                while t.__class__ is Var:
+                    nxt = cells.get(t.id)
+                    if nxt is None:
+                        if ground:
+                            return None
+                        break
+                    t = nxt
+                if t.__class__ is Struct and not t.ground:
+                    r = memo.get(id(t)) if memo is not None else None
+                    if r is None:
+                        if stack is None:
+                            stack = []
+                        stack.append((s, args, i, out))
+                        s, args, i, out = t, t.args, 0, None
+                        continue
+                    t = r
+            else:
+                sub = args if out is None else tuple(out)
+                if not stack:
+                    return sub
+                t = s if sub is args else Struct(s.functor, sub)
+                if memo is not None:
+                    memo[id(s)] = t
+                s, args, i, out = stack.pop()
+                a = args[i]
             if out is None:
                 if t is a:
+                    i += 1
                     continue
                 out = list(args[:i])
             out.append(t)
-        return args if out is None else tuple(out)
+            i += 1
 
-    def _occurs(self, vid, t):
-        t = self.deref(t)
-        if isinstance(t, Var):
-            return t.id == vid
-        if isinstance(t, Struct) and not t.ground:
-            for a in t.args:
-                if self._occurs(vid, a):
+    def _occurs(self, vid, t) -> bool:
+        """Does the unbound variable vid occur in t?"""
+        todo = None
+        while True:
+            t = self.deref(t)
+            if t.__class__ is Var:
+                if t.id == vid:
                     return True
-        return False
-
-    def _ground_args(self, args):
-        """Resolved tuple of terms (args itself when nothing in it is
-        bound); None if any is not ground."""
-        return self._resolved(args, True)
+            elif not t.ground:
+                if todo is None:
+                    todo = []
+                todo += t.args
+            if not todo:
+                return False
+            t = todo.pop()
 
     def _bind_raw(self, vid, t):
         self.cells[vid] = t
@@ -362,25 +386,29 @@ class Engine:
 
     def unify(self, a, b) -> bool:
         """Bind a = b; False on a clash.  Bindings stay on the trail for the
-        caller to undo.  Disequalities a binding owes are left in owed."""
-        a = self.deref(a)
-        b = self.deref(b)
-        if isinstance(a, Var):
-            if isinstance(b, Var) and a.id == b.id:
-                return True
-            return self._bind(a, b)
-        if isinstance(b, Var):
-            return self._bind(b, a)
-        if isinstance(a, Const) and isinstance(b, Const):
-            return a == b
-        if isinstance(a, Struct) and isinstance(b, Struct) and a.key == b.key:
-            if a.ground and b.ground:
-                return a == b  # nothing to bind: most mismatches differ in hash
-            for x, y in zip(a.args, b.args):
-                if not self.unify(x, y):
+        caller to undo.  Disequalities a binding owes are left in owed.
+        Argument pairs are taken depth first, left to right, from an
+        explicit stack."""
+        pairs = None
+        while True:
+            a = self.deref(a)
+            b = self.deref(b)
+            if a.__class__ is Var:
+                if not (b.__class__ is Var and a.id == b.id) and not self._bind(a, b):
                     return False
-            return True
-        return False
+            elif b.__class__ is Var:
+                if not self._bind(b, a):
+                    return False
+            elif (a.__class__ is Struct and b.__class__ is Struct and a.key == b.key
+                  and not (a.ground and b.ground)):
+                if pairs is None:
+                    pairs = []
+                pairs += zip(reversed(a.args), reversed(b.args))
+            elif a != b:
+                return False  # two ground structures: most mismatches differ in hash
+            if not pairs:
+                return True
+            a, b = pairs.pop()
 
     def _take_owed(self):
         owed = self.owed
@@ -416,8 +444,8 @@ class Engine:
             root, other = (var, t) if d is RATIONAL else (t, var)
             d = self.dom.get(other.id)
             if d is RATIONAL:
-                # The store learns root = other before the binding, since
-                # resolving after it would collapse both sides.
+                # The store learns root = other before the binding, after
+                # which other would resolve to root.
                 if not self._assert_linear("=", root, other):
                     return False
                 if other.id in self.cells:
@@ -427,9 +455,9 @@ class Engine:
             return not d or self._exclude(root, d)
         if d is RATIONAL:
             # A rational variable is never a symbol or structure.
-            return isinstance(t, Const) and t.is_number and self._assert_linear("=", var, t)
+            return t.is_number and self._assert_linear("=", var, t)
         if d:
-            g = self._ground_args((t,))
+            g = self._resolved((t,), True)
             if g is None:
                 # A non-ground value owes every excluded term a disequality,
                 # which can branch: the caller pays them after unifying.
@@ -449,7 +477,7 @@ class Engine:
             self._set_dom(var.id, (d or frozenset()).union(terms))
             return True
         for g in sorted(terms, key=format_term):
-            if isinstance(g, Const) and g.is_number and not self._assert_linear("!=", var, g):
+            if g.is_number and not self._assert_linear("!=", var, g):
                 return False
         return True
 
@@ -458,70 +486,54 @@ class Engine:
     def assert_neq_term(self, a, b):
         """Solutions of a \\= b under the excluded-term discipline: one
         per argument pair that can differ when both sides are structures of
-        one functor, else at most one.  The argument pairs are taken in
-        order, depth first, from an explicit stack: each is dereferenced
-        when reached, once the alternatives before it are undone."""
+        one functor, else at most one; the last pair's is the last (det).
+        The argument pairs are taken in order, depth first, from an explicit
+        stack: each is dereferenced when reached, once the alternatives
+        before it are undone."""
         pairs = [(a, b)]
         while pairs:
             a, b = pairs.pop()
             a = self.deref(a)
             b = self.deref(b)
-            if isinstance(a, Struct) and isinstance(b, Struct) and a.key == b.key:
+            if a.__class__ is Struct and b.__class__ is Struct and a.key == b.key:
                 pairs += zip(reversed(a.args), reversed(b.args))
                 continue
+            if b.__class__ is Var:
+                a, b = b, a
             m = self.mark()
-            if self._neq(a, b):
+            if a.__class__ is not Var:
+                ok = a != b  # different constants or shapes are never equal
+            elif b.__class__ is Var:
+                # No information to tell two unbound variables apart: this branch
+                # just fails and lets a later alternative decide constructively.
+                ok = False
+            elif b.__class__ is Struct and not b.arith and self.dom.get(a.id) is RATIONAL:
+                ok = True  # a rational never equals a structure
+            elif (g := self._resolved((b,), True)) is not None:
+                ok = self._exclude(a, g)
+            elif self._occurs(a.id, b):
+                ok = True  # a term strictly containing the variable never equals it
+            else:
+                sa, sb = format_terms(self.resolve(a), self.resolve(b))
+                raise SolverError(
+                    "nonground_disequality",
+                    f"{sa} \\= {sb} needs a ground right-hand side",
+                )
+            if ok:
+                self.det = not pairs
                 yield
             self.undo_to(m)
 
-    def _neq(self, a, b) -> bool:
-        """Record a \\= b for dereferenced terms that are not structures of
-        one functor; False when it fails."""
-        if isinstance(b, Var):
-            a, b = b, a
-        if not isinstance(a, Var):
-            return a != b  # different constants or shapes are never equal
-        if isinstance(b, Var):
-            # No information to tell two unbound variables apart: this branch
-            # just fails and lets a later alternative decide constructively.
-            return False
-        if isinstance(b, Struct) and not b.arith and self.dom.get(a.id) is RATIONAL:
-            return True  # a rational never equals a structure
-        g = self._ground_args((b,))
-        if g is not None:
-            return self._exclude(a, g)
-        if self._occurs(a.id, b):
-            return True  # a term strictly containing the variable never equals it
-        sa, sb = format_terms(self.resolve(a), self.resolve(b))
-        raise SolverError(
-            "nonground_disequality",
-            f"{sa} \\= {sb} needs a ground right-hand side",
-        )
-
     # -- linear constraints ------------------------------------------------------
 
-    def _contains_arith(self, t):
-        t = self.deref(t)
-        if isinstance(t, Struct):
-            if t.arith:
-                return True
-            if not t.ground:
-                for a in t.args:
-                    if self._contains_arith(a):
-                        return True
-        return False
-
     def _numericish(self, t):
-        t = self.deref(t)
-        if isinstance(t, Const):
-            return t.is_number
-        return isinstance(t, Var) and self.dom.get(t.id) is RATIONAL
+        """Is a resolved term a number or a rational variable?"""
+        return t.is_number or (t.__class__ is Var and self.dom.get(t.id) is RATIONAL)
 
     def _assert_linear(self, op, l, r) -> bool:
-        """Conjoin l op r with the rational store, binding each variable it
-        fixes.  Each variable it mentions becomes rational first, bringing
-        its exclusions into the store."""
-        l, r = self._resolved((l, r), False)
+        """Conjoin l op r, two resolved terms, with the rational store,
+        binding each variable it fixes.  Each variable it mentions becomes
+        rational first, bringing its exclusions into the store."""
         for v in term_vars(l) + term_vars(r):
             d = self.dom.get(v.id)
             if d is not RATIONAL:
@@ -547,8 +559,9 @@ class Engine:
 
     def solve_constraint(self, c: CmpLit):
         m = self.mark()
-        op, l, r = c.op, c.lhs, c.rhs
-        arith = op in ("=", "\\=") and (self._contains_arith(l) or self._contains_arith(r))
+        op = c.op
+        l, r = self._resolved((c.lhs, c.rhs), False)
+        arith = l.arith or r.arith
         if op == "=" and not arith:
             ok = self.unify(l, r)
             owed = self._take_owed()
@@ -558,12 +571,7 @@ class Engine:
                 self.det = True
                 yield
         elif op == "\\=" and not arith and not (self._numericish(l) and self._numericish(r)):
-            a, b = self.deref(l), self.deref(r)
-            if isinstance(a, Struct) and isinstance(b, Struct) and a.key == b.key:
-                yield from self.assert_neq_term(a, b)  # one alternative per argument
-            elif self._neq(a, b):
-                self.det = True
-                yield
+            yield from self.assert_neq_term(l, r)
         elif self._assert_linear(op, l, r):
             self.det = True
             yield
@@ -633,7 +641,7 @@ class Engine:
         info = self.cp.pred_info[goal.pred]
         kind, marker = info.kind, info.marker
         n = len(goal.args)
-        gkey = self.call_gkey = self._ground_args(goal.args)
+        gkey = self.call_gkey = self._resolved(goal.args, True)
         # Contradiction with an ancestor: the same user atom in the opposite
         # polarity that could be the very instance being evaluated.
         comp = None
@@ -809,13 +817,13 @@ class Engine:
             # The hidden head unifications run before the frame is pushed,
             # so a clause whose head does not match costs no frame.
             for _ in self._conj(self.solve_constraint, body[:hide]) if hide else _ONCE:
-                # The last clause's alternative is the call's last unless its
-                # hidden `=` goals paid owed disequalities, which may branch.
+                # The last clause's alternative is the call's last once its
+                # hidden `=` goals took their last (an owed payment branches).
                 self.det = rule is last and (self.det or not hide)
                 m = self.mark()
                 # A ground key never changes: only a call that was not
                 # ground may have become ground since.
-                fr.gkey = self._ground_args(goal.args) if gkey is None else gkey
+                fr.gkey = self._resolved(goal.args, True) if gkey is None else gkey
                 trail.append(("atom", goal, fr))
                 self._push(fr)
                 yield body[hide:] + ((goal, fr),)
@@ -823,7 +831,7 @@ class Engine:
 
     def _register_proved(self, goal: Lit, gkey):
         if gkey is None:
-            gkey = self._ground_args(goal.args)
+            gkey = self._resolved(goal.args, True)
         pk = None if gkey is None else (goal.pred, gkey)
         self.proved.setdefault(goal.key, []).append(goal.args)
         if pk is None:

@@ -44,7 +44,7 @@ from bisect import insort
 from fractions import Fraction
 
 from .errors import SolverError
-from .terms import ARITH_OPS, Const, Struct, Var, format_terms
+from .terms import ARITH_OPS, Var, format_terms
 
 __all__ = [
     "LinearStore", "OP_TEXT", "complement", "form_of", "form_const",
@@ -137,35 +137,45 @@ def form_apply(a: tuple, subst: dict) -> tuple:
 def form_of(t):
     """Linear form of a resolved term; None when it mentions non-numeric
     data.  A product of two unknowns, or a division by one or by zero,
-    raises nonlinear_constraint."""
-    if isinstance(t, Const):
-        return form_const(t.value) if t.is_number else None
-    if isinstance(t, Var):
-        return form_var(t.id)
-    if not (isinstance(t, Struct) and t.functor in ARITH_OPS and len(t.args) == 2):
-        return None
-    lf = form_of(t.args[0])
-    rf = form_of(t.args[1])
-    if lf is None or rf is None:
-        return None
-    if t.functor == "+":
-        return form_add(lf, rf)
-    if t.functor == "-":
-        return form_sub(lf, rf)
-    if t.functor == "*":
-        if not lf[1]:
-            return form_scale(rf, lf[0])
-        if not rf[1]:
-            return form_scale(lf, rf[0])
-        raise SolverError(
-            "nonlinear_constraint", f"product of two unknowns in {format_terms(t)[0]}"
-        )
-    if rf[1] or rf[0] == 0:
-        raise SolverError(
-            "nonlinear_constraint",
-            f"division by a non-constant or zero in {format_terms(t)[0]}",
-        )
-    return form_scale(lf, _F1 / rf[0])
+    raises nonlinear_constraint.  The term is walked with an explicit
+    stack, in post-order: both operands are read, left first, before their
+    operator applies, even when one of them is None."""
+    if not t.arith:  # no operator to apply
+        return form_var(t.id) if t.__class__ is Var else form_const(t.value) if t.is_number else None
+    todo, forms = [t], []
+    while todo:
+        t = todo.pop()
+        cls = t.__class__
+        if cls is tuple:  # an operator whose operands' forms are on top
+            t = t[0]
+            rf = forms.pop()
+            lf = forms.pop()
+            if lf is None or rf is None:
+                forms.append(None)
+            elif t.functor == "+":
+                forms.append(form_add(lf, rf))
+            elif t.functor == "-":
+                forms.append(form_sub(lf, rf))
+            elif t.functor == "*":
+                if lf[1] and rf[1]:
+                    raise SolverError(
+                        "nonlinear_constraint", f"product of two unknowns in {format_terms(t)[0]}"
+                    )
+                forms.append(form_scale(rf, lf[0]) if not lf[1] else form_scale(lf, rf[0]))
+            elif rf[1] or rf[0] == 0:
+                raise SolverError(
+                    "nonlinear_constraint",
+                    f"division by a non-constant or zero in {format_terms(t)[0]}",
+                )
+            else:
+                forms.append(form_scale(lf, _F1 / rf[0]))
+        elif cls is Var:
+            forms.append(form_var(t.id))
+        elif t.arith and t.functor in ARITH_OPS and len(t.args) == 2:
+            todo += ((t,), t.args[1], t.args[0])
+        else:
+            forms.append(form_const(t.value) if t.is_number else None)
+    return forms[0]
 
 
 def complement(op: str):

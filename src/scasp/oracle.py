@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import SolverError
-from .terms import CmpLit, Const, Forall, Lit, Program, Struct, Var, format_term
+from .terms import CmpLit, Forall, Program, Struct, format_term, goal_vars, rename_terms
 
 __all__ = ["GroundProgram", "ground", "stable_models"]
 
@@ -32,48 +32,15 @@ class GroundProgram:
 
 
 def _term_constants(t, out):
-    if isinstance(t, Const):
-        out.add(t)
-    elif isinstance(t, Struct):
-        if any(_has_var(a) for a in t.args):
-            for a in t.args:
-                _term_constants(a, out)
-        else:
-            out.add(t)  # a ground structure acts as one opaque constant
-
-
-def _has_var(t):
-    if isinstance(t, Var):
-        return True
-    if isinstance(t, Struct):
-        return any(_has_var(a) for a in t.args)
-    return False
-
-
-def _rule_vars(rule, out):
-    def term(t):
-        if isinstance(t, Var):
-            if t.id not in out:
-                out[t.id] = t
-        elif isinstance(t, Struct):
-            for a in t.args:
-                term(a)
-
-    for g in ([rule.head] if rule.head else []) + list(rule.body):
-        if isinstance(g, Lit):
-            for a in g.args:
-                term(a)
-        else:
-            term(g.lhs)
-            term(g.rhs)
-
-
-def _subst(t, env):
-    if isinstance(t, Var):
-        return env[t.id]
-    if isinstance(t, Struct):
-        return Struct(t.functor, tuple(_subst(a, env) for a in t.args))
-    return t
+    """Add a term's constants to out; a ground structure acts as one opaque
+    constant."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if t.ground:
+            out.add(t)
+        elif t.__class__ is Struct:
+            todo += t.args
 
 
 def ground(program: Program, max_atoms: int = 20, max_instances: int = 200_000) -> GroundProgram:
@@ -96,9 +63,10 @@ def ground(program: Program, max_atoms: int = 20, max_instances: int = 200_000) 
     ground_rules = []
     budget = max_instances
     for rule in program.rules:
-        vs = {}
-        _rule_vars(rule, vs)
-        vids = list(vs)
+        found, seen = [], set()
+        for g in ([rule.head] if rule.head else []) + list(rule.body):
+            goal_vars(g, found, seen)
+        vids = [v.id for v in found]
         if vids and not constants:
             raise SolverError(
                 "unsafe_rule",
@@ -112,10 +80,10 @@ def ground(program: Program, max_atoms: int = 20, max_instances: int = 200_000) 
             env = dict(zip(vids, combo))
             head = None
             if rule.head is not None:
-                head = (rule.head.pred, tuple(_subst(a, env) for a in rule.head.args))
+                head = (rule.head.pred, rename_terms(rule.head.args, env))
             pos, neg = [], []
             for g in rule.body:
-                atom = (g.pred, tuple(_subst(a, env) for a in g.args))
+                atom = (g.pred, rename_terms(g.args, env))
                 (neg if g.neg else pos).append(atom)
             ground_rules.append(GroundRule(head, tuple(pos), tuple(neg)))
     universe = []

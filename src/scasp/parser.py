@@ -235,7 +235,7 @@ class _Parser:
 
     def _fold(self, op, l, r, at):
         """l op r, folded when both are numbers; at is r's first token."""
-        if isinstance(l, Const) and l.is_number and isinstance(r, Const) and r.is_number:
+        if l.is_number and r.is_number:
             if op == "/":
                 if r.value == 0:
                     self.error("division by zero", at)

@@ -33,10 +33,6 @@ __all__ = ["TOP", "view_conj", "dual", "add", "lin_canon", "lin_view"]
 TOP = ("top",)  # the view that says nothing about the variable
 
 
-def _is_num(t) -> bool:
-    return isinstance(t, Const) and t.is_number
-
-
 def lin_view(store, vid):
     """The view of one variable the rational store does not fix: its
     projection, already canonical."""
@@ -74,14 +70,14 @@ def view_conj(a, b):
         if other[0] == "neq":
             return None if t in other[1] else eqv
         # other is 'lin': only a rational can satisfy rational constraints
-        if not _is_num(t):
+        if not t.is_number:
             return None
         return lin_canon(list(other[1]) + [("=", t.value)])
     if a[0] == "neq" and b[0] == "neq":
         return ("neq", a[1] | b[1])
     if a[0] == "neq" or b[0] == "neq":
         neqv, linv = (a, b) if a[0] == "neq" else (b, a)
-        extra = [("!=", t.value) for t in neqv[1] if _is_num(t)]
+        extra = [("!=", t.value) for t in neqv[1] if t.is_number]
         # Non-numeric exclusions are vacuous for a rational-constrained variable.
         return lin_canon(list(linv[1]) + extra)
     return lin_canon(list(a[1]) + list(b[1]))
@@ -93,9 +89,9 @@ def dual(view):
         return []
     if view[0] == "eq":
         t = view[1]
-        if _is_num(t):
+        if t.is_number:
             return [("lin", (("!=", t.value),))]
-        if isinstance(t, Const) or t.ground:
+        if t.ground:
             return [("neq", frozenset((t,)))]
         raise SolverError(
             "nonground_disequality",

@@ -46,6 +46,7 @@ def fresh_var(name: str = "_") -> "Var":
 class Var:
     __slots__ = ("id", "name")
     __match_args__ = ("id", "name")
+    ground = arith = is_number = False  # every term answers these three
 
     def __init__(self, id: int, name: str = "_"):
         self.id = id
@@ -69,6 +70,7 @@ class Var:
 class Const:
     __slots__ = ("value", "is_number", "_hash")
     __match_args__ = ("value",)
+    ground, arith = True, False
 
     def __init__(self, value: Union[str, Fraction]):
         self.value = value
@@ -107,6 +109,7 @@ class Struct:
 
     __slots__ = ("functor", "args", "key", "ground", "arith", "_hash", "_text")
     __match_args__ = ("functor", "args")
+    is_number = False
 
     def __init__(self, functor: str, args: tuple):
         self.functor = functor
@@ -115,11 +118,8 @@ class Struct:
         ground = True
         arith = functor in ARITH_OPS and len(args) == 2
         for a in args:
-            if isinstance(a, Struct):
-                ground = ground and a.ground
-                arith = arith or a.arith
-            elif isinstance(a, Var):
-                ground = False
+            ground = ground and a.ground
+            arith = arith or a.arith
         self.ground = ground
         self.arith = arith
         self._hash = hash((functor, args))
@@ -302,30 +302,45 @@ def term_vars(t: Term, acc=None, seen=None):
     """Variables of a term in first-occurrence order."""
     if acc is None:
         acc, seen = [], set()
-    if isinstance(t, Var):
+    if t.__class__ is Var:  # a variable or a ground term, the common cases, takes no walk
         if t.id not in seen:
             seen.add(t.id)
             acc.append(t)
-    elif isinstance(t, Struct) and not t.ground:
-        for a in t.args:
-            term_vars(a, acc, seen)
-    return acc
+        return acc
+    return acc if t.ground else _vars_of(t.args, acc, seen)
 
 
 def goal_vars(g: Goal, acc=None, seen=None):
     """Variables of a goal in first-occurrence order."""
     if acc is None:
         acc, seen = [], set()
-    if isinstance(g, Lit):
-        for a in g.args:
-            term_vars(a, acc, seen)
-    elif isinstance(g, CmpLit):
-        term_vars(g.lhs, acc, seen)
-        term_vars(g.rhs, acc, seen)
-    else:
+    while isinstance(g, Forall):
         term_vars(g.var, acc, seen)
-        goal_vars(g.goal, acc, seen)
-    return acc
+        g = g.goal
+    return _vars_of((g.lhs, g.rhs) if isinstance(g, CmpLit) else g.args, acc, seen)
+
+
+def _vars_of(ts: tuple, acc: list, seen: set) -> list:
+    """Add the variables of a tuple of terms not in seen to acc, in
+    first-occurrence order, walking each structure with an explicit stack."""
+    stack = None  # iterators over the arguments of the structures entered
+    it = iter(ts)
+    while True:
+        for a in it:
+            if a.__class__ is Var:
+                if a.id not in seen:
+                    seen.add(a.id)
+                    acc.append(a)
+            elif not a.ground:
+                if stack is None:
+                    stack = []
+                stack.append(it)
+                it = iter(a.args)
+                break
+        else:
+            if not stack:
+                return acc
+            it = stack.pop()
 
 
 def rename_term(t: Term, mapping: dict) -> Term:

@@ -1,6 +1,8 @@
 """Shared utilities for the test suite."""
 
 import importlib.util
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -24,6 +26,24 @@ def perfbench_module(name, monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
+
+
+def run_child(*args, code=None, limit=None, env=(), timeout=300):
+    """Run `python -m scasp.cli args` in a child process, or `python -c code
+    args`, with src on PYTHONPATH and env's variables added, so that a crash
+    of the interpreter fails the caller alone.  With a limit, the CLI runs
+    under that recursion limit, set after scasp is imported.  Returns the
+    completed process, its output as text."""
+    if limit is not None:
+        code = (
+            "import sys\nfrom scasp.cli import main\n"
+            f"sys.setrecursionlimit({limit})\nsys.exit(main())\n"
+        )
+    cmd = ["-m", "scasp.cli"] if code is None else ["-c", code]
+    return subprocess.run(
+        [sys.executable, *cmd, *map(str, args)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), **dict(env)}, timeout=timeout,
+    )
 
 
 def compiled(text):

@@ -5,10 +5,8 @@ import importlib.util
 import itertools
 import json
 import json.scanner
-import os
 import pickle
 import re
-import subprocess
 import sys
 import time
 import types
@@ -36,12 +34,23 @@ from scasp.terms import (
     Struct,
     Var,
     format_term,
+    format_terms,
     fresh_var,
     rename_goal,
     rename_term,
+    term_vars,
 )
 
-from helpers import alpha_eq_term, answers, binding, compiled, engine_for, num, perfbench_module
+from helpers import (
+    alpha_eq_term,
+    answers,
+    binding,
+    compiled,
+    engine_for,
+    num,
+    perfbench_module,
+    run_child,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -553,7 +562,7 @@ def _apply_step(e, step):
 
 
 def _variant_by_scan(e, args):
-    gkey = e._ground_args(args)
+    gkey = e._resolved(args, True)
     if gkey is not None and ("p", gkey) in e._proved_keys:
         return True
     return any(e._variant_args(args, entry[0]) for entry in e._proved_open.get(("p", 2), ()))
@@ -582,7 +591,7 @@ def test_proved_lookup_agrees_with_a_scan_of_every_entry(steps, calls, back):
         for args in calls:
             if isinstance(args, int):
                 args = registered[args % len(registered)]
-            gkey = e._ground_args(args)
+            gkey = e._resolved(args, True)
             assert e._proved_variant(("p", 2), args, gkey) == _variant_by_scan(e, args)
 
 
@@ -689,7 +698,8 @@ def test_countdown_store_does_not_grow_with_the_count(monkeypatch):
 def test_deep_ground_argument_is_shared_not_copied(monkeypatch):
     # nat(s^200(z)) renames one s(X) per call; ground keys, frames, the
     # registry and the answer snapshot share the query's term, and the
-    # occurs check and the arithmetic test step over it without a walk.
+    # occurs check and the resolving of each hidden `=` step over it
+    # without a walk.
     cp = compiled("nat(z). nat(s(X)) :- nat(X).")
     query = parse_query("?- nat(" + "s(" * 200 + "z" + ")" * 200 + ").")
     built, walked = [], []
@@ -706,7 +716,7 @@ def test_deep_ground_argument_is_shared_not_copied(monkeypatch):
         return step
 
     monkeypatch.setattr(Struct, "__init__", counting_init)
-    for name in ("_occurs", "_contains_arith"):
+    for name in ("_occurs", "_resolved"):
         monkeypatch.setattr(Engine, name, counting(getattr(Engine, name)))
     (ans,) = Engine(cp).run_query(query)
     assert len(ans.model) == 202
@@ -759,13 +769,13 @@ def test_a_disequality_between_deep_structures_keeps_the_python_stack_flat(monke
     # s^n(A) \= s^n(b) has one alternative, A \= b, reached through n
     # argument pairs without nesting a generator per pair.
     depths = []
-    orig = Engine._neq
+    orig = Engine._exclude
 
-    def measuring(self, a, b):
+    def measuring(self, var, terms):
         depths.append(_stack_depth())
-        return orig(self, a, b)
+        return orig(self, var, terms)
 
-    monkeypatch.setattr(Engine, "_neq", measuring)
+    monkeypatch.setattr(Engine, "_exclude", measuring)
     for n in (10, 2000):
         e, x = engine_for(), fresh_var("A")
         a, b = x, Const("b")
@@ -775,23 +785,211 @@ def test_a_disequality_between_deep_structures_keeps_the_python_stack_flat(monke
     assert depths[0] == depths[1]
 
 
-def test_the_dual_of_a_call_with_a_deep_argument_answers_through_the_cli(tmp_path):
-    # In a child process, so that a crash of the interpreter fails this test
-    # alone.  not r(...) runs a forall whose goal holds the 2,000-deep
-    # argument, and each of its pieces renames that goal.
-    path = tmp_path / "dual.pl"
-    path.write_text(
-        "r(X) :- t(X, Y).\n"
-        "t(X, Y) :- Y .>. 0, u(X).\n"
-        "?- not r(" + "s(" * 2000 + "Z" + ")" * 2000 + ").\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run(
-        [sys.executable, "-m", "scasp.cli", str(path), "--no-just", "--no-model"],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
-    assert "Z = A ? " in done.stdout
+def _deep(inner, n=2000):
+    return "s(" * n + inner + ")" * n
+
+
+@pytest.mark.parametrize("json_lines", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        # not r(...) runs a forall whose goal holds the 2,000-deep argument,
+        # and each of its pieces renames that goal.
+        (
+            "r(X) :- t(X, Y).\nt(X, Y) :- Y .>. 0, u(X).\n?- not r(" + _deep("Z") + ").\n",
+            ("Z = A ? ", '"bindings": {"Z": "A"}'),
+        ),
+        # The disequality resolves both sides, then walks 2,000 argument pairs.
+        (
+            "p(X) :- X \\= " + _deep("b") + ".\n?- p(" + _deep("A") + ").\n",
+            ("A = {A.\\=.[b]} ? ", '"bindings": {"A": "{A.\\\\=.[b]}"}'),
+        ),
+        # A linear form 3,000 operators deep.
+        (
+            "p(X,Y) :- X .=. " + "+".join(["Y"] * 3000) + ", Y .>. 0.\n?- p(X, Y).\n",
+            ("X = {A.>.0},\nY = {B.>.0} ? ", '"bindings": {"X": "{A.>.0}", "Y": "{B.>.0}"}'),
+        ),
+    ],
+    ids=["dual", "disequality", "sum"],
+)
+def test_a_deep_term_answers_through_the_cli_under_the_default_recursion_limit(
+    tmp_path, text, want, json_lines
+):
+    # No term walk of the solver recurses: the CLI answers with the
+    # interpreter's default recursion limit put back after import.
+    path = tmp_path / "deep.pl"
+    path.write_text(text)
+    flags = ["--json-lines"] if json_lines else []
+    done = run_child(path, "--no-just", "--no-model", *flags, limit=1000)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert want[json_lines] in done.stdout
+
+
+# -- the term walks against recursive references ------------------------------
+#
+# Each walk of the engine is one explicit-stack loop; these references are
+# the plain recursive walks they replaced, for small terms.
+
+
+def _resolved_ref(e, args, ground, memo=None):
+    out = None
+    for i, a in enumerate(args):
+        t = e.deref(a)
+        if isinstance(t, Var):
+            if ground:
+                return None
+        elif isinstance(t, Struct) and not t.ground:
+            r = memo.get(id(t)) if memo is not None else None
+            if r is None:
+                sub = _resolved_ref(e, t.args, ground, memo)
+                if sub is None:
+                    return None
+                r = t if sub is t.args else Struct(t.functor, sub)
+                if memo is not None:
+                    memo[id(t)] = r
+            t = r
+        if out is None:
+            if t is a:
+                continue
+            out = list(args[:i])
+        out.append(t)
+    return args if out is None else tuple(out)
+
+
+def _unify_ref(e, a, b):
+    a, b = e.deref(a), e.deref(b)
+    if isinstance(a, Var):
+        return (isinstance(b, Var) and a.id == b.id) or e._bind(a, b)
+    if isinstance(b, Var):
+        return e._bind(b, a)
+    if isinstance(a, Struct) and isinstance(b, Struct) and a.key == b.key:
+        if a.ground and b.ground:
+            return a == b
+        return all(_unify_ref(e, x, y) for x, y in zip(a.args, b.args))
+    return isinstance(a, Const) and isinstance(b, Const) and a == b
+
+
+def _form_ref(t):
+    if isinstance(t, Const):
+        return linear.form_const(t.value) if t.is_number else None
+    if isinstance(t, Var):
+        return linear.form_var(t.id)
+    if not (t.functor in ("+", "-", "*", "/") and len(t.args) == 2):
+        return None
+    lf, rf = _form_ref(t.args[0]), _form_ref(t.args[1])
+    if lf is None or rf is None:
+        return None
+    if t.functor == "+":
+        return linear.form_add(lf, rf)
+    if t.functor == "-":
+        return linear.form_sub(lf, rf)
+    if t.functor == "*":
+        if not lf[1]:
+            return linear.form_scale(rf, lf[0])
+        if not rf[1]:
+            return linear.form_scale(lf, rf[0])
+        text = f"product of two unknowns in {format_terms(t)[0]}"
+        raise SolverError("nonlinear_constraint", text)
+    if rf[1] or rf[0] == 0:
+        text = f"division by a non-constant or zero in {format_terms(t)[0]}"
+        raise SolverError("nonlinear_constraint", text)
+    return linear.form_scale(lf, 1 / rf[0])
+
+
+_WALK_VARS = [fresh_var(f"W{i}") for i in range(5)]
+_WALK_LEAVES = st.one_of(
+    st.sampled_from(_WALK_VARS),
+    st.sampled_from([Const("a"), Const("b"), num(0), num(2), num(-1)]),
+)
+_WALK_TERMS = st.recursive(
+    _WALK_LEAVES,
+    lambda kids: st.one_of(
+        st.builds(lambda x: Struct("f", (x,)), kids),
+        st.builds(lambda op, x, y: Struct(op, (x, y)), st.sampled_from("g+-*/"), kids, kids),
+    ),
+    max_leaves=8,
+)
+# Variable i is bound to a term over variables after it only, so the
+# bindings have no cycle; an excluded term makes a binding owe.
+_WALK_STATE = st.tuples(
+    st.lists(st.one_of(st.none(), _WALK_TERMS), min_size=5, max_size=5),
+    st.lists(st.sampled_from([None, Const("a"), Struct("f", (Const("b"),))]), min_size=5, max_size=5),
+)
+
+
+def _walk_engine(state):
+    e = engine_for()
+    values, excluded = state
+    for i, (v, t) in enumerate(zip(_WALK_VARS, values)):
+        if t is not None and all(w.id > v.id for w in term_vars(t)):
+            e._bind_raw(v.id, t)
+        elif t is None and excluded[i] is not None:
+            e._set_dom(v.id, frozenset((excluded[i],)))
+    return e
+
+
+def _old_objects(ts, e):
+    """The ids of every structure that exists before a walk runs."""
+    ids, todo = set(), list(ts) + list(e.cells.values())
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Struct):
+            ids.add(id(t))
+            todo += t.args
+    return ids
+
+
+def _shared(t, old):
+    """The old structures a walk's result reaches, in pre-order."""
+    if not isinstance(t, Struct):
+        return []
+    if id(t) in old:
+        return [id(t)]
+    return [i for a in t.args for i in _shared(a, old)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_WALK_STATE, st.lists(_WALK_TERMS, min_size=1, max_size=3), st.booleans())
+def test_resolving_walks_as_the_recursive_reference(state, ts, ground):
+    e = _walk_engine(state)
+    ts = tuple(ts)
+    old = _old_objects(ts, e)
+    got, want = e._resolved(ts, ground), _resolved_ref(e, ts, ground)
+    assert got == want
+    if want is not None:
+        assert (got is ts) == (want is ts)
+        assert [_shared(t, old) for t in got] == [_shared(t, old) for t in want]
+    if ground:
+        return
+    memo, memo_ref = {}, {}
+    got = e._resolved(ts, False, memo)
+    assert got == _resolved_ref(e, ts, False, memo_ref)
+    assert memo.keys() == memo_ref.keys()
+    assert all(_shared(memo[k], old) == _shared(memo_ref[k], old) for k in memo)
+    # A second walk with the same memo reuses each copy it made.
+    again = e._resolved(ts, False, memo)
+    assert all(x is y for x, y in zip(again, got) if isinstance(x, Struct) and not x.ground)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_WALK_STATE, _WALK_TERMS, _WALK_TERMS)
+def test_unify_walks_as_the_recursive_reference(state, a, b):
+    e, ref = _walk_engine(state), _walk_engine(state)
+    assert e.unify(a, b) == _unify_ref(ref, a, b)
+    assert e.trail == ref.trail
+    assert e.owed == ref.owed
+
+
+@settings(max_examples=300, deadline=None)
+@given(_WALK_TERMS)
+def test_linear_forms_walk_as_the_recursive_reference(t):
+    def outcome(form_of):
+        try:
+            return form_of(t)
+        except SolverError as err:
+            return (err.code, str(err))
+
+    assert outcome(linear.form_of) == outcome(_form_ref)
 
 
 def _chain(n):
@@ -906,11 +1104,7 @@ def test_a_twenty_thousand_rule_chain_answers_through_the_cli(tmp_path):
     # alone.  The justification would print 20,000 nested levels: omit it.
     path = tmp_path / "chain.pl"
     path.write_text(_chain(20_000))
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run(
-        [sys.executable, "-m", "scasp.cli", str(path), "-q", "?- p0.", "-n", "1", "--no-just"],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    done = run_child(path, "-q", "?- p0.", "-n", "1", "--no-just")
     assert done.returncode == 0, done.stderr
     assert "p20000" in done.stdout
 
@@ -928,10 +1122,7 @@ def test_a_sixteen_thousand_deep_term_answers_through_the_api():
         "    t = Struct('s', (t,))\n"
         "print(len(list(Engine(cp).run_query(Query((Lit('nat', (t,)),))))))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
-    )
+    done = run_child(code=code)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "1\n"
 
@@ -1041,11 +1232,7 @@ def test_structures_keep_their_hash_and_flags_out_of_pickles():
     )
 
     def run(code, seed, *argv):
-        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": seed}
-        done = subprocess.run(
-            [sys.executable, "-c", build + code, *argv],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        done = run_child(*argv, code=build + code, env={"PYTHONHASHSEED": seed}, timeout=60)
         assert done.returncode == 0, done.stderr
         return done.stdout.strip()
 
@@ -1289,13 +1476,20 @@ def test_benchmark_deep_queries_pass_their_checks(monkeypatch):
     checks = perfbench_module("checks", monkeypatch)
     wl = workloads.deep(41, ROOT)
     programs = {key: compiled(text) for key, text in wl.programs.items()}
-    for q in wl.queries:
-        cp = programs[q.program]
-        got = [
-            _decode(render_answer_json(a, cp.pred_info, cp.shows))
-            for a in Engine(cp).run_query(parse_query(q.text), q.bound)
-        ]
-        assert checks.check(q.expect, got) is None, q.key
+    # Decoding recurses once per level of nesting, in C or in Python: the
+    # test raises the limit it needs, and puts the caller's back.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 20_000))
+    try:
+        for q in wl.queries:
+            cp = programs[q.program]
+            got = [
+                _decode(render_answer_json(a, cp.pred_info, cp.shows))
+                for a in Engine(cp).run_query(parse_query(q.text), q.bound)
+            ]
+            assert checks.check(q.expect, got) is None, q.key
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # -- queries and answers ---------------------------------------------------------

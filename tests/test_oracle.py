@@ -9,6 +9,8 @@ from scasp.oracle import ground, stable_models
 from scasp.parser import parse_program
 from scasp.terms import Const, Forall, Lit, Program, Rule, Struct, fresh_var
 
+from helpers import run_child
+
 
 def ga(pred, *vals):
     args = tuple(
@@ -116,3 +118,15 @@ def test_oversized_universe_is_refused():
     with pytest.raises(SolverError) as info:
         ground(parse_program("p(a,b). q(b,c). r(a)."))
     assert info.value.code == "universe_too_large"
+
+
+def test_a_deep_term_is_grounded_under_the_default_recursion_limit(tmp_path):
+    # The oracle's term walks keep explicit stacks, like the solver's: it
+    # grounds a rule over a 2,000-deep structure with the interpreter's
+    # default recursion limit put back after import.
+    deep = "s(" * 2000 + "{}" + ")" * 2000
+    path = tmp_path / "deep.pl"
+    path.write_text(f"q(X) :- p({deep.format('X')}).\np({deep.format('z')}).\nr(z).\n")
+    done = run_child(path, "--oracle", limit=1000)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.startswith("{ p(s(s(") and done.stdout.endswith("), q(z), r(z) }\n")

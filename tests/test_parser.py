@@ -1,11 +1,7 @@
 """Parsing: surface syntax to terms, rules, queries, and directives."""
 
-import os
 import pickle
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +21,7 @@ from scasp.terms import (
     list_parts,
 )
 
-from helpers import alpha_eq_rule
+from helpers import alpha_eq_rule, run_child
 
 
 def rule(text):
@@ -211,11 +207,7 @@ def test_deep_terms_parse_without_recursion():
         "q = parse_query('?- nat(' + 's(' * 16_000 + 'z' + ')' * 16_000 + ').')\n"
         "print(depth(q.goals[0].args[0]))\n"
     )
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
-    )
+    done = run_child(code=code)
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout == "60000\n16000\n"
 

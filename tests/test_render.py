@@ -1,9 +1,7 @@
 """Answer presentation: justification trees, models, bindings, JSON."""
 
 import json
-import os
 import re
-import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -20,6 +18,8 @@ from scasp.render import Renderer, render_answer, render_answer_json, _name_for
 from scasp.terms import (
     ARITH_OPS, NIL, Const, Struct, Var, format_term, fresh_var, list_parts, mk_list,
 )
+
+from helpers import run_child
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).parent / "data"
@@ -63,11 +63,7 @@ def test_showcase_output_does_not_depend_on_hash_order(program, n):
     # golden text.
     want = (DATA / "golden" / f"{program}.txt").read_text()
     for seed in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": seed}
-        done = subprocess.run(
-            [sys.executable, "-m", "scasp.cli", str(PROGRAMS / f"{program}.pl"), "-n", str(n)],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
+        done = run_child(PROGRAMS / f"{program}.pl", "-n", n, env={"PYTHONHASHSEED": seed})
         assert done.returncode == 0, done.stderr
         assert mask_time(done.stdout) == want, f"PYTHONHASHSEED={seed}"
 
@@ -157,10 +153,18 @@ def test_json_of_a_deep_justification_is_written_whole():
             out["children"] = [as_object(kid) for kid in node.children]
         return out
 
-    # The whole record as nested objects, for the pure-Python encoder.
-    obj = {**r.json_object(), "justification": [as_object(n) for n in ans.justification]}
+    # The whole record as nested objects, for the pure-Python encoder.  Both
+    # recurse once per level: the test raises the limit they need, and puts
+    # the caller's back.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 20_000))
+    try:
+        obj = {**r.json_object(), "justification": [as_object(n) for n in ans.justification]}
+        want = "".join(json.JSONEncoder().iterencode(obj))
+    finally:
+        sys.setrecursionlimit(limit)
     got = render_answer_json(ans, cp.pred_info, cp.shows)
-    assert got == "".join(json.JSONEncoder().iterencode(obj))
+    assert got == want
     assert got.count('"children"') == n
 
 
