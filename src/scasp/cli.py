@@ -5,7 +5,8 @@ embedded ``?-`` directive), and prints each answer as a justification
 tree, model, and variable bindings — or as one JSON record per answer
 with ``--json-lines``.  ``--dump-compiled`` prints the compiled program
 instead of solving; ``--oracle`` prints the stable models of a small
-ground program computed by the brute-force reference semantics.
+ground program computed by the brute-force reference semantics.  These
+three flags exclude one another.
 
 Exit codes: 0 when at least one answer was found (or ``-n 0`` exhausted
 an empty search without error), 1 when answers were requested but none
@@ -44,15 +45,17 @@ def _build_parser():
     )
     p.add_argument("--no-just", action="store_true", help="omit justification trees")
     p.add_argument("--no-model", action="store_true", help="omit models")
-    p.add_argument(
+    # Each of these picks what is printed: any two together are a usage error.
+    output = p.add_mutually_exclusive_group()
+    output.add_argument(
         "--json-lines", action="store_true",
         help="print one JSON record per answer instead of text blocks",
     )
-    p.add_argument(
+    output.add_argument(
         "--dump-compiled", action="store_true",
         help="print the compiled program (duals and consistency checks) and exit",
     )
-    p.add_argument(
+    output.add_argument(
         "--oracle", action="store_true",
         help="enumerate stable models with the brute-force ground semantics",
     )

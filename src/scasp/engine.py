@@ -10,28 +10,29 @@ Resolution is one loop (solve), run once per query, over a linked list of
 goals still to prove and a flat stack of choice points, as a WAM keeps one
 choice-point stack beside its trail.  A choice point is one goal's
 generator of alternatives: a call's generator yields, per matching clause,
-the rest of the clause's body followed by an exit step that pops the
-call's frame; a forall's yields a commit step (below); a constraint or a
-loop-check shortcut yields None, nothing left to prove.  Every generator
-obeys one rule: it undoes its previous alternative when it is resumed
-(yield, then undo_to its mark), never on close, so backtracking resumes
-the topmost choice point and dropping a search undoes nothing.  A goal's
-last alternative leaves no choice point, as a WAM's trust_me keeps none:
-the generator sets det as it yields it, and the loop drops the generator
-unresumed.  The choice point below then undoes that alternative with its
-own, since its mark lies beneath every trail entry the goal made.  Every
-constraint's last alternative is determinate this way (a `\\=` between
-structures of one functor, or an owed payment, may hold in several ways,
-one per argument pair, and the last pair's is the last), and so are
-loop-check shortcuts, foralls, and a call's last selected clause once its
-hidden head unifications take their last alternative.  Pushing and
-popping a frame are trail entries too, so an undo restores the call path
-with everything else.  The Python stack does not grow with the
-derivation: the only nesting left is a clause's hidden head unifications,
-a conjunction of constraint generators as deep as the head's arity, which
-never enters a call.  Nor does it grow with a term's depth: no term walk
-recurses.  Resolving, unifying, the occurs check, a disequality and a
-linear form each walk a term with an explicit stack, as a WAM does.
+the payments its head owes (below), the rest of the clause's body and an
+exit step that pops the call's frame; a forall's yields a commit step
+(below); `=` yields the payments it owes; any other constraint, a payment
+or a loop-check shortcut yields None, nothing left to prove.  Every
+generator obeys one rule: it undoes its previous alternative when it is
+resumed (yield, then undo_to its mark), never on close, so backtracking
+resumes the topmost choice point and dropping a search undoes nothing.  A
+goal's last alternative leaves no choice point, as a WAM's trust_me keeps
+none: the generator sets det as it yields it, and the loop drops the
+generator unresumed.  The choice point below then undoes that alternative
+with its own, since its mark lies beneath every trail entry the goal made.
+Every constraint's and payment's last alternative is determinate this way
+(a `\\=` between structures of one functor, or a payment, may hold in
+several ways, one per argument pair, and the last pair's is the last), and
+so are loop-check shortcuts, foralls, and a call's last selected clause:
+its hidden head unifications are a plain loop with no alternatives.
+Pushing and popping a frame are trail entries too, so an undo restores the
+call path with everything else.  The Python stack does not grow with the
+derivation, nor with a head's width or the disequalities a binding owes,
+since payments are goals of the loop.  Nor does it grow with a term's
+depth: no term walk recurses.  Resolving, unifying, the occurs check, a
+disequality and a linear form each walk a term with an explicit stack, as
+a WAM does.
 
 One map, dom, says which constraint domain an unbound variable lives in:
 a frozenset of excluded ground terms, or RATIONAL once any rational
@@ -57,12 +58,16 @@ unify when they are equal, binding nothing, and unequal ones mostly differ
 in hash, so unify rejects them at once.  The one way it can branch is
 binding a variable with excluded terms to a non-ground term, which owes a
 disequality per excluded term; the binding is made at once and the owed
-pairs are left in Engine.owed, for the constraint `=` and the loop check
-to pay as choice points.  A compiled head is distinct fresh
-variables, so a clause is tried without unifying its head: the renaming of
-its body maps the head's variables to the call's arguments, and any
-constants or repeated variables of the source head are matched by the
-hidden `=` goals leading the body.
+pairs are left in Engine.owed as payment steps.  `=` and a clause head
+yield them as goals of the loop, each a choice point that logs no event,
+and the loop check takes the first solution of its own from a nested
+solve.  A head pays after all its hidden `=` goals, not after each, with
+the same solutions in the same order: a payment only records exclusions,
+and it dereferences its pairs as it reaches them, depth first, left to
+right.  A compiled head is distinct fresh variables, so a clause is tried
+without unifying its head: the renaming of its body maps the head's
+variables to the call's arguments, and any constants or repeated variables
+of the source head are matched by the hidden `=` goals leading the body.
 
 The log is the trail's event entries: one (kind, goal) per step -- an
 'atom' call, a 'constraint', a 'chs' or 'proved' shortcut, a 'forall' --
@@ -145,6 +150,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import NamedTuple
 
 from . import store as store_mod
 from .compiler import CompiledProgram, first_arg_key, rewrite_query
@@ -193,28 +199,19 @@ class Answer:
         """(pred, args) pairs of the model, nmr marker excluded."""
         return [(lit.pred, lit.args) for lit in self.model if lit.pred != "nmr_check"]
 
-    def variables(self):
-        """Unbound variables by first occurrence: justification (pre-order),
-        then model, then bindings -- the order answers name them in."""
-        found, seen = [], set()
-        stack = self.justification[::-1]
-        while stack:
-            node = stack.pop()
-            goal_vars(node.goal, found, seen)
-            stack.extend(reversed(node.children))
-        for lit in self.model:
-            goal_vars(lit, found, seen)
-        for _, t in self.bindings:
-            term_vars(t, found, seen)
-        return found
 
-
-_ONCE = (None,)
 _FAIL = object()  # next() of an exhausted choice point
 _MK = attrgetter("mk")
 _SHORTCUT = {"succeed_coinductive": "chs", "succeed_proved": "proved"}
 _EVENTS = frozenset(("atom", "constraint", "chs", "proved", "forall"))  # trail tags
 RATIONAL = object()  # dom entry of a variable a rational constraint mentions
+
+
+class _Owed(NamedTuple):
+    """A payment step: the disequality t \\= x a binding owes, x ground."""
+
+    t: object
+    x: object
 
 
 class _Frame:
@@ -416,23 +413,6 @@ class Engine:
             self.owed = []
         return owed
 
-    def _conj(self, solve, items, i=0):
-        """Solutions of the conjunction of solve(item) over items[i:]
-        (i < len(items)), in order; det is left set on a solution that is
-        the last of every conjunct."""
-        if i + 1 == len(items):
-            yield from solve(items[i])
-            return
-        for _ in solve(items[i]):
-            det, self.det = self.det, False
-            for _ in self._conj(solve, items, i + 1):
-                self.det = det and self.det
-                yield
-
-    def _pay(self, owed):
-        """Solutions of the owed disequalities, in order."""
-        return self._conj(lambda pair: self.assert_neq_term(*pair), owed)
-
     def _bind(self, var, t) -> bool:
         """Bind an unbound variable to a dereferenced term, re-checking its
         accumulated constraints."""
@@ -461,7 +441,7 @@ class Engine:
             if g is None:
                 # A non-ground value owes every excluded term a disequality,
                 # which can branch: the caller pays them after unifying.
-                self.owed.extend((t, x) for x in sorted(d, key=format_term))
+                self.owed.extend(_Owed(t, x) for x in sorted(d, key=format_term))
             elif g[0] in d:
                 return False
         self._bind_raw(var.id, t)
@@ -557,24 +537,32 @@ class Engine:
 
     # -- constraint goals -------------------------------------------------------
 
+    def _equate(self, a, b) -> bool:
+        """Bind a = b once both are resolved: unify them, or conjoin them with
+        the store when a side has arithmetic.  Owed disequalities are left
+        in owed."""
+        l, r = self._resolved((a, b), False)
+        if l.arith or r.arith:
+            return self._assert_linear("=", l, r)
+        return self.unify(l, r)
+
     def solve_constraint(self, c: CmpLit):
         m = self.mark()
         op = c.op
-        l, r = self._resolved((c.lhs, c.rhs), False)
-        arith = l.arith or r.arith
-        if op == "=" and not arith:
-            ok = self.unify(l, r)
+        if op == "=":
+            ok = self._equate(c.lhs, c.rhs)
             owed = self._take_owed()
-            if ok and owed:
-                yield from self._pay(owed)
-            elif ok:
+            if ok:
+                self.det = True
+                yield owed or None  # the payments, still to prove
+        else:
+            l, r = self._resolved((c.lhs, c.rhs), False)
+            arith = l.arith or r.arith
+            if op == "\\=" and not arith and not (self._numericish(l) and self._numericish(r)):
+                yield from self.assert_neq_term(l, r)
+            elif self._assert_linear(op, l, r):
                 self.det = True
                 yield
-        elif op == "\\=" and not arith and not (self._numericish(l) and self._numericish(r)):
-            yield from self.assert_neq_term(l, r)
-        elif self._assert_linear(op, l, r):
-            self.det = True
-            yield
         self.undo_to(m)
 
     # -- loop classification ------------------------------------------------------
@@ -606,10 +594,8 @@ class Engine:
         ok = all(map(self.unify, xs, ys))
         owed = self._take_owed()
         if ok and owed:
-            for _ in self._pay(owed):
-                break  # one solution is enough
-            else:
-                ok = False
+            # The first solution of the payments is enough.
+            ok = next(self.solve(owed), _FAIL) is not _FAIL
         self.undo_to(m)
         return ok
 
@@ -711,15 +697,16 @@ class Engine:
         """Solutions of the conjunction goals: one loop over the goals still
         to prove, a linked list of (goal, rest) cells, and a stack of choice
         points, (generator of alternatives, goals after its goal).  An
-        alternative is a tuple of goals to prove first, or None.  A goal's
+        alternative is a sequence of goals to prove first, or None.  A goal's
         last alternative leaves no choice point: the generator sets det as
         it yields it, and the loop pops it, so the choice point below
         undoes the goal with its own alternative.  Besides goals, the list
-        holds two kinds of step: a call's exit step (goal, frame), and a
-        forall's commit step [piece driver, depth], whose depth is None
-        before the first piece.  The loop logs a constraint's event just
-        before it pushes the constraint's choice point, so the choice point
-        below undoes it; calls, shortcuts and foralls log their own."""
+        holds three kinds of step: a call's exit step (goal, frame), a
+        payment step _Owed(t, x), and a forall's commit step [piece driver,
+        depth], whose depth is None before the first piece.  The loop logs
+        a constraint's event just before it pushes the constraint's choice
+        point, so the choice point below undoes it; calls, shortcuts and
+        foralls log their own, and payments none."""
         todo = None
         for goal in reversed(goals):
             todo = (goal, todo)
@@ -742,6 +729,8 @@ class Engine:
                     gen = self.solve_constraint(goal)
                 elif isinstance(goal, Forall):
                     gen = self.c_forall(goal.var, goal.goal)
+                elif goal.__class__ is _Owed:  # a payment step: no event
+                    gen = self.assert_neq_term(goal.t, goal.x)
                 else:  # a forall's commit step
                     pieces, depth = goal
                     if depth is not None:
@@ -769,9 +758,10 @@ class Engine:
                     todo = (goal, todo)
 
     def solve_call(self, goal: Lit):
-        """Alternatives of a call: per matching clause, the rest of its body
-        and the exit step that pops its frame.  A shortcut's alternative
-        and the last clause's are its last (see solve)."""
+        """Alternatives of a call: per clause whose head matches, the
+        payments the match owes, the rest of its body and the exit step
+        that pops its frame.  A shortcut's alternative and the last
+        clause's are its last (see solve)."""
         rules = self.cp.rules.get(goal.key)
         trail = self.trail
         if goal.neg:
@@ -814,20 +804,24 @@ class Engine:
             mapping = {v.id: a for v, a in zip(rule.head.args, goal.args)}
             body = tuple(rename_goal(g, mapping) for g in rule.body)
             hide = rule.hide_prefix
+            m = self.mark()
             # The hidden head unifications run before the frame is pushed,
-            # so a clause whose head does not match costs no frame.
-            for _ in self._conj(self.solve_constraint, body[:hide]) if hide else _ONCE:
-                # The last clause's alternative is the call's last once its
-                # hidden `=` goals took their last (an owed payment branches).
-                self.det = rule is last and (self.det or not hide)
-                m = self.mark()
+            # so a clause whose head does not match costs no frame.  They
+            # are determinate: what their bindings owe is paid after them.
+            for c in body[:hide]:
+                if not self._equate(c.lhs, c.rhs):
+                    self.owed = []
+                    break
+            else:
+                owed = self._take_owed()
+                self.det = rule is last
                 # A ground key never changes: only a call that was not
                 # ground may have become ground since.
                 fr.gkey = self._resolved(goal.args, True) if gkey is None else gkey
                 trail.append(("atom", goal, fr))
                 self._push(fr)
-                yield body[hide:] + ((goal, fr),)
-                self.undo_to(m)
+                yield (*owed, *body[hide:], (goal, fr))
+            self.undo_to(m)
 
     def _register_proved(self, goal: Lit, gkey):
         if gkey is None:
@@ -927,8 +921,9 @@ class Engine:
         """One walk of the log builds the justification ('atom' and 'forall'
         events open a node that the matching 'exit' closes), the model
         (user atoms and chs shortcuts, first derivation first) and the
-        unbound variables in Answer.variables()'s order: the model's all
-        occur in the justification, and the bindings' come last."""
+        unbound variables in the order answers name them in, by first
+        occurrence: in the justification's pre-order, which holds all the
+        model's, then in the bindings."""
         elapsed = (time.perf_counter() - t0) * 1000.0
         memo = {}  # for this answer: the log keeps its keys alive
         pred_info = self.cp.pred_info

@@ -331,8 +331,14 @@ def test_every_ending_has_its_exit_code_and_one_line(tmp_path, capsys, monkeypat
 
 
 def test_argparse_usage_errors_exit_2(capsys):
-    # argparse prints its usage, then one error line.
-    for argv in (["--answers"], [], ["p.pl", "--no-such-flag"]):
+    # argparse prints its usage, then one error line.  Two of the flags
+    # that pick the output are an error, not one silently ignored.
+    for argv in (
+        ["--answers"], [], ["p.pl", "--no-such-flag"],
+        ["p.pl", "--oracle", "--json-lines"],
+        ["p.pl", "--oracle", "--dump-compiled"],
+        ["p.pl", "--dump-compiled", "--json-lines"],
+    ):
         rc, out, err = run(capsys, *argv)
         assert rc == 2 and out == "", argv
         assert err.startswith("usage: scasp ") and err.splitlines()[-1].startswith("scasp: error: ")

@@ -36,6 +36,7 @@ from scasp.terms import (
     format_term,
     format_terms,
     fresh_var,
+    goal_vars,
     rename_goal,
     rename_term,
     term_vars,
@@ -372,14 +373,94 @@ def test_owed_disequalities_cover_exactly_the_allowed_instances(excluded, t):
     if excluded:
         assert e.apply(("neq", frozenset(excluded)), x)
     names = [v for v in (_Y, _Z) if e._occurs(v.id, t)]
-    views = [
-        [e.dump(v) for v in names]
-        for _ in e.solve_constraint(CmpLit("=", x, t))
-    ]
+    views = [[e.dump(v) for v in names] for _ in e.solve((CmpLit("=", x, t),))]
     for values in itertools.product(_DOMAIN, repeat=len(names)):
         instance = rename_term(t, {v.id: val for v, val in zip(names, values)})
         covered = any(all(map(_allows, sol, values)) for sol in views)
         assert covered == (instance not in excluded), (instance, views)
+
+
+# References for small cases that pay owed disequalities as nested
+# generators, one Python frame level per owed pair, right after each `=`.
+# The engine pays them as goals of its one loop, and a clause head pays
+# after all its hidden `=` goals.
+
+
+def _conj_ref(solve, items, i=0):
+    """Solutions of the conjunction of solve(item) over items[i:]."""
+    if i == len(items):
+        yield
+        return
+    for _ in solve(items[i]):
+        yield from _conj_ref(solve, items, i + 1)
+
+
+def _equals_ref(e, c):
+    """Solutions of a non-arithmetic `=`: unify, then pay what it owes."""
+    m = e.mark()
+    l, r = e._resolved((c.lhs, c.rhs), False)
+    ok = e.unify(l, r)
+    owed = e._take_owed()
+    if ok:
+        yield from _conj_ref(lambda pair: e.assert_neq_term(*pair), owed)
+    e.undo_to(m)
+
+
+def _views_of(e, xs):
+    """The view of each variable left in xs, by first occurrence."""
+    found, seen = [], set()
+    for t in e._resolved(tuple(xs), False):
+        term_vars(t, found, seen)
+    return [e.dump(v) for v in found]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(
+    st.tuples(st.lists(_terms(_SYMBOLS, 2), max_size=3), _terms(_SYMBOLS + (_Y, _Z), 2)),
+    min_size=1, max_size=3,
+))
+def test_owed_disequalities_are_paid_in_the_order_of_the_nested_generators(cases):
+    # Each X_i excludes some ground terms and equals t_i, as `=` goals of
+    # Engine.solve or as a clause head's hidden `=` goals: the solutions
+    # come in the reference's order, with the same views at each.
+    xs = [fresh_var(f"X{i}") for i in range(len(cases))]
+    cp = compiled("p(" + ", ".join(format_terms(*(t for _, t in cases))) + ").")
+    rule = cp.rules[("p", len(xs))][0]
+
+    def engine():
+        e = Engine(cp)
+        for x, (excluded, _) in zip(xs, cases):
+            if excluded:
+                assert e.apply(("neq", frozenset(excluded)), x)
+        return e
+
+    goals = tuple(CmpLit("=", x, t) for x, (_, t) in zip(xs, cases))
+    e, ref = engine(), engine()
+    want = [_views_of(ref, xs) for _ in _conj_ref(lambda c: _equals_ref(ref, c), goals)]
+    assert [_views_of(e, xs) for _ in e.solve(goals)] == want
+    # The clause p(t_1, ...) renames its body with its head's variables
+    # standing for xs, as a call does.
+    mapping = {v.id: x for v, x in zip(rule.head.args, xs)}
+    hidden = tuple(rename_goal(g, mapping) for g in rule.body[: rule.hide_prefix])
+    e, ref = engine(), engine()
+    want = [_views_of(ref, xs) for _ in _conj_ref(lambda c: _equals_ref(ref, c), hidden)]
+    assert [_views_of(e, xs) for _ in e.solve((Lit("p", tuple(xs)),))] == want
+
+
+def test_owed_disequalities_are_paid_without_nesting():
+    # A loop check that meets an ancestor pays the first solution of 1,500
+    # owed disequalities under a recursion limit far below 1,500 frames.
+    e = engine_for()
+    x, y = fresh_var("X"), fresh_var("Y")
+    assert e.apply(("neq", frozenset(f(Const(f"c{i}")) for i in range(1500))), x)
+    m = e.mark()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        ok = e._unifiable_args((x,), (f(y),))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert ok and e.mark() == m and e.deref(x) is x
 
 
 # -- loops ----------------------------------------------------------------------
@@ -809,13 +890,26 @@ def _deep(inner, n=2000):
             "p(X,Y) :- X .=. " + "+".join(["Y"] * 3000) + ", Y .>. 0.\n?- p(X, Y).\n",
             ("X = {A.>.0},\nY = {B.>.0} ? ", '"bindings": {"X": "{A.>.0}", "Y": "{B.>.0}"}'),
         ),
+        # A fact whose head has 1,500 constants: as many hidden `=` goals.
+        (
+            "w(" + ", ".join(f"c{i}" for i in range(1500)) + ").\n"
+            "?- w(" + ", ".join(f"X{i}" for i in range(1500)) + ").\n",
+            ("X0 = c0,\nX1 = c1,", '"bindings": {"X0": "c0", "X1": "c1",'),
+        ),
+        # Binding X, which excludes 1,500 constants, owes 1,500 disequalities.
+        (
+            "p(X) :- " + ", ".join(f"X \\= c{i}" for i in range(1500)) + ", X = f(Y).\n"
+            "?- p(X).\n",
+            ("X = f(A) ? ", '"bindings": {"X": "f(A)"}'),
+        ),
     ],
-    ids=["dual", "disequality", "sum"],
+    ids=["dual", "disequality", "sum", "wide-head", "many-owed"],
 )
 def test_a_deep_term_answers_through_the_cli_under_the_default_recursion_limit(
     tmp_path, text, want, json_lines
 ):
-    # No term walk of the solver recurses: the CLI answers with the
+    # No term walk of the solver recurses, nor does matching a wide head or
+    # paying many owed disequalities: the CLI answers with the
     # interpreter's default recursion limit put back after import.
     path = tmp_path / "deep.pl"
     path.write_text(text)
@@ -1146,6 +1240,22 @@ def test_the_model_snapshot_walks_a_deep_proof_without_recursion():
     assert model[-1] == Lit("nmr_check")
 
 
+def _variables_by_walk(ans):
+    """Unbound variables by first occurrence: justification (pre-order),
+    then model, then bindings -- the order answers name them in."""
+    found, seen = [], set()
+    stack = ans.justification[::-1]
+    while stack:
+        node = stack.pop()
+        goal_vars(node.goal, found, seen)
+        stack.extend(reversed(node.children))
+    for lit in ans.model:
+        goal_vars(lit, found, seen)
+    for _, t in ans.bindings:
+        term_vars(t, found, seen)
+    return found
+
+
 def _model_by_walk(ans, pred_info):
     """The model as a pre-order walk of the justification lists it."""
     out, seen = [], set()
@@ -1165,13 +1275,14 @@ def _model_by_walk(ans, pred_info):
 @pytest.mark.parametrize("program, n", [("stream", 0), ("yale", 0), ("tsp", 2), ("hanoi", 2)])
 def test_one_walk_of_the_log_gives_the_documented_orders(program, n):
     # The snapshot builds tree, model and variable order in one walk of the
-    # log: the variables come in Answer.variables()'s order, and the model
-    # in the pre-order of the justification.
+    # log: the variables come in the order a walk of the justification,
+    # model and bindings finds them, and the model in the pre-order of the
+    # justification.
     cp = compiled((ROOT / "tests" / "programs" / f"{program}.pl").read_text())
     got = list(Engine(cp).run_query(cp.query, n))
     assert got
     for ans in got:
-        assert list(ans.views) == [v.id for v in ans.variables()]
+        assert list(ans.views) == [v.id for v in _variables_by_walk(ans)]
         assert ans.model == _model_by_walk(ans, cp.pred_info)
 
 
