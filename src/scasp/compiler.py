@@ -11,6 +11,7 @@ Three passes:
    per clause.  A clause's dual has one alternative per body literal: the
    positive prefix of the body up to that literal, then the literal's
    negation (comparison operators flip; `.=.` splits into `.<.` and `.>.`).
+   One pass over the body makes them all, growing the prefix as it goes.
    Variables appearing only in a clause body are universally quantified
    inside the sub-rule through a `..._body` helper predicate.  A name used
    at several arities gets its arity in the generated names (`not_p__2`).
@@ -19,27 +20,32 @@ Three passes:
    head through an odd number of negations become `chk_i` predicates built
    the same way as duals (plus a re-derivation alternative for headed
    rules), all called from `nmr_check`, which is appended to every query.
+   One pass of Tarjan's algorithm over the (predicate, parity) graph
+   finds the odd loops: a rule for h with goal `not n` is in one when
+   (n, 0) and (h, 0) share a strongly connected component.
 
 Every predicate's dual is named in `CompiledProgram.neg_of` before any rule
 is built, so each rule is built once and every body literal of the
 executable rules is a positive call: a negated user literal calls its
 dual.  `source_rules` keeps the rules as written, for dumping; one with a
 negated goal is indexed as a copy calling the duals.  The rules are
-indexed by predicate and, for user predicates, by the first argument of
-each source head (`CompiledProgram.first_arg`).  `synth_name`
-spells every generated name and returns its `PredInfo`, which is how the
-rest of the system tells a dual from a user predicate and prints it as
-`not <base>`; the reserved-name check rejects every user name that one of
-its shapes could take.
+indexed by predicate, each generated predicate where it is defined, and,
+for user predicates, by the first argument of each source head
+(`CompiledProgram.first_arg`).  `synth_name` spells every generated name
+and returns its `PredInfo`, which is how the rest of the system tells a
+dual from a user predicate and prints it as `not <base>`; the
+reserved-name check, one precompiled pattern, rejects every user name
+that one of its shapes could take.  `CompiledRule` and `PredInfo`, made
+a few times per clause, are slotted dataclasses and, like terms,
+immutable by contract: a frozen dataclass pays a setattr call per field.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
 from .errors import CompileError
@@ -87,14 +93,14 @@ _DUAL_OP = {"=": ("\\=",), "\\=": ("=",)} | {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CompiledRule:
     head: Lit
     body: tuple = ()
     hide_prefix: int = 0  # leading unification atoms hidden from justifications
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PredInfo:
     kind: str  # 'user' | 'umbrella' | 'dual' | 'chk' | 'nmr'
     base: str  # display name without the negation wrapper
@@ -145,14 +151,13 @@ def synth_name(kind, user="", arity=None, index=0, body=False):
     return ("not_" + base if neg else base), info
 
 
+# Every name a shape synth_name emits could take: RESERVED_NOTE's list.
+_RESERVED = re.compile(r"\A(?:(?:nmr_check|forall|not)\Z|not_|chk_\d)|__")
+
+
 def _is_reserved(name: str) -> bool:
     """Could name clash with a shape synth_name emits?"""
-    return (
-        name in ("nmr_check", "forall", "not")
-        or name.startswith("not_")
-        or "__" in name
-        or re.match(r"chk_\d", name) is not None
-    )
+    return _RESERVED.search(name) is not None
 
 
 def _check_goals(goals, source, free):
@@ -201,18 +206,24 @@ def normalize_rule(rule: Rule) -> CompiledRule:
     return CompiledRule(head, tuple(prefix) + rule.body, len(prefix))
 
 
-def _positive_prefix(body, upto=None):
-    """Positive user literals and comparisons before position upto."""
-    stop = len(body) if upto is None else upto
-    return [g for g in body[:stop] if isinstance(g, CmpLit) or (isinstance(g, Lit) and not g.neg)]
-
-
-def _dual_goal(goal, neg_of):
-    """The alternatives whose disjunction negates one body goal; a negated
-    call names its dual in neg_of."""
-    if isinstance(goal, Lit):
-        return [Lit(goal.pred, goal.args) if goal.neg else Lit(neg_of[goal.key], goal.args)]
-    return [CmpLit(op, goal.lhs, goal.rhs) for op in _DUAL_OP[goal.op]]
+def _clause_pieces(body, neg_of, last=None):
+    """A clause's dual alternatives, as goal tuples, in one pass: each body
+    goal negated after the positive goals before it (a negated call names
+    its dual in neg_of; a comparison gives one piece per complementary
+    operator), then, if last is given, every positive goal followed by it."""
+    pieces, prefix = [], ()
+    for goal in body:
+        if isinstance(goal, Lit):
+            if goal.neg:
+                pieces.append(prefix + (Lit(goal.pred, goal.args),))
+                continue
+            pieces.append(prefix + (Lit(neg_of[goal.key], goal.args),))
+        else:
+            pieces.extend(prefix + (CmpLit(op, goal.lhs, goal.rhs),) for op in _DUAL_OP[goal.op])
+        prefix += (goal,)
+    if last is not None:
+        pieces.append(prefix + (last,))
+    return pieces
 
 
 def _wrap_foralls(vs, goal):
@@ -221,40 +232,24 @@ def _wrap_foralls(vs, goal):
     return goal
 
 
-def _clause_pieces(body, neg_of):
-    """One negated alternative per body goal, each with its positive prefix."""
-    pieces = []
-    for j, goal in enumerate(body):
-        prefix = _positive_prefix(body, j)
-        for alt in _dual_goal(goal, neg_of):
-            pieces.append(prefix + [alt])
-    return pieces
+def _define(cp, out, head, bodies):
+    """Add a generated predicate's rules, head with each of bodies, to out
+    and to cp.rules: a generated predicate is defined in one place.  One
+    without bodies (the sub-dual of a fact with no arguments) gets no
+    entry."""
+    if bodies:
+        rules = cp.rules[head.key] = [CompiledRule(head, body) for body in bodies]
+        out.extend(rules)
 
 
-def _emit_pieces(spell, head_vars, body_vars, pieces, out, infos, allow_inline=False):
-    """Emit clauses for a dual-style predicate, quantifying body variables.
-
-    spell(body=False) is the synth_name of the predicate (or, with
-    body=True, of its helper); names and infos go into infos.  head_vars
-    are the predicate's arguments; body_vars get wrapped in forall() --
-    through the helper unless a lone single-literal alternative can sit in
-    the forall directly.  Returns the predicate's name.
-    """
-    head_name, infos[head_name] = spell()
-    head = Lit(head_name, tuple(head_vars))
-    if not body_vars:
-        for piece in pieces:
-            out.append(CompiledRule(head, tuple(piece)))
-        return head_name
-    if allow_inline and len(pieces) == 1 and len(pieces[0]) == 1:
-        out.append(CompiledRule(head, (_wrap_foralls(body_vars, pieces[0][0]),)))
-        return head_name
-    body_name, infos[body_name] = spell(body=True)
-    inner = Lit(body_name, tuple(head_vars) + tuple(body_vars))
-    out.append(CompiledRule(head, (_wrap_foralls(body_vars, inner),)))
-    for piece in pieces:
-        out.append(CompiledRule(inner, tuple(piece)))
-    return head_name
+def _define_quantified(cp, out, head, body_vars, pieces, helper):
+    """Define head by pieces with body_vars universally quantified: head
+    calls the helper predicate that helper (a synth_name pair) names inside
+    forall()s, and the helper has one rule per piece."""
+    body_name, cp.pred_info[body_name] = helper
+    inner = Lit(body_name, head.args + tuple(body_vars))
+    _define(cp, out, head, [(_wrap_foralls(body_vars, inner),)])
+    _define(cp, out, inner, pieces)
 
 
 def _clause_body_vars(head_vars, body):
@@ -262,6 +257,27 @@ def _clause_body_vars(head_vars, body):
     for goal in body:
         goal_vars(goal, found, seen)
     return found
+
+
+def _dualize(cp, key, clauses, spelled):
+    """Add the dual rules of predicate key, with normalized clauses, to cp:
+    the umbrella, then each clause's sub-dual; spelled is the arity to put
+    in the generated names, or None."""
+    name, arity = key
+    umbrella_vars = tuple([fresh_var("_") for _ in range(arity)])
+    subs = [synth_name("dual", name, spelled, i) for i in range(1, len(clauses) + 1)]
+    calls = tuple([Lit(sub, umbrella_vars) for sub, _ in subs])
+    _define(cp, cp.dual_rules, Lit(cp.neg_of[key], umbrella_vars), [calls])
+    for i, (rule, (sub, info)) in enumerate(zip(clauses, subs), 1):
+        cp.pred_info[sub] = info
+        head = Lit(sub, rule.head.args)  # distinct vars after normalization
+        body_vars = _clause_body_vars(head.args, rule.body)
+        pieces = _clause_pieces(rule.body, cp.neg_of)
+        if body_vars:
+            helper = synth_name("dual", name, spelled, i, body=True)
+            _define_quantified(cp, cp.dual_rules, head, body_vars, pieces, helper)
+        else:
+            _define(cp, cp.dual_rules, head, pieces)
 
 
 def dualize_predicate(key, clauses, neg_of, multi=False):
@@ -273,18 +289,9 @@ def dualize_predicate(key, clauses, neg_of, multi=False):
     (rules, {sub-dual name: PredInfo}) with the umbrella rule first; a
     predicate without clauses gets an umbrella fact.
     """
-    name, arity = key
-    spelled = arity if multi else None
-    umbrella_vars = tuple(fresh_var("_") for _ in range(arity))
-    subs, infos, calls = [], {}, []
-    for i, rule in enumerate(clauses, 1):
-        head_vars = list(rule.head.args)  # distinct vars after normalization
-        body_vars = _clause_body_vars(head_vars, rule.body)
-        pieces = _clause_pieces(rule.body, neg_of)
-        spell = partial(synth_name, "dual", name, spelled, i)
-        sub = _emit_pieces(spell, head_vars, body_vars, pieces, subs, infos)
-        calls.append(Lit(sub, umbrella_vars))
-    return [CompiledRule(Lit(neg_of[key], umbrella_vars), tuple(calls))] + subs, infos
+    cp = CompiledProgram(neg_of=neg_of)
+    _dualize(cp, key, clauses, key[1] if multi else None)
+    return cp.dual_rules, cp.pred_info
 
 
 def _dependency_graph(rules):
@@ -298,66 +305,106 @@ def _dependency_graph(rules):
     return adj
 
 
-def _odd_loop(adj, neg_key, head_key) -> bool:
-    """Can neg_key reach head_key through an even number of negations?"""
-    if neg_key == head_key:
-        return True
-    seen = {(neg_key, 0)}
-    queue = deque(seen)
-    while queue:
-        key, par = queue.popleft()
-        for nxt, edge in adj.get(key, ()):
-            state = (nxt, (par + edge) % 2)
-            if state in seen:
-                continue
-            if state == (head_key, 0):
-                return True
-            seen.add(state)
-            queue.append(state)
-    return False
+def _components(adj, roots):
+    """Strongly connected components of the graph on (predicate, parity)
+    nodes that adj spells, over the nodes the roots reach: node -> its
+    component's root.  An edge (p, a) -> (q, a xor 1 for a negated call, a
+    otherwise) stands for each call of q in a rule for p.  Tarjan's
+    algorithm (SIAM J. Comput. 1972), with an explicit stack."""
+
+    def successors(node):
+        key, parity = node
+        return ((nxt, parity ^ neg) for nxt, neg in adj.get(key, ()))
+
+    num, low, comp, open_nodes = {}, {}, {}, []
+    for root in roots:
+        if root in num:
+            continue
+        num[root] = low[root] = len(num)
+        open_nodes.append(root)
+        path = [(root, successors(root))]
+        while path:
+            node, todo = path[-1]
+            for nxt in todo:
+                if nxt not in num:
+                    num[nxt] = low[nxt] = len(num)
+                    open_nodes.append(nxt)
+                    path.append((nxt, successors(nxt)))
+                    break
+                if nxt not in comp:  # open: in the component being built
+                    low[node] = min(low[node], num[nxt])
+            else:
+                path.pop()
+                if path:
+                    up = path[-1][0]
+                    low[up] = min(low[up], low[node])
+                if low[node] == num[node]:
+                    while True:
+                        done = open_nodes.pop()
+                        comp[done] = node
+                        if done == node:
+                            break
+    return comp
+
+
+def _nmr_checks(cp, normalized, adj):
+    """Add to cp the chk_i rules for denials and odd-loop rules, and the
+    nmr_check rule calling them all.
+
+    A rule for h with a negated call of n is in an odd loop when n can
+    reach h through an even number of negations: when (n, 0) reaches
+    (h, 0), which holds exactly when the two share a component (n = h
+    included).  Flipping every parity maps the graph onto itself, so such
+    a path has a twin from (n, 1) to (h, 1), and the rule's own edges
+    (h, 0) -> (n, 1) and (h, 1) -> (n, 0) close the two into a cycle.
+    """
+    comp = _components(adj, [
+        (g.key, 0)
+        for rule in normalized if rule.head is not None
+        for g in rule.body if isinstance(g, Lit) and g.neg
+    ])
+    chk_calls = []
+    for rule in normalized:
+        head = rule.head
+        if head is not None and not any(
+            isinstance(g, Lit) and g.neg and comp[(g.key, 0)] == comp.get((head.key, 0))
+            for g in rule.body
+        ):
+            continue
+        idx = len(chk_calls) + 1
+        head_vars = () if head is None else head.args
+        rederive = head is not None and not any(
+            isinstance(g, Lit) and g.neg and g.key == head.key and g.args == head.args
+            for g in rule.body
+        )
+        pieces = _clause_pieces(rule.body, cp.neg_of, head if rederive else None)
+        body_vars = _clause_body_vars(head_vars, rule.body)
+        chk, cp.pred_info[chk] = synth_name("chk", index=idx)
+        chk_head = Lit(chk, head_vars)
+        if not body_vars:
+            _define(cp, cp.nmr_rules, chk_head, pieces)
+        elif len(pieces) == 1 and len(pieces[0]) == 1:
+            # A lone single-goal alternative sits in the forall directly.
+            _define(cp, cp.nmr_rules, chk_head, [(_wrap_foralls(body_vars, pieces[0][0]),)])
+        else:
+            helper = synth_name("chk", index=idx, body=True)
+            _define_quantified(cp, cp.nmr_rules, chk_head, body_vars, pieces, helper)
+        call_vars = tuple(fresh_var("_") for _ in head_vars)
+        chk_calls.append(_wrap_foralls(call_vars, Lit(chk, call_vars)))
+    nmr, cp.pred_info[nmr] = synth_name("nmr")
+    _define(cp, cp.nmr_rules, Lit(nmr), [tuple(chk_calls)])
 
 
 def generate_nmr_checks(normalized, adj, neg_of):
     """chk_i rules for denials and odd-loop rules, plus the nmr_check rule;
-    a negated call in them names its dual in neg_of.
+    adj is the rules' dependency graph, and a negated call in them names
+    its dual in neg_of.
 
     Returns (rules, {generated name: PredInfo}).
     """
-    out = []
-    infos = {}
-    chk_calls = []
-    idx = 0
-    for rule in normalized:
-        if rule.head is None:
-            constrained = True
-        else:
-            constrained = any(
-                isinstance(g, Lit) and g.neg and _odd_loop(adj, g.key, rule.head.key)
-                for g in rule.body
-            )
-        if not constrained:
-            continue
-        idx += 1
-        head_vars = list(rule.head.args) if rule.head is not None else []
-        body_vars = _clause_body_vars(head_vars, rule.body)
-        pieces = _clause_pieces(rule.body, neg_of)
-        if rule.head is not None:
-            rederive = not any(
-                isinstance(g, Lit)
-                and g.neg
-                and g.key == rule.head.key
-                and g.args == rule.head.args
-                for g in rule.body
-            )
-            if rederive:
-                pieces.append(_positive_prefix(rule.body) + [Lit(rule.head.pred, rule.head.args)])
-        spell = partial(synth_name, "chk", index=idx)
-        chk = _emit_pieces(spell, head_vars, body_vars, pieces, out, infos, allow_inline=True)
-        call_vars = [fresh_var("_") for _ in head_vars]
-        chk_calls.append(_wrap_foralls(call_vars, Lit(chk, tuple(call_vars))))
-    nmr, infos[nmr] = synth_name("nmr")
-    out.append(CompiledRule(Lit(nmr), tuple(chk_calls)))
-    return out, infos
+    cp = CompiledProgram(neg_of=neg_of)
+    _nmr_checks(cp, normalized, adj)
+    return cp.nmr_rules, cp.pred_info
 
 
 @collector_paused
@@ -369,11 +416,16 @@ def compile_program(program: Program) -> CompiledProgram:
 
     # Every predicate mentioned anywhere needs a dual, including undefined
     # ones (their negation simply holds): its keys in order of first mention.
-    pred_keys, clauses_of = {}, {}
-    for cr in normalized:
-        if cr.head is not None:
-            pred_keys[cr.head.key] = None
-            clauses_of.setdefault(cr.head.key, []).append(cr)
+    pred_keys, clauses_of, heads_of = {}, {}, {}
+    for rule, cr in zip(program.rules, normalized):
+        head = rule.head
+        if head is not None:
+            pred_keys[head.key] = None
+            if head.key in clauses_of:
+                clauses_of[head.key].append(cr)
+                heads_of[head.key].append(head)
+            else:
+                clauses_of[head.key], heads_of[head.key] = [cr], [head]
         for g in cr.body:
             if isinstance(g, Lit):
                 pred_keys[g.key] = None
@@ -393,27 +445,20 @@ def compile_program(program: Program) -> CompiledProgram:
             "umbrella", name, ar if arities[name] > 1 else None
         )
         cp.neg_of[key] = umbrella
-    for key in pred_keys:
-        rules, infos = dualize_predicate(key, clauses_of.get(key, []), cp.neg_of, arities[key[0]] > 1)
-        cp.dual_rules.extend(rules)
-        cp.pred_info.update(infos)
-    cp.nmr_rules, infos = generate_nmr_checks(normalized, _dependency_graph(normalized), cp.neg_of)
-    cp.pred_info.update(infos)
 
-    # Index the database.  Generated heads have only variable arguments, and
-    # no generated name is a user name, so a user predicate's rules are its
-    # source clauses in order and only they can carry a first-argument key.
-    keys_of = {}
-    for rule, cr in zip(program.rules, normalized):
-        if rule.head is not None:
-            cp.rules.setdefault(cr.head.key, []).append(_calling_duals(cr, cp.neg_of))
-            first = rule.head.args[0] if rule.head.args else None
-            keys_of.setdefault(rule.head.key, []).append(first_arg_key(first))
-    for cr in cp.dual_rules + cp.nmr_rules:
-        cp.rules.setdefault(cr.head.key, []).append(cr)
-    for pred, keys in keys_of.items():
-        if any(k is not None for k in keys):
-            cp.first_arg[pred] = _first_arg_entry(cp.rules[pred], keys)
+    # Index the database.  A user predicate's rules are its source clauses
+    # in order, and only they can carry a first-argument key.  Generated
+    # heads have only variable arguments and names apart from the user
+    # names; each generated predicate gets its entry where it is defined.
+    for key, clauses in clauses_of.items():
+        cp.rules[key] = clauses = [_calling_duals(cr, cp.neg_of) for cr in clauses]
+        if key[1]:
+            keys = [first_arg_key(head.args[0]) for head in heads_of[key]]
+            if any(k is not None for k in keys):
+                cp.first_arg[key] = _first_arg_entry(clauses, keys)
+    for key in pred_keys:
+        _dualize(cp, key, clauses_of.get(key, ()), key[1] if arities[key[0]] > 1 else None)
+    _nmr_checks(cp, normalized, _dependency_graph(normalized))
     return cp
 
 

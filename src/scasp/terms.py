@@ -10,6 +10,7 @@ after construction, so values derived from the fields are computed once and
 kept.  They are the inner loop of resolution, so Var, Const, Struct, Lit and
 CmpLit are slotted classes rather than dataclasses.  Two are equal when they
 are of the same class with equal fields, and hash consistently with that.
+Rule, built once per parsed clause, is a frozen slotted dataclass.
 A derived value (a key, a flag, a cached hash or text) is never pickled: a
 pickle holds the fields alone, since string hashes differ between processes.
 format_term keeps the text of a ground structure with no arithmetic functor
@@ -228,7 +229,7 @@ class Forall:
 Goal = Union[Lit, CmpLit, Forall]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rule:
     """A program clause; head None means a headless denial ':- body.'"""
 
