@@ -73,7 +73,6 @@ __all__ = [
     "CompiledProgram",
     "PredInfo",
     "compile_program",
-    "dualize_predicate",
     "generate_nmr_checks",
     "rewrite_goal",
     "check_query",
@@ -162,9 +161,11 @@ def _is_reserved(name: str) -> bool:
 
 def _check_goals(goals, source, free):
     """Reject goals (forall bodies included) that name a generated predicate,
-    at the position of source (a rule or query); free holds names already
-    found not to, and gains each name checked."""
+    and a forall goal in a rule body, at the position of source (a rule or
+    query); free holds names already found not to, and gains each name
+    checked."""
     for g in goals:
+        quantified = isinstance(g, Forall)
         while isinstance(g, Forall):
             g = g.goal
         if isinstance(g, Lit) and g.pred not in free:
@@ -174,6 +175,11 @@ def _check_goals(goals, source, free):
                     source.line, source.col, source.file,
                 )
             free.add(g.pred)
+        if quantified and isinstance(source, Rule):
+            raise CompileError(
+                "a forall goal may stand in a query, not in a rule body",
+                source.line, source.col, source.file,
+            )
 
 
 def _check_reserved(program: Program):
@@ -278,20 +284,6 @@ def _dualize(cp, key, clauses, spelled):
             _define_quantified(cp, cp.dual_rules, head, body_vars, pieces, helper)
         else:
             _define(cp, cp.dual_rules, head, pieces)
-
-
-def dualize_predicate(key, clauses, neg_of, multi=False):
-    """Dual rules for one predicate: an umbrella plus per-clause sub-duals.
-
-    clauses are normalized rules; neg_of names the umbrella of every
-    predicate they call, this one's included, and each negated call the
-    rules make calls it; multi says the name has several arities.  Returns
-    (rules, {sub-dual name: PredInfo}) with the umbrella rule first; a
-    predicate without clauses gets an umbrella fact.
-    """
-    cp = CompiledProgram(neg_of=neg_of)
-    _dualize(cp, key, clauses, key[1] if multi else None)
-    return cp.dual_rules, cp.pred_info
 
 
 def _dependency_graph(rules):

@@ -2,9 +2,13 @@
 
 A store keeps a substitution for solved equalities, normalized weak/strict
 inequalities, and held disequalities.  Satisfiability, variable bounds, and
-projection all run through Fourier-Motzkin elimination, which is exact over
-the rationals, so every constraint the solver reports has been decided
-rather than approximated.
+projection all run through one Fourier-Motzkin routine, ``_eliminate``,
+which is exact over the rationals, so every constraint the solver reports
+has been decided rather than approximated.  It eliminates every variable
+but one, and the rows left bound that one variable: its span.  A
+disequality over several variables excludes the values of a projected
+variable at which the rows force it to zero; those are read off three
+spans (``project``), never re-verified by further eliminations.
 
 A variable the store determines to one rational is handed back to the
 caller, as a CLP system hands a solved variable back to the engine:
@@ -125,12 +129,14 @@ def form_is_const(a: tuple) -> bool:
 
 
 def form_apply(a: tuple, subst: dict) -> tuple:
-    """Replace every solved variable in a form by its form in subst."""
+    """Replace every solved variable in a form by its form in subst; the
+    form itself when it mentions none."""
+    solved = [(vid, coef) for vid, coef in a[1] if vid in subst]
+    if not solved:
+        return a
     out = (a[0], tuple((v, c) for v, c in a[1] if v not in subst))
-    for vid, coef in a[1]:
-        repl = subst.get(vid)
-        if repl is not None:
-            out = form_add(out, form_scale(repl, coef))
+    for vid, coef in solved:
+        out = form_add(out, form_scale(subst[vid], coef))
     return out
 
 
@@ -222,45 +228,56 @@ def _fm_step(cons, vid):
     return rest
 
 
-def _fm_sat(cons) -> bool:
-    cons = list(cons)
+def _eliminate(cons, keep=None):
+    """Eliminate every variable of cons but keep, smallest id first; the
+    rows left, each over keep alone, or None when a contradiction shows on
+    the way.  With keep None the rows left are [] exactly when cons is
+    satisfiable."""
     while True:
         cons = _ground_split(cons)
         if cons is None:
-            return False
-        if not cons:
-            return True
+            return None
         vs = set()
         for form, _ in cons:
             vs |= form_vars(form)
+        vs.discard(keep)
+        if not vs:
+            return cons
         cons = _fm_step(cons, min(vs))
 
 
-def _bounds(cons, vid):
-    """Tightest (lower, upper) bounds on vid entailed by cons.
+def _fm_sat(cons) -> bool:
+    return _eliminate(cons) is not None
 
-    Each bound is (value, strict) or None when unbounded on that side.
-    cons must be satisfiable.
-    """
-    cons = list(cons)
-    while True:
-        cons = _ground_split(cons) or []
-        others = set()
-        for form, _ in cons:
-            others |= form_vars(form)
-        others.discard(vid)
-        if not others:
-            break
-        cons = _fm_step(cons, min(others))
+
+def _bounds(cons, vid):
+    """vid's span under cons: its tightest (lower, upper) bounds, each
+    (value, strict) or None when unbounded on that side; None when cons
+    has no solution."""
+    rows = _eliminate(cons, vid)
+    if rows is None:
+        return None
     # Every row left is over vid alone, so _tighten keeps at most one row
     # -vid + c <= 0 (vid >= c) and one row vid + c <= 0 (vid <= -c).
     lo = hi = None
-    for (c, ((_, k),)), strict in _tighten(cons):
+    for (c, ((_, k),)), strict in _tighten(rows):
         if k > 0:
             hi = (-c, strict)
         else:
             lo = (c, strict)
+    if lo and hi and (lo[0] > hi[0] or lo[0] == hi[0] and (lo[1] or hi[1])):
+        return None
     return lo, hi
+
+
+def _within(val, span):
+    """Does span, as _bounds returns it, hold val?"""
+    if span is None:
+        return False
+    lo, hi = span
+    return (not lo or val > lo[0] or val == lo[0] and not lo[1]) and (
+        not hi or val < hi[0] or val == hi[0] and not hi[1]
+    )
 
 
 def _canonical(form, strict):
@@ -416,13 +433,13 @@ class LinearStore:
             diff = form_sub(form_var(vid), sub)
             cons.append((diff, False))
             cons.append((form_neg(diff), False))
-        lo, hi = _bounds(cons, vid)
+        span = lo, hi = _bounds(cons, vid)
         excluded = set()
         for form in self.neqs:
             if form_vars(form) == {vid}:
                 excluded.add(-form[0] / form_coef(form, vid))
             else:
-                excluded |= self._forced_zero_points(cons, vid, form)
+                excluded |= _forced_zero_points(cons, vid, form, span)
         out = []
         if lo:
             out.append((">" if lo[1] or lo[0] in excluded else ">=", lo[0]))
@@ -431,42 +448,29 @@ class LinearStore:
         excluded -= {val for _, val in out}
         return out + [("!=", val) for val in sorted(excluded)]
 
-    def _forced_zero_points(self, cons, vid, form):
-        """Values of vid at which the inequalities force ``form = 0``.
 
-        Such a value is excluded by the disequality ``form != 0`` even though
-        form mentions other variables.  The forced set is finite (an interval
-        of forced values would mean form = 0 everywhere, which the store's
-        interior point rules out), and each forced value shows up as a
-        vid-bound of one of the systems {form = 0}, {form > 0}, {form < 0},
-        so those endpoints are a complete candidate list; each candidate is
-        then verified.
-        """
-        candidates = set()
-        extensions = (
-            [(form, False), (form_neg(form), False)],
-            [(form, True)],
-            [(form_neg(form), True)],
-        )
-        for extra in extensions:
-            if not _fm_sat(cons + extra):
-                continue
-            lo, hi = _bounds(cons + extra, vid)
-            if lo:
-                candidates.add(lo[0])
-            if hi:
-                candidates.add(hi[0])
-        forced = set()
-        for val in candidates:
-            point = form_sub(form_var(vid), form_const(val))
-            pinned = cons + [(point, False), (form_neg(point), False)]
-            if not _fm_sat(pinned):
-                continue  # vid cannot take this value at all; bounds cover it
-            if not _fm_sat(pinned + [(form, True)]) and not _fm_sat(
-                pinned + [(form_neg(form), True)]
-            ):
-                forced.add(val)
-        return forced
+def _forced_zero_points(cons, vid, form, span):
+    """Values of vid at which the rows cons force ``form = 0``; span is
+    vid's span I under cons.
+
+    Such a value is excluded by the disequality ``form != 0`` even though
+    form mentions other variables.  Let I+ and I- be vid's spans under cons
+    with ``form > 0`` and with ``form < 0`` added.  A value of I is forced
+    exactly when it lies in neither, so the forced values are I minus
+    (I+ | I-).  That set is finite: on an interval of forced values form
+    would vanish on an open part of the rows' solutions, and so on all of
+    them, which the store's interior point rules out.  The same point
+    gives I more than one value, so I has values beside each forced value.
+    Were the forced value an endpoint of neither I+ nor I-, both intervals
+    would keep a distance from it, and all those values would be forced
+    too.  So the endpoints of I+ and I- are the only candidates, and each
+    is tested against the three spans by interval arithmetic: two
+    eliminations in all.
+    """
+    pos = _bounds(cons + [(form_neg(form), True)], vid)
+    neg = _bounds(cons + [(form, True)], vid)
+    ends = {bound[0] for sp in (pos, neg) if sp for bound in sp if bound}
+    return {v for v in ends if _within(v, span) and not _within(v, pos) and not _within(v, neg)}
 
 
 def _solve_eq(subst, diff):
@@ -475,17 +479,10 @@ def _solve_eq(subst, diff):
     vid, coef = diff[1][0]
     rest = (diff[0], diff[1][1:])
     repl = form_scale(rest, _F1 / -coef)
+    solved = {vid: repl}
     for k, form in subst.items():
-        subst[k] = form_subst_one(form, vid, repl)
+        subst[k] = form_apply(form, solved)
     subst[vid] = repl
-
-
-def form_subst_one(form, vid, repl):
-    coef = form_coef(form, vid)
-    if coef == 0:
-        return form
-    base = (form[0], tuple((v, c) for v, c in form[1] if v != vid))
-    return form_add(base, form_scale(repl, coef))
 
 
 def _normalize(subst, ineqs, neqs):

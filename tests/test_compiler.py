@@ -331,6 +331,18 @@ def test_reserved_names_are_rejected_inside_forall_goals():
             compiler.compile_program(program)
 
 
+def test_a_forall_goal_in_a_rule_body_is_rejected_at_the_rule():
+    # Only the API builds a forall goal.  In a rule body it ended in an
+    # AttributeError while the dual was built; in a query it runs.
+    x = fresh_var("X")
+    rule = Rule(Lit("p"), (Lit("r"), Forall(x, Lit("q", (x,)))), line=3, col=1)
+    with pytest.raises(CompileError, match="rule body") as err:
+        compiler.compile_program(Program([Rule(Lit("r")), rule]))
+    assert (err.value.line, err.value.col) == (3, 1)
+    cp = compiler.compile_program(Program([Rule(Lit("q", (x,)))]))
+    assert len(list(Engine(cp).run_query(Query((Forall(x, Lit("q", (x,))),))))) == 1
+
+
 def test_arity_spelling_keeps_duals_of_distinct_predicates_apart():
     # p/1's dual (not_p__1) and p_1/1's dual (not_p_1) must stay apart.
     assert answers("p(a). p(a,b). p_1(b).", "?- not p_1(b).") == []

@@ -6,9 +6,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from scasp.linear import (
     LinearStore,
+    _bounds,
     _fm_sat,
+    _fm_step,
+    _forced_zero_points,
+    _ground_split,
     _normalize,
     _solve_eq,
+    _tighten,
     complement,
     form_add,
     form_apply,
@@ -18,6 +23,7 @@ from scasp.linear import (
     form_scale,
     form_sub,
     form_var,
+    form_vars,
 )
 
 from helpers import sat_entry
@@ -140,6 +146,39 @@ def test_projection_eliminates_middle_variables():
     assert s.project(Y) == [(">=", Fraction(1)), ("<=", Fraction(10))]
 
 
+def test_projection_excludes_a_forced_fractional_bound():
+    # At X = 3/2 the rows leave Y = 1 only, where X - Y is 1/2.
+    s = store_of(
+        ("<=", form_add(form_scale(v(X), Fraction(2)), form_scale(v(Y), Fraction(2))), c(5)),
+        (">=", v(X), c(1)),
+        (">=", v(Y), c(1)),
+        ("!=", form_sub(v(X), v(Y)), c("1/2")),
+    )
+    assert s.project(X) == [(">=", Fraction(1)), ("<", Fraction(3, 2))]
+
+
+def test_projection_excludes_a_forced_corner():
+    # At X = 2 the rows leave Y = 0 only, where X - Y is 2.
+    s = store_of(
+        ("<=", form_add(v(X), v(Y)), c(2)),
+        (">=", v(X), c(0)),
+        (">=", v(Y), c(0)),
+        ("!=", form_sub(v(X), v(Y)), c(2)),
+    )
+    assert s.project(X) == [(">=", Fraction(0)), ("<", Fraction(2))]
+
+
+def test_projection_excludes_a_forced_inner_point():
+    # X is solved as Y + Z, so X = 1 forces Y + Z - 1 = 0 inside X's span.
+    yz = form_add(v(Y), v(Z))
+    s = store_of(
+        ("=", v(X), yz),
+        (">", v(Y), c(0)), ("<", v(Y), c(2)), (">", v(Z), c(0)), ("<", v(Z), c(2)),
+        ("!=", yz, c(1)),
+    )
+    assert s.project(X) == [(">", Fraction(0)), ("<", Fraction(4)), ("!=", Fraction(1))]
+
+
 def test_entails():
     s = store_of((">", v(X), c(2)), ("<", v(X), c(4)))
     assert s.entails(">", v(X), c(1))
@@ -198,8 +237,11 @@ def test_projection_is_exact(cons):
         return
     for vid in (X, Y, Z):
         entries = s.project(vid)
-        for k in range(-5, 6):
-            val = Fraction(k)
+        # The integers, each value the projection names (a bound or an
+        # excluded point may be fractional), and the midpoints between them.
+        named = sorted({Fraction(k) for k in range(-5, 6)} | {val for _, val in entries})
+        probes = named + [(a + b) / 2 for a, b in zip(named, named[1:])]
+        for val in probes:
             admitted = s.assert_constraint("=", form_var(vid), form_const(val))
             fits = all(sat_entry(op, val, bound) for op, bound in entries)
             assert fits == (admitted is not None), (entries, val)
@@ -326,3 +368,127 @@ def test_assert_agrees_with_the_general_path(cons):
         ineqs, neqs = _normalize(subst, list(s.ineqs), list(s.neqs))
         assert (subst, tuple(ineqs), tuple(neqs)) == (s.subst, s.ineqs, s.neqs)
         values.update(det)
+
+
+# -- the elimination routines before spans, kept as the reference ---------------
+
+
+def ref_sat(cons):
+    """Satisfiability by eliminating every variable, smallest id first."""
+    cons = list(cons)
+    while True:
+        cons = _ground_split(cons)
+        if cons is None:
+            return False
+        if not cons:
+            return True
+        vs = set()
+        for form, _ in cons:
+            vs |= form_vars(form)
+        cons = _fm_step(cons, min(vs))
+
+
+def ref_bounds(cons, vid):
+    """Tightest (lower, upper) bounds on vid entailed by satisfiable cons."""
+    cons = list(cons)
+    while True:
+        cons = _ground_split(cons) or []
+        others = set()
+        for form, _ in cons:
+            others |= form_vars(form)
+        others.discard(vid)
+        if not others:
+            break
+        cons = _fm_step(cons, min(others))
+    lo = hi = None
+    for (c, ((_, k),)), strict in _tighten(cons):
+        if k > 0:
+            hi = (-c, strict)
+        else:
+            lo = (c, strict)
+    return lo, hi
+
+
+def ref_forced_zero_points(cons, vid, form):
+    """Candidates from the vid-bounds of {form = 0}, {form > 0} and
+    {form < 0}, each verified by pinning vid to it."""
+    candidates = set()
+    for extra in (
+        [(form, False), (form_neg(form), False)],
+        [(form, True)],
+        [(form_neg(form), True)],
+    ):
+        if ref_sat(cons + extra):
+            for bound in ref_bounds(cons + extra, vid):
+                if bound:
+                    candidates.add(bound[0])
+    forced = set()
+    for val in candidates:
+        point = form_sub(form_var(vid), form_const(val))
+        pinned = cons + [(point, False), (form_neg(point), False)]
+        if (
+            ref_sat(pinned)
+            and not ref_sat(pinned + [(form, True)])
+            and not ref_sat(pinned + [(form_neg(form), True)])
+        ):
+            forced.add(val)
+    return forced
+
+
+def projection_rows(s, vid):
+    """The rows project reads for vid: the inequalities, and vid's solved
+    equality as two weak rows."""
+    cons = list(s.ineqs)
+    if vid in s.subst:
+        diff = form_sub(form_var(vid), s.subst[vid])
+        cons += [(diff, False), (form_neg(diff), False)]
+    return cons
+
+
+@st.composite
+def stores_with_a_wide_disequality(draw):
+    """Constraints of which at least one is a disequality over two or more
+    variables."""
+    parts = draw(st.lists(
+        st.tuples(st.sampled_from([X, Y, Z]), st.integers(-3, 3).filter(bool)),
+        min_size=2, max_size=3, unique_by=lambda part: part[0],
+    ))
+    cons = draw(st.lists(constraint, max_size=4))
+    at = draw(st.integers(0, len(cons)))
+    return cons[:at] + [("!=", parts, draw(st.integers(-8, 8)))] + cons[at:]
+
+
+@example([
+    ("<=", [(X, 2), (Y, 2)], 5), (">=", [(X, 1)], 1), (">=", [(Y, 1)], 1),
+    ("!=", [(X, 2), (Y, -2)], 1),
+])
+@example([
+    ("<=", [(X, 1), (Y, 1)], 2), (">=", [(X, 1)], 0), (">=", [(Y, 1)], 0),
+    ("!=", [(X, 1), (Y, -1)], 2),
+])
+@example([
+    ("=", [(X, 1), (Y, -1), (Z, -1)], 0), (">", [(Y, 1)], 0), ("<", [(Y, 1)], 2),
+    (">", [(Z, 1)], 0), ("<", [(Z, 1)], 2), ("!=", [(Y, 1), (Z, 1)], 1),
+])
+@settings(max_examples=200, deadline=None)
+@given(stores_with_a_wide_disequality())
+def test_spans_agree_with_the_verified_candidates(cons):
+    """Each variable's span, and the points each disequality over several
+    variables forces, are what the reference routines find."""
+    s = _build(cons)
+    if s is None:
+        return
+    for vid in (X, Y, Z):
+        rows = projection_rows(s, vid)
+        span = _bounds(rows, vid)
+        assert span == ref_bounds(rows, vid)
+        for form in s.neqs:
+            if form_vars(form) == {vid}:
+                continue
+            for extra in ([(form, True)], [(form_neg(form), True)]):
+                ext = rows + extra
+                assert _bounds(ext, vid) == (ref_bounds(ext, vid) if ref_sat(ext) else None)
+            assert _forced_zero_points(rows, vid, form, span) == ref_forced_zero_points(
+                rows, vid, form
+            )
+
