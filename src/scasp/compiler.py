@@ -1,6 +1,6 @@
 """Compilation of programs into an executable rule database.
 
-Three passes:
+Three steps:
 
 1. Head normalization: every rule head gets distinct fresh variables, with
    the original argument terms re-established by prepended `=` atoms.  The
@@ -24,14 +24,18 @@ Three passes:
    finds the odd loops: a rule for h with goal `not n` is in one when
    (n, 0) and (h, 0) share a strongly connected component.
 
-Every predicate's dual is named in `CompiledProgram.neg_of` before any rule
-is built, so each rule is built once and every body literal of the
+One walk of the source checks its names, normalizes each head and
+collects what the passes need: the predicates, each one's clauses and
+first-argument keys, and the graph of the odd-loop search.  Every
+predicate's dual is named in `CompiledProgram.neg_of` before any rule is
+built, so each rule is built once and every body literal of the
 executable rules is a positive call: a negated user literal calls its
-dual.  `source_rules` keeps the rules as written, for dumping; one with a
-negated goal is indexed as a copy calling the duals.  The rules are
-indexed by predicate, each generated predicate where it is defined, and,
-for user predicates, by the first argument of each source head
-(`CompiledProgram.first_arg`).  `synth_name` spells every generated name
+dual.  `source_rules` are those executable rules, one per clause in
+source order, and they print as written.  `CompiledProgram.rules` is the
+one table of rules: indexed by predicate, each generated predicate where
+it is defined, and, for user predicates, by the first argument of each
+source head (`CompiledProgram.first_arg`); `dual_rules` and `nmr_rules`
+are views of its generated entries.  `synth_name` spells every generated name
 and returns its `PredInfo`, which is how the rest of the system tells a
 dual from a user predicate and prints it as `not <base>`; the
 reserved-name check, one precompiled pattern, rejects every user name
@@ -63,9 +67,11 @@ from .terms import (
     Var,
     collector_paused,
     format_goal,
+    forall_parts,
     format_rule,
     fresh_var,
     goal_vars,
+    quantified,
 )
 
 __all__ = [
@@ -73,7 +79,6 @@ __all__ = [
     "CompiledProgram",
     "PredInfo",
     "compile_program",
-    "generate_nmr_checks",
     "rewrite_goal",
     "check_query",
     "first_arg_key",
@@ -109,9 +114,7 @@ class PredInfo:
 @dataclass
 class CompiledProgram:
     rules: dict = field(default_factory=dict)  # (name, arity) -> [CompiledRule]
-    source_rules: list = field(default_factory=list)
-    dual_rules: list = field(default_factory=list)
-    nmr_rules: list = field(default_factory=list)
+    source_rules: list = field(default_factory=list)  # one per clause, in order
     pred_info: dict = field(default_factory=dict)
     neg_of: dict = field(default_factory=dict)  # (name, arity) -> dual's name
     # First-argument index of the user predicates that have a clause whose
@@ -123,6 +126,22 @@ class CompiledProgram:
     first_arg: dict = field(default_factory=dict)
     shows: set = field(default_factory=set)
     query: Optional[Query] = None
+
+    @property
+    def dual_rules(self):
+        """The umbrella and dual rules of the table, in table order."""
+        return self._generated(("umbrella", "dual"))
+
+    @property
+    def nmr_rules(self):
+        """The check rules and nmr_check of the table, in table order."""
+        return self._generated(("chk", "nmr"))
+
+    def _generated(self, kinds):
+        info = self.pred_info
+        return [
+            cr for key, rules in self.rules.items() if info[key[0]].kind in kinds for cr in rules
+        ]
 
 
 def synth_name(kind, user="", arity=None, index=0, body=False):
@@ -165,7 +184,7 @@ def _check_goals(goals, source, free):
     query); free holds names already found not to, and gains each name
     checked."""
     for g in goals:
-        quantified = isinstance(g, Forall)
+        in_forall = isinstance(g, Forall)
         while isinstance(g, Forall):
             g = g.goal
         if isinstance(g, Lit) and g.pred not in free:
@@ -175,20 +194,11 @@ def _check_goals(goals, source, free):
                     source.line, source.col, source.file,
                 )
             free.add(g.pred)
-        if quantified and isinstance(source, Rule):
+        if in_forall and isinstance(source, Rule):
             raise CompileError(
                 "a forall goal may stand in a query, not in a rule body",
                 source.line, source.col, source.file,
             )
-
-
-def _check_reserved(program: Program):
-    free = set()
-    for rule in program.rules:
-        heads = () if rule.head is None else (rule.head,)
-        _check_goals(heads + rule.body, rule, free)
-    if program.query is not None:
-        _check_goals(program.query.goals, program.query, free)
 
 
 def check_query(query: Query):
@@ -196,9 +206,10 @@ def check_query(query: Query):
     _check_goals(query.goals, query, set())
 
 
-def normalize_rule(rule: Rule) -> CompiledRule:
-    """The rule with distinct fresh variables as head arguments, re-equated
-    with the original arguments by leading `=` goals that it hides."""
+def normalize_rule(rule: Rule):
+    """(head, body, hidden): the rule with distinct fresh variables as head
+    arguments, re-equated with the original arguments by hidden leading `=`
+    goals, as many as hidden counts."""
     seen, new_args, prefix = set(), [], []
     for arg in rule.head.args if rule.head is not None else ():
         if isinstance(arg, Var) and arg.id not in seen:
@@ -209,7 +220,7 @@ def normalize_rule(rule: Rule) -> CompiledRule:
             prefix.append(CmpLit("=", v, arg))
             new_args.append(v)
     head = Lit(rule.head.pred, tuple(new_args)) if prefix else rule.head
-    return CompiledRule(head, tuple(prefix) + rule.body, len(prefix))
+    return head, tuple(prefix) + rule.body, len(prefix)
 
 
 def _clause_pieces(body, neg_of, last=None):
@@ -232,30 +243,22 @@ def _clause_pieces(body, neg_of, last=None):
     return pieces
 
 
-def _wrap_foralls(vs, goal):
-    for v in reversed(vs):
-        goal = Forall(v, goal)
-    return goal
-
-
-def _define(cp, out, head, bodies):
-    """Add a generated predicate's rules, head with each of bodies, to out
-    and to cp.rules: a generated predicate is defined in one place.  One
-    without bodies (the sub-dual of a fact with no arguments) gets no
-    entry."""
+def _define(cp, head, bodies):
+    """Add a generated predicate's rules, head with each of bodies, to
+    cp.rules: a generated predicate is defined in one place.  One without
+    bodies (the sub-dual of a fact with no arguments) gets no entry."""
     if bodies:
-        rules = cp.rules[head.key] = [CompiledRule(head, body) for body in bodies]
-        out.extend(rules)
+        cp.rules[head.key] = [CompiledRule(head, body) for body in bodies]
 
 
-def _define_quantified(cp, out, head, body_vars, pieces, helper):
+def _define_quantified(cp, head, body_vars, pieces, helper):
     """Define head by pieces with body_vars universally quantified: head
     calls the helper predicate that helper (a synth_name pair) names inside
     forall()s, and the helper has one rule per piece."""
     body_name, cp.pred_info[body_name] = helper
     inner = Lit(body_name, head.args + tuple(body_vars))
-    _define(cp, out, head, [(_wrap_foralls(body_vars, inner),)])
-    _define(cp, out, inner, pieces)
+    _define(cp, head, [(quantified(body_vars, inner),)])
+    _define(cp, inner, pieces)
 
 
 def _clause_body_vars(head_vars, body):
@@ -273,28 +276,17 @@ def _dualize(cp, key, clauses, spelled):
     umbrella_vars = tuple([fresh_var("_") for _ in range(arity)])
     subs = [synth_name("dual", name, spelled, i) for i in range(1, len(clauses) + 1)]
     calls = tuple([Lit(sub, umbrella_vars) for sub, _ in subs])
-    _define(cp, cp.dual_rules, Lit(cp.neg_of[key], umbrella_vars), [calls])
-    for i, (rule, (sub, info)) in enumerate(zip(clauses, subs), 1):
+    _define(cp, Lit(cp.neg_of[key], umbrella_vars), [calls])
+    for i, ((head, body, _), (sub, info)) in enumerate(zip(clauses, subs), 1):
         cp.pred_info[sub] = info
-        head = Lit(sub, rule.head.args)  # distinct vars after normalization
-        body_vars = _clause_body_vars(head.args, rule.body)
-        pieces = _clause_pieces(rule.body, cp.neg_of)
+        sub_head = Lit(sub, head.args)  # distinct vars after normalization
+        body_vars = _clause_body_vars(head.args, body)
+        pieces = _clause_pieces(body, cp.neg_of)
         if body_vars:
             helper = synth_name("dual", name, spelled, i, body=True)
-            _define_quantified(cp, cp.dual_rules, head, body_vars, pieces, helper)
+            _define_quantified(cp, sub_head, body_vars, pieces, helper)
         else:
-            _define(cp, cp.dual_rules, head, pieces)
-
-
-def _dependency_graph(rules):
-    adj = {}
-    for rule in rules:
-        if rule.head is None:
-            continue
-        for goal in rule.body:
-            if isinstance(goal, Lit):
-                adj.setdefault(rule.head.key, []).append((goal.key, 1 if goal.neg else 0))
-    return adj
+            _define(cp, sub_head, pieces)
 
 
 def _components(adj, roots):
@@ -339,9 +331,11 @@ def _components(adj, roots):
     return comp
 
 
-def _nmr_checks(cp, normalized, adj):
+def _nmr_checks(cp, constrained, adj, roots):
     """Add to cp the chk_i rules for denials and odd-loop rules, and the
-    nmr_check rule calling them all.
+    nmr_check rule calling them all; constrained holds the normalized
+    denials and rules with a negated goal, in source order, and adj and
+    roots are the graph and the negated calls' nodes (compile_program).
 
     A rule for h with a negated call of n is in an odd loop when n can
     reach h through an even number of negations: when (n, 0) reaches
@@ -350,81 +344,78 @@ def _nmr_checks(cp, normalized, adj):
     a path has a twin from (n, 1) to (h, 1), and the rule's own edges
     (h, 0) -> (n, 1) and (h, 1) -> (n, 0) close the two into a cycle.
     """
-    comp = _components(adj, [
-        (g.key, 0)
-        for rule in normalized if rule.head is not None
-        for g in rule.body if isinstance(g, Lit) and g.neg
-    ])
+    comp = _components(adj, roots)
     chk_calls = []
-    for rule in normalized:
-        head = rule.head
+    for head, body, _ in constrained:
         if head is not None and not any(
             isinstance(g, Lit) and g.neg and comp[(g.key, 0)] == comp.get((head.key, 0))
-            for g in rule.body
+            for g in body
         ):
             continue
         idx = len(chk_calls) + 1
         head_vars = () if head is None else head.args
         rederive = head is not None and not any(
             isinstance(g, Lit) and g.neg and g.key == head.key and g.args == head.args
-            for g in rule.body
+            for g in body
         )
-        pieces = _clause_pieces(rule.body, cp.neg_of, head if rederive else None)
-        body_vars = _clause_body_vars(head_vars, rule.body)
+        pieces = _clause_pieces(body, cp.neg_of, head if rederive else None)
+        body_vars = _clause_body_vars(head_vars, body)
         chk, cp.pred_info[chk] = synth_name("chk", index=idx)
         chk_head = Lit(chk, head_vars)
         if not body_vars:
-            _define(cp, cp.nmr_rules, chk_head, pieces)
+            _define(cp, chk_head, pieces)
         elif len(pieces) == 1 and len(pieces[0]) == 1:
             # A lone single-goal alternative sits in the forall directly.
-            _define(cp, cp.nmr_rules, chk_head, [(_wrap_foralls(body_vars, pieces[0][0]),)])
+            _define(cp, chk_head, [(quantified(body_vars, pieces[0][0]),)])
         else:
             helper = synth_name("chk", index=idx, body=True)
-            _define_quantified(cp, cp.nmr_rules, chk_head, body_vars, pieces, helper)
+            _define_quantified(cp, chk_head, body_vars, pieces, helper)
         call_vars = tuple(fresh_var("_") for _ in head_vars)
-        chk_calls.append(_wrap_foralls(call_vars, Lit(chk, call_vars)))
+        chk_calls.append(quantified(call_vars, Lit(chk, call_vars)))
     nmr, cp.pred_info[nmr] = synth_name("nmr")
-    _define(cp, cp.nmr_rules, Lit(nmr), [tuple(chk_calls)])
-
-
-def generate_nmr_checks(normalized, adj, neg_of):
-    """chk_i rules for denials and odd-loop rules, plus the nmr_check rule;
-    adj is the rules' dependency graph, and a negated call in them names
-    its dual in neg_of.
-
-    Returns (rules, {generated name: PredInfo}).
-    """
-    cp = CompiledProgram(neg_of=neg_of)
-    _nmr_checks(cp, normalized, adj)
-    return cp.nmr_rules, cp.pred_info
+    _define(cp, Lit(nmr), [tuple(chk_calls)])
 
 
 @collector_paused
 def compile_program(program: Program) -> CompiledProgram:
     """Compile a parsed program into the executable rule database."""
-    _check_reserved(program)
     cp = CompiledProgram(shows=set(program.shows), query=program.query)
-    cp.source_rules = normalized = [normalize_rule(rule) for rule in program.rules]
 
-    # Every predicate mentioned anywhere needs a dual, including undefined
-    # ones (their negation simply holds): its keys in order of first mention.
-    pred_keys, clauses_of, heads_of = {}, {}, {}
-    for rule, cr in zip(program.rules, normalized):
+    # One walk of the source checks the names, normalizes each clause and
+    # collects: the predicate keys in order of first mention (every
+    # predicate needs a dual, an undefined one too: its negation simply
+    # holds), each user predicate's clauses and first-argument keys, the
+    # clauses a check may be built for, and the (predicate, parity) graph
+    # with the nodes of the negated calls, where the odd-loop search starts.
+    free, pred_keys, clauses_of, arg_keys = set(), {}, {}, {}
+    normalized, constrained, adj, roots = [], [], {}, []
+    for rule in program.rules:
         head = rule.head
+        _check_goals(rule.body if head is None else (head,) + rule.body, rule, free)
+        clause = normalize_rule(rule)
         if head is not None:
-            pred_keys[head.key] = None
-            if head.key in clauses_of:
-                clauses_of[head.key].append(cr)
-                heads_of[head.key].append(head)
-            else:
-                clauses_of[head.key], heads_of[head.key] = [cr], [head]
-        for g in cr.body:
-            if isinstance(g, Lit):
+            key = head.key
+            pred_keys[key] = None
+            if key not in clauses_of:
+                clauses_of[key], arg_keys[key], adj[key] = [], [], []
+            clauses_of[key].append(clause)
+            arg_keys[key].append(first_arg_key(head.args[0]) if key[1] else None)
+        negated = False
+        for g in rule.body:
+            if g.__class__ is Lit:
                 pred_keys[g.key] = None
-    if program.query is not None:
-        for g in program.query.goals:
-            if isinstance(g, Lit):
-                pred_keys[g.key] = None
+                negated = negated or g.neg
+                if head is not None:
+                    adj[key].append((g.key, 1 if g.neg else 0))
+                    if g.neg:
+                        roots.append((g.key, 0))
+        normalized.append((clause, negated))
+        if head is None or negated:
+            constrained.append(clause)
+    query = program.query
+    if query is not None:
+        _check_goals(query.goals, query, free)
+        pred_keys.update(dict.fromkeys(g.key for g in query.goals if isinstance(g, Lit)))
 
     # Each dual is named before any rule is built, so every rule is built
     # once, its negated calls naming duals.
@@ -442,15 +433,20 @@ def compile_program(program: Program) -> CompiledProgram:
     # in order, and only they can carry a first-argument key.  Generated
     # heads have only variable arguments and names apart from the user
     # names; each generated predicate gets its entry where it is defined.
-    for key, clauses in clauses_of.items():
-        cp.rules[key] = clauses = [_calling_duals(cr, cp.neg_of) for cr in clauses]
-        if key[1]:
-            keys = [first_arg_key(head.args[0]) for head in heads_of[key]]
-            if any(k is not None for k in keys):
-                cp.first_arg[key] = _first_arg_entry(clauses, keys)
+    neg_of = cp.neg_of
+    for (head, body, hidden), negated in normalized:
+        if negated:
+            body = tuple([rewrite_goal(g, neg_of) for g in body])
+        cr = CompiledRule(head, body, hidden)
+        cp.source_rules.append(cr)
+        if head is not None:
+            cp.rules.setdefault(head.key, []).append(cr)
+    for key, keys in arg_keys.items():
+        if any(k is not None for k in keys):
+            cp.first_arg[key] = _first_arg_entry(cp.rules[key], keys)
     for key in pred_keys:
         _dualize(cp, key, clauses_of.get(key, ()), key[1] if arities[key[0]] > 1 else None)
-    _nmr_checks(cp, normalized, _dependency_graph(normalized))
+    _nmr_checks(cp, constrained, adj, roots)
     return cp
 
 
@@ -538,18 +534,10 @@ def rewrite_goal(goal, neg_of):
         dual = neg_of.get(goal.key) if goal.neg else None
         return goal if dual is None else Lit(dual, goal.args)
     if isinstance(goal, Forall):
-        inner = rewrite_goal(goal.goal, neg_of)
-        return goal if inner is goal.goal else Forall(goal.var, inner)
+        vs, inner = forall_parts(goal)
+        new = rewrite_goal(inner, neg_of)
+        return goal if new is inner else quantified(vs, new)
     return goal
-
-
-def _calling_duals(cr: CompiledRule, neg_of) -> CompiledRule:
-    """A source rule whose negated goals call their duals: the rule itself
-    when it has none."""
-    body = tuple(rewrite_goal(g, neg_of) for g in cr.body)
-    # Unchanged goals are the same objects, which tuple equality takes as
-    # equal without comparing them.
-    return cr if body == cr.body else CompiledRule(cr.head, body, cr.hide_prefix)
 
 
 def rewrite_query(query: Query, cp: CompiledProgram) -> Query:

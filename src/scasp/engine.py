@@ -35,7 +35,7 @@ disequality and a linear form each walk a term with an explicit stack, as
 a WAM does.
 
 One map, dom, says which constraint domain an unbound variable lives in:
-a frozenset of excluded ground terms, or RATIONAL once any rational
+a set of excluded ground terms, or RATIONAL once any rational
 constraint mentions it, whether or not the store keeps a row for it (as
 X + 1 .>. X or X .=. X leave none).  The engine hands the store resolved
 terms (LinearStore.assert_terms) and never sees a linear form.  Before an
@@ -51,6 +51,9 @@ once, the engine binds the variable at once, and the store forgets it.
 A constraint goal resolves its two sides once, and their arith flag says
 whether `=` or `\\=` goes to the store; as terms are resolved before each
 assert, the store is never handed a variable it fixed before.
+A variable's exclusions are one set of the engine's own that each `\\=`
+grows in place, trailing the terms it added for an undo to remove; dump
+hands out a frozen copy.
 
 Unification is a plain function: unify binds or reports a clash, leaving
 its bindings on the trail for the caller to undo.  Two ground structures
@@ -164,10 +167,12 @@ from .terms import (
     Query,
     Struct,
     Var,
+    forall_parts,
     format_term,
     format_terms,
     fresh_var,
     goal_vars,
+    quantified,
     rename_goal,
     term_vars,
 )
@@ -238,7 +243,7 @@ class Engine:
 
     def reset(self):
         self.cells = {}  # vid -> term
-        self.dom = {}  # vid -> frozenset of excluded ground terms, or RATIONAL
+        self.dom = {}  # vid -> set of excluded ground terms, or RATIONAL
         self.lin = LinearStore.empty()
         self.proved = {}  # (name, arity) -> [args, ...]
         self._proved_keys = {}  # (name, ground key) -> count
@@ -276,6 +281,8 @@ class Engine:
                     del self.dom[entry[1]]
                 else:
                     self.dom[entry[1]] = entry[2]
+            elif tag == "excl":
+                entry[1].difference_update(entry[2])
             elif tag == "lin":
                 self.lin = entry[1]
             elif tag == "registered":
@@ -454,7 +461,15 @@ class Engine:
         any other variable keeps them as exclusions."""
         d = self.dom.get(var.id)
         if d is not RATIONAL:
-            self._set_dom(var.id, (d or frozenset()).union(terms))
+            if d.__class__ is not set:
+                # Not yet the engine's own set (no entry, or a view's
+                # frozenset that apply set): copied once, then grown in place.
+                d = set(d or ())
+                self._set_dom(var.id, d)
+            added = [g for g in terms if g not in d]
+            if added:
+                d.update(added)
+                self.trail.append(("excl", d, added))
             return True
         for g in sorted(terms, key=format_term):
             if g.is_number and not self._assert_linear("!=", var, g):
@@ -867,7 +882,7 @@ class Engine:
             d = self.dom.get(t.id)
             if d is RATIONAL:
                 return store_mod.lin_view(self.lin, t.id)
-            return ("neq", d) if d else store_mod.TOP
+            return ("neq", frozenset(d)) if d else store_mod.TOP
         return ("eq", self.resolve(t))
 
     def c_forall(self, var: Var, goal):
@@ -964,7 +979,8 @@ class Engine:
         if isinstance(goal, CmpLit):
             lhs, rhs = self._resolved((goal.lhs, goal.rhs), False, memo)
             return CmpLit(goal.op, lhs, rhs)
-        return Forall(goal.var, self._resolve_goal(goal.goal, memo))
+        vs, inner = forall_parts(goal)
+        return quantified(vs, self._resolve_goal(inner, memo))
 
 
 def run_query(cp: CompiledProgram, query: Query, max_answers: int = 0):

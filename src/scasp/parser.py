@@ -216,25 +216,57 @@ class _Parser:
         return Lit(name, tuple(args), neg)
 
     # -- arithmetic expressions ------------------------------------------
-    # Only meaningful on the sides of a constraint operator.  first is a
-    # primary the caller has already read.
+    # Only meaningful on the sides of a constraint operator.
 
-    def parse_additive(self, first=None):
-        t = self.parse_multiplicative(first)
-        while self.peek() in ("PLUS", "MINUS"):
-            op, at = self.next(), self.pos
-            t = self._fold(op, t, self.parse_multiplicative(), at)
-        return t
+    def parse_expr(self, first=None):
+        """A constraint side: a sum of products of primaries, each operator
+        left associative and folded (_fold) as soon as its right operand is
+        read.  A primary is a term, a negated number or a parenthesized
+        side; first is one the caller has already read.  One loop reads it,
+        keeping each open parenthesis's pending sum and product on a stack,
+        so that nesting costs no Python stack."""
+        kinds, t = self.kinds, first
+        # The pending sum and product of the innermost level: each a left
+        # operand, its operator and the position of the right operand's
+        # first token, or None; outer holds the outer levels' pairs.
+        add = mul = None
+        outer = []
+        while True:
+            if t is None:
+                kind = kinds[self.pos]
+                if kind == "LPAR":
+                    self.pos += 1
+                    outer.append((add, mul))
+                    add = mul = None
+                    continue
+                if kind == "MINUS":
+                    self.pos += 1
+                    if kinds[self.pos] != "NUMBER":
+                        self.error("'-' must be followed by a number")
+                    t = Const(-self.parse_number())
+                else:
+                    t = self.parse_term()
+            if mul is not None:
+                t = self._fold(mul, t)
+            kind = kinds[self.pos]
+            if kind == "STAR" or kind == "SLASH":
+                mul, t = (t, self.next(), self.pos), None
+                continue
+            mul = None
+            if add is not None:
+                t = self._fold(add, t)
+            if kind == "PLUS" or kind == "MINUS":
+                add, t = (t, self.next(), self.pos), None
+                continue
+            if not outer:
+                return t
+            self.expect("RPAR", "')'")
+            add, mul = outer.pop()
 
-    def parse_multiplicative(self, first=None):
-        t = self.parse_unary() if first is None else first
-        while self.peek() in ("STAR", "SLASH"):
-            op, at = self.next(), self.pos
-            t = self._fold(op, t, self.parse_unary(), at)
-        return t
-
-    def _fold(self, op, l, r, at):
-        """l op r, folded when both are numbers; at is r's first token."""
+    def _fold(self, pending, r):
+        """l op r for a pending (l, op, at), folded when both are numbers;
+        at is r's first token."""
+        l, op, at = pending
         if l.is_number and r.is_number:
             if op == "/":
                 if r.value == 0:
@@ -247,20 +279,6 @@ class _Parser:
             if op == "*":
                 return Const(l.value * r.value)
         return Struct(op, (l, r))
-
-    def parse_unary(self):
-        kind = self.peek()
-        if kind == "MINUS":
-            self.pos += 1
-            if self.peek() != "NUMBER":
-                self.error("'-' must be followed by a number")
-            return Const(-self.parse_number())
-        if kind == "LPAR":
-            self.pos += 1
-            t = self.parse_additive()
-            self.expect("RPAR", "')'")
-            return t
-        return self.parse_term()
 
     # -- goals ------------------------------------------------------------
 
@@ -286,13 +304,13 @@ class _Parser:
             if self.peek() not in _EXPR_KINDS:
                 return atom
             # The atom is the left side of a constraint after all.
-            lhs = self.parse_additive(Struct(atom.pred, atom.args) if atom.args else Const(atom.pred))
+            lhs = self.parse_expr(Struct(atom.pred, atom.args) if atom.args else Const(atom.pred))
         else:
-            lhs = self.parse_additive()
+            lhs = self.parse_expr()
         if self.peek() not in _CONSTRAINT_KINDS:
             self.error("expected a constraint operator after expression")
         op = self.next()
-        return CmpLit(op, lhs, self.parse_additive())
+        return CmpLit(op, lhs, self.parse_expr())
 
     def parse_head(self):
         if self.peek() != "NAME":

@@ -32,7 +32,7 @@ __all__ = [
     "Var", "Const", "Struct", "Term", "Lit", "CmpLit", "Forall", "Goal",
     "Rule", "Query", "Program", "NIL", "ARITH_OPS", "CONSTRAINT_OPS",
     "collector_paused", "fresh_var", "mk_list", "list_parts", "term_vars",
-    "goal_vars", "rename_term", "rename_terms", "rename_goal",
+    "goal_vars", "forall_parts", "quantified", "rename_term", "rename_terms", "rename_goal",
     "format_term", "format_terms", "format_goal", "format_rule",
 ]
 
@@ -311,6 +311,24 @@ def term_vars(t: Term, acc=None, seen=None):
     return acc if t.ground else _vars_of(t.args, acc, seen)
 
 
+def forall_parts(g: Goal):
+    """The variables of a goal's nested foralls, outermost first, and the
+    goal inside them: peeled in a loop, as a dual nests one forall per
+    body variable."""
+    vs = []
+    while isinstance(g, Forall):
+        vs.append(g.var)
+        g = g.goal
+    return vs, g
+
+
+def quantified(vs, g: Goal) -> Goal:
+    """g inside a forall of each of vs, the first outermost."""
+    for v in reversed(vs):
+        g = Forall(v, g)
+    return g
+
+
 def goal_vars(g: Goal, acc=None, seen=None):
     """Variables of a goal in first-occurrence order."""
     if acc is None:
@@ -384,7 +402,9 @@ def rename_goal(g: Goal, mapping: dict) -> Goal:
         return Lit(g.pred, rename_terms(g.args, mapping), g.neg)
     if isinstance(g, CmpLit):
         return CmpLit(g.op, *rename_terms((g.lhs, g.rhs), mapping))
-    return Forall(rename_term(g.var, mapping), rename_goal(g.goal, mapping))
+    vs, g = forall_parts(g)
+    vs = rename_terms(tuple(vs), mapping)  # the variables first, outermost first
+    return quantified(vs, rename_goal(g, mapping))
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +523,9 @@ def format_goal(g: Goal, names=None, pred_info=None) -> str:
         return f"not {atom}" if g.neg or (info is not None and info.marker) else atom
     if isinstance(g, CmpLit):
         return format_term(g.lhs, names) + g.op + format_term(g.rhs, names)
-    return f"forall({format_term(g.var, names)},{format_goal(g.goal, names, pred_info)})"
+    vs, g = forall_parts(g)
+    opening = "".join([f"forall({format_term(v, names)}," for v in vs])
+    return opening + format_goal(g, names, pred_info) + ")" * len(vs)
 
 
 def format_rule(rule: Rule, names=None, pred_info=None) -> str:

@@ -249,9 +249,9 @@ def test_source_rules_keep_one_entry_per_parsed_clause():
 
 
 def test_each_compiled_rule_is_built_once(monkeypatch):
-    # Duals are named before any rule is built, so a dual or check rule is
-    # built once, calls and all; a source rule is built a second time only
-    # to make its negated goals call their duals.
+    # Duals are named before any rule is built, so every rule is built
+    # once, calls and all: a source rule's negated goals call their duals
+    # from the start.
     workloads = perfbench_module("workloads", monkeypatch)
     built = []
 
@@ -264,12 +264,30 @@ def test_each_compiled_rule_is_built_once(monkeypatch):
     for text in (TWO_CLAUSE_PROGRAM, workloads.wide(41).programs["family"]):
         built.clear()
         cp = compiled(text)
-        rewritten = sum(
-            any(isinstance(g, Lit) and g.neg for g in cr.body) for cr in cp.source_rules
-        )
-        assert 0 < len(built) <= (
-            len(cp.source_rules) + len(cp.dual_rules) + len(cp.nmr_rules) + rewritten
-        )
+        assert len(built) == len(cp.source_rules) + len(cp.dual_rules) + len(cp.nmr_rules)
+
+
+def test_the_rule_table_is_the_one_store_of_rules():
+    text = TWO_CLAUSE_PROGRAM + "p(X) :- not s(X), q(X).\n:- not p(b).\np(c) :- not p(c).\n"
+    cp = compiled(text)
+    kinds = {key: cp.pred_info[key[0]].kind for key in cp.rules}
+    generated = [cr for key, rules in cp.rules.items() for cr in rules if kinds[key] != "user"]
+    assert cp.dual_rules + cp.nmr_rules == generated
+    assert all(kinds[cr.head.key] in ("umbrella", "dual") for cr in cp.dual_rules)
+    assert all(kinds[cr.head.key] in ("chk", "nmr") for cr in cp.nmr_rules)
+    assert [cr.head.pred for cr in cp.nmr_rules][-1] == "nmr_check"
+    # A headed clause's source rule is the executable rule itself, its
+    # negated goals calling their duals; it prints as written.
+    listed = [cr for key, rules in cp.rules.items() if kinds[key] == "user" for cr in rules]
+    headed = [cr for cr in cp.source_rules if cr.head is not None]
+    assert sorted(map(id, headed)) == sorted(map(id, listed))
+    for cr in cp.source_rules:
+        if cr.head is not None:
+            assert any(r is cr for r in cp.rules[cr.head.key])
+        assert not any(isinstance(g, Lit) and g.neg for g in cr.body)
+    dumped = compiler.dump_compiled(cp)
+    assert "p(A) :- not s(A), q(A)." in dumped
+    assert ":- not p(b)." in dumped
 
 
 def test_head_normalization_hides_the_introduced_prefix():
@@ -464,14 +482,12 @@ def _odd_loop_by_search(adj, neg_key, head_key):
 
 
 def _checked_rules(rules):
-    """Indexes of the rules generate_nmr_checks makes a check for, in order.
+    """Indexes of the rules compile_program makes a check for, in order.
     Each rule i ends with a call of its own tag t<i>, which only its check's
     pieces negate."""
-    neg_of = {g.key: "not_" + g.pred for r in rules for g in (r.head, *r.body)}
-    adj = compiler._dependency_graph(rules)
-    out, _ = compiler.generate_nmr_checks(rules, adj, neg_of)
-    tags = (g.pred for cr in out for g in cr.body if isinstance(g, Lit))
-    return list(dict.fromkeys(int(p[5:]) for p in tags if p.startswith("not_t"))), adj
+    cp = compiler.compile_program(Program(rules))
+    tags = (g.pred for cr in cp.nmr_rules for g in cr.body if isinstance(g, Lit))
+    return list(dict.fromkeys(int(p[5:]) for p in tags if p.startswith("not_t")))
 
 
 @settings(max_examples=300, deadline=None)
@@ -480,13 +496,14 @@ def _checked_rules(rules):
 ), max_size=8))
 def test_one_component_pass_finds_the_odd_loops_a_search_per_goal_finds(spec):
     rules = [
-        compiler.CompiledRule(
-            Lit(f"p{h}"), tuple(Lit(f"p{g}", (), neg) for g, neg in body) + (Lit(f"t{i}"),)
-        )
+        Rule(Lit(f"p{h}"), tuple(Lit(f"p{g}", (), neg) for g, neg in body) + (Lit(f"t{i}"),))
         for i, (h, body) in enumerate(spec)
     ]
-    checked, adj = _checked_rules(rules)
-    assert checked == [
+    # The (predicate, negation) edges of each rule's calls.
+    adj = {}
+    for r in rules:
+        adj.setdefault(r.head.key, []).extend((g.key, int(g.neg)) for g in r.body)
+    assert _checked_rules(rules) == [
         i for i, r in enumerate(rules)
         if any(g.neg and _odd_loop_by_search(adj, g.key, r.head.key) for g in r.body)
     ]

@@ -9,6 +9,7 @@ import pickle
 import re
 import sys
 import time
+import tracemalloc
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -180,10 +181,10 @@ def test_diseq_compound_splits_per_argument():
     x, y = fresh_var("X"), fresh_var("Y")
     seen = []
     for _ in e.assert_neq_term(f(x, Const("a")), f(Const("b"), y)):
-        seen.append((e.dom.get(x.id), e.dom.get(y.id)))
+        seen.append((e.dump(x), e.dump(y)))
     assert seen == [
-        (frozenset((Const("b"),)), None),
-        (None, frozenset((Const("a"),))),
+        (("neq", frozenset((Const("b"),))), store_mod.TOP),
+        (store_mod.TOP, ("neq", frozenset((Const("a"),)))),
     ]
 
 
@@ -869,6 +870,21 @@ def test_a_disequality_between_deep_structures_keeps_the_python_stack_flat(monke
     assert depths[0] == depths[1]
 
 
+def test_exclusions_grow_in_place():
+    # Each X \= c<i> adds one term to X's one set of exclusions, and the
+    # trail keeps only the terms added.  A copy of the set per \= peaked
+    # at 332 MB.
+    query = "?- " + ", ".join(f"X \\= c{i}" for i in range(4000)) + ", X = f(Y)."
+    tracemalloc.start()
+    try:
+        (ans,) = answers("seed_fact.", query)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert Renderer(ans).bindings_text() == "X = f(A),\nY = A ? "
+    assert peak < 50_000_000
+
+
 def _deep(inner, n=2000):
     return "s(" * n + inner + ")" * n
 
@@ -893,6 +909,17 @@ def _deep(inner, n=2000):
             "p(X,Y) :- X .=. " + "+".join(["Y"] * 3000) + ", Y .>. 0.\n?- p(X, Y).\n",
             ("X = {A.>.0},\nY = {B.>.0} ? ", '"bindings": {"X": "{A.>.0}", "Y": "{B.>.0}"}'),
         ),
+        # A constraint side in 2,000 parentheses, read without recursion.
+        (
+            "p(1).\n?- X .=. " + "(" * 2000 + "1" + ")" * 2000 + ", p(X).\n",
+            ("X = 1 ? ", '"bindings": {"X": "1"}'),
+        ),
+        # A sum nested 2,000 deep to the right: Y + (Y + (... + Y)).
+        (
+            "p(X,Y) :- X .=. " + "Y + (" * 2000 + "Y" + ")" * 2000 + ", Y .>. 0.\n"
+            "?- p(X, Y).\n",
+            ("X = {A.>.0},\nY = {B.>.0} ? ", '"bindings": {"X": "{A.>.0}", "Y": "{B.>.0}"}'),
+        ),
         # A fact whose head has 1,500 constants: as many hidden `=` goals.
         (
             "w(" + ", ".join(f"c{i}" for i in range(1500)) + ").\n"
@@ -906,7 +933,7 @@ def _deep(inner, n=2000):
             ("X = f(A) ? ", '"bindings": {"X": "f(A)"}'),
         ),
     ],
-    ids=["dual", "disequality", "sum", "wide-head", "many-owed"],
+    ids=["dual", "disequality", "sum", "parentheses", "nested-sum", "wide-head", "many-owed"],
 )
 def test_a_deep_term_answers_through_the_cli_under_the_default_recursion_limit(
     tmp_path, text, want, json_lines
@@ -920,6 +947,18 @@ def test_a_deep_term_answers_through_the_cli_under_the_default_recursion_limit(
     done = run_child(path, "--no-just", "--no-model", *flags, limit=1000)
     assert done.returncode == 0, done.stderr[-2000:]
     assert want[json_lines] in done.stdout
+
+
+def test_a_dual_with_many_body_variables_dumps_under_the_default_recursion_limit(tmp_path):
+    # The dual quantifies each of the 2,000 body-only variables in its own
+    # forall; printing the nest peels it in a loop.  (--dump-compiled has
+    # no JSON form.)
+    path = tmp_path / "wide.pl"
+    path.write_text("p :- q(" + ",".join(f"X{i}" for i in range(2000)) + ").\n")
+    done = run_child(path, "--dump-compiled", limit=1000)
+    assert done.returncode == 0, done.stderr[-2000:]
+    (line,) = [ln for ln in done.stdout.splitlines() if ln.startswith("% not p__1 :- ")]
+    assert line.count("forall(") == 2000 and line.endswith(")" * 2000 + ".")
 
 
 # -- the term walks against recursive references ------------------------------
