@@ -84,18 +84,31 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return rc
     except ScaspError as e:
-        print(e, file=sys.stderr)
+        _complain(str(e))
     except OSError as e:
-        print(f"scasp: {e}", file=sys.stderr)
+        _complain(f"scasp: {e}")
         if isinstance(e, BrokenPipeError):
-            # The interpreter flushes stdout again at exit: send what is
-            # left nowhere, or that flush fails too.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+            _send_nowhere(sys.stdout)
     except Exception as e:  # never let a crash pass as "no answers" (exit 1)
-        print(f"scasp: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        _complain(f"scasp: internal error: {type(e).__name__}: {e}")
     return 2
+
+
+def _complain(line):
+    """Print line on stderr, unless stderr is closed too: then the line,
+    and whatever else stderr holds, goes nowhere."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        _send_nowhere(sys.stderr)
+
+
+def _send_nowhere(stream):
+    """Point a closed stream at the null device: the interpreter flushes
+    it again at exit, and that flush must not fail too."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
 
 
 def _main(argv) -> int:

@@ -12,9 +12,10 @@ Three steps:
    positive prefix of the body up to that literal, then the literal's
    negation (comparison operators flip; `.=.` splits into `.<.` and `.>.`).
    One pass over the body makes them all, growing the prefix as it goes.
-   Variables appearing only in a clause body are universally quantified
-   inside the sub-rule through a `..._body` helper predicate.  A name used
-   at several arities gets its arity in the generated names (`not_p__2`).
+   Variables appearing only in a clause body are universally quantified,
+   all in one `Forall` over their tuple, inside the sub-rule through a
+   `..._body` helper predicate.  A name used at several arities gets its
+   arity in the generated names (`not_p__2`).
 
 3. Global consistency checks: denials and rules that can reach their own
    head through an odd number of negations become `chk_i` predicates built
@@ -67,11 +68,9 @@ from .terms import (
     Var,
     collector_paused,
     format_goal,
-    forall_parts,
     format_rule,
     fresh_var,
     goal_vars,
-    quantified,
 )
 
 __all__ = [
@@ -185,7 +184,7 @@ def _check_goals(goals, source, free):
     checked."""
     for g in goals:
         in_forall = isinstance(g, Forall)
-        while isinstance(g, Forall):
+        if in_forall:
             g = g.goal
         if isinstance(g, Lit) and g.pred not in free:
             if _is_reserved(g.pred):
@@ -254,18 +253,20 @@ def _define(cp, head, bodies):
 def _define_quantified(cp, head, body_vars, pieces, helper):
     """Define head by pieces with body_vars universally quantified: head
     calls the helper predicate that helper (a synth_name pair) names inside
-    forall()s, and the helper has one rule per piece."""
+    one forall over body_vars, and the helper has one rule per piece."""
     body_name, cp.pred_info[body_name] = helper
-    inner = Lit(body_name, head.args + tuple(body_vars))
-    _define(cp, head, [(quantified(body_vars, inner),)])
+    inner = Lit(body_name, head.args + body_vars)
+    _define(cp, head, [(Forall(body_vars, inner),)])
     _define(cp, inner, pieces)
 
 
 def _clause_body_vars(head_vars, body):
+    """The variables of body not in head_vars, as a tuple, in
+    first-occurrence order."""
     found, seen = [], {v.id for v in head_vars}
     for goal in body:
         goal_vars(goal, found, seen)
-    return found
+    return tuple(found)
 
 
 def _dualize(cp, key, clauses, spelled):
@@ -366,12 +367,13 @@ def _nmr_checks(cp, constrained, adj, roots):
             _define(cp, chk_head, pieces)
         elif len(pieces) == 1 and len(pieces[0]) == 1:
             # A lone single-goal alternative sits in the forall directly.
-            _define(cp, chk_head, [(quantified(body_vars, pieces[0][0]),)])
+            _define(cp, chk_head, [(Forall(body_vars, pieces[0][0]),)])
         else:
             helper = synth_name("chk", index=idx, body=True)
             _define_quantified(cp, chk_head, body_vars, pieces, helper)
         call_vars = tuple(fresh_var("_") for _ in head_vars)
-        chk_calls.append(quantified(call_vars, Lit(chk, call_vars)))
+        call = Lit(chk, call_vars)
+        chk_calls.append(Forall(call_vars, call) if call_vars else call)
     nmr, cp.pred_info[nmr] = synth_name("nmr")
     _define(cp, Lit(nmr), [tuple(chk_calls)])
 
@@ -534,9 +536,8 @@ def rewrite_goal(goal, neg_of):
         dual = neg_of.get(goal.key) if goal.neg else None
         return goal if dual is None else Lit(dual, goal.args)
     if isinstance(goal, Forall):
-        vs, inner = forall_parts(goal)
-        new = rewrite_goal(inner, neg_of)
-        return goal if new is inner else quantified(vs, new)
+        new = rewrite_goal(goal.goal, neg_of)
+        return goal if new is goal.goal else Forall(goal.vars, new)
     return goal
 
 

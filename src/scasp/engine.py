@@ -133,17 +133,19 @@ Universal quantification (forall) evaluates its goal against a worklist of
 single-variable constraint views, the pieces of the quantified variable's
 domain: each piece commits to the first answer for a fresh copy of the
 variable, and either the answer view equals the piece (that region is
-covered) or the answer's negation splits the piece into new ones.  The
-pieces are goals of the main loop.  A forall's one alternative is a
-commit step carrying a driver that yields each piece's goal; the loop
-schedules the goal followed by a new commit step, which records the depth
-of the choice-point stack at that moment.  Reaching a commit step means
-the piece before it is proved: the loop cuts the choice points above that
-depth, as a WAM cut does, keeping the answer's bindings and constraints
-on the trail, and resumes the driver for the next piece.  A piece with no
-answer backtracks past the forall, which keeps no choice point, into the
-one below it, which undoes the forall with its own alternative; constraints
-the pieces placed on outer variables persist until then.
+covered) or the answer's negation splits the piece into new ones.  A
+forall over several variables quantifies the first, and each piece's
+goal is the forall over the rest.  The pieces are goals of the main loop.
+A forall's one alternative is a commit step carrying a driver that yields
+each piece's goal; the loop schedules the goal followed by a new commit
+step, which records the depth of the choice-point stack at that moment.
+Reaching a commit step means the piece before it is proved: the loop
+cuts the choice points above that depth, as a WAM cut does, keeping the
+answer's bindings and constraints on the trail, and resumes the driver
+for the next piece.  A piece with no answer backtracks past the forall,
+which keeps no choice point, into the one below it, which undoes the
+forall with its own alternative; constraints the pieces placed on outer
+variables persist until then.
 """
 
 from __future__ import annotations
@@ -167,12 +169,10 @@ from .terms import (
     Query,
     Struct,
     Var,
-    forall_parts,
     format_term,
     format_terms,
     fresh_var,
     goal_vars,
-    quantified,
     rename_goal,
     term_vars,
 )
@@ -743,7 +743,7 @@ class Engine:
                     self.trail.append(("constraint", goal))
                     gen = self.solve_constraint(goal)
                 elif isinstance(goal, Forall):
-                    gen = self.c_forall(goal.var, goal.goal)
+                    gen = self.c_forall(goal.vars, goal.goal)
                 elif goal.__class__ is _Owed:  # a payment step: no event
                     gen = self.assert_neq_term(goal.t, goal.x)
                 else:  # a forall's commit step
@@ -885,17 +885,21 @@ class Engine:
             return ("neq", frozenset(d)) if d else store_mod.TOP
         return ("eq", self.resolve(t))
 
-    def c_forall(self, var: Var, goal):
+    def c_forall(self, vs: tuple, goal):
         """One alternative, its last: a commit step carrying the driver of
-        var's pieces."""
-        self.trail.append(("forall", Forall(var, goal)))
+        the pieces of vs[0]."""
+        self.trail.append(("forall", Forall(vs, goal)))
         self.det = True
-        yield ([self._pieces(var, goal), None],)
+        yield ([self._pieces(vs, goal), None],)
 
-    def _pieces(self, var: Var, goal):
-        """The goal of each piece of var's domain still to cover, in order.
-        The loop resumes it once it has committed to the previous piece's
-        first answer, whose bindings and constraints stay on the trail."""
+    def _pieces(self, vs: tuple, goal):
+        """The goal of each piece of the domain of vs[0] still to cover, in
+        order: goal quantified over the rest of vs, if any.  The loop
+        resumes it once it has committed to the previous piece's first
+        answer, whose bindings and constraints stay on the trail."""
+        var = vs[0]
+        if len(vs) > 1:
+            goal = Forall(vs[1:], goal)
         # A stack of pieces: the next one is on top, so new pieces are
         # pushed in reverse to be taken in order.
         pending = [store_mod.TOP]
@@ -979,8 +983,7 @@ class Engine:
         if isinstance(goal, CmpLit):
             lhs, rhs = self._resolved((goal.lhs, goal.rhs), False, memo)
             return CmpLit(goal.op, lhs, rhs)
-        vs, inner = forall_parts(goal)
-        return quantified(vs, self._resolve_goal(inner, memo))
+        return Forall(goal.vars, self._resolve_goal(goal.goal, memo))
 
 
 def run_query(cp: CompiledProgram, query: Query, max_answers: int = 0):

@@ -10,7 +10,8 @@ after construction, so values derived from the fields are computed once and
 kept.  They are the inner loop of resolution, so Var, Const, Struct, Lit and
 CmpLit are slotted classes rather than dataclasses.  Two are equal when they
 are of the same class with equal fields, and hash consistently with that.
-Rule, built once per parsed clause, is a frozen slotted dataclass.
+Rule, built once per parsed clause, and Forall, one per block of
+universally quantified variables, are frozen slotted dataclasses.
 A derived value (a key, a flag, a cached hash or text) is never pickled: a
 pickle holds the fields alone, since string hashes differ between processes.
 format_term keeps the text of a ground structure with no arithmetic functor
@@ -32,7 +33,7 @@ __all__ = [
     "Var", "Const", "Struct", "Term", "Lit", "CmpLit", "Forall", "Goal",
     "Rule", "Query", "Program", "NIL", "ARITH_OPS", "CONSTRAINT_OPS",
     "collector_paused", "fresh_var", "mk_list", "list_parts", "term_vars",
-    "goal_vars", "forall_parts", "quantified", "rename_term", "rename_terms", "rename_goal",
+    "goal_vars", "rename_term", "rename_terms", "rename_goal",
     "format_term", "format_terms", "format_goal", "format_rule",
 ]
 
@@ -218,12 +219,22 @@ class CmpLit:
         return f"CmpLit(op={self.op!r}, lhs={self.lhs!r}, rhs={self.rhs!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forall:
-    """Universal quantification of a single variable over a goal."""
+    """Universal quantification of a tuple of variables, the first
+    outermost, over a goal: one node per quantified block, as a dual
+    quantifies all of a clause's body-only variables at once.  A Forall
+    goal joins its variables to the tuple, so the goal is never a Forall."""
 
-    var: Var
+    vars: tuple
     goal: "Goal"
+
+    def __post_init__(self):
+        if not self.vars:
+            raise ValueError("a forall quantifies at least one variable")
+        if isinstance(self.goal, Forall):
+            object.__setattr__(self, "vars", (*self.vars, *self.goal.vars))
+            object.__setattr__(self, "goal", self.goal.goal)
 
 
 Goal = Union[Lit, CmpLit, Forall]
@@ -311,30 +322,12 @@ def term_vars(t: Term, acc=None, seen=None):
     return acc if t.ground else _vars_of(t.args, acc, seen)
 
 
-def forall_parts(g: Goal):
-    """The variables of a goal's nested foralls, outermost first, and the
-    goal inside them: peeled in a loop, as a dual nests one forall per
-    body variable."""
-    vs = []
-    while isinstance(g, Forall):
-        vs.append(g.var)
-        g = g.goal
-    return vs, g
-
-
-def quantified(vs, g: Goal) -> Goal:
-    """g inside a forall of each of vs, the first outermost."""
-    for v in reversed(vs):
-        g = Forall(v, g)
-    return g
-
-
 def goal_vars(g: Goal, acc=None, seen=None):
     """Variables of a goal in first-occurrence order."""
     if acc is None:
         acc, seen = [], set()
-    while isinstance(g, Forall):
-        term_vars(g.var, acc, seen)
+    if isinstance(g, Forall):
+        _vars_of(g.vars, acc, seen)
         g = g.goal
     return _vars_of((g.lhs, g.rhs) if isinstance(g, CmpLit) else g.args, acc, seen)
 
@@ -402,9 +395,8 @@ def rename_goal(g: Goal, mapping: dict) -> Goal:
         return Lit(g.pred, rename_terms(g.args, mapping), g.neg)
     if isinstance(g, CmpLit):
         return CmpLit(g.op, *rename_terms((g.lhs, g.rhs), mapping))
-    vs, g = forall_parts(g)
-    vs = rename_terms(tuple(vs), mapping)  # the variables first, outermost first
-    return quantified(vs, rename_goal(g, mapping))
+    vs = rename_terms(g.vars, mapping)  # the variables first, outermost first
+    return Forall(vs, rename_goal(g.goal, mapping))
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +515,9 @@ def format_goal(g: Goal, names=None, pred_info=None) -> str:
         return f"not {atom}" if g.neg or (info is not None and info.marker) else atom
     if isinstance(g, CmpLit):
         return format_term(g.lhs, names) + g.op + format_term(g.rhs, names)
-    vs, g = forall_parts(g)
-    opening = "".join([f"forall({format_term(v, names)}," for v in vs])
-    return opening + format_goal(g, names, pred_info) + ")" * len(vs)
+    # One forall(V, ...) per variable, as the goal was written.
+    opening = "".join([f"forall({format_term(v, names)}," for v in g.vars])
+    return opening + format_goal(g.goal, names, pred_info) + ")" * len(g.vars)
 
 
 def format_rule(rule: Rule, names=None, pred_info=None) -> str:

@@ -116,7 +116,11 @@ def alpha_eq_goal(a, b, m):
             and alpha_eq_term(a.rhs, b.rhs, m)
         )
     if isinstance(a, Forall) and isinstance(b, Forall):
-        return alpha_eq_term(a.var, b.var, m) and alpha_eq_goal(a.goal, b.goal, m)
+        return (
+            len(a.vars) == len(b.vars)
+            and all(alpha_eq_term(x, y, m) for x, y in zip(a.vars, b.vars))
+            and alpha_eq_goal(a.goal, b.goal, m)
+        )
     return False
 
 

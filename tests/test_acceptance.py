@@ -168,7 +168,7 @@ def test_criterion_07_universal_quantification_narrowing():
     from scasp.terms import fresh_var
 
     a = fresh_var("A")
-    gen = e.solve((Forall(a, Lit("p", (a,))),))
+    gen = e.solve((Forall((a,), Lit("p", (a,))),))
     next(gen)
     gen.close()
     assert [view for _, view in e.forall_trace] == [
@@ -179,7 +179,7 @@ def test_criterion_07_universal_quantification_narrowing():
     # A single bounded clause leaves part of the domain uncovered.
     e2 = Engine(compiled("p(X) :- X .<. 3."))
     x = fresh_var("X")
-    assert list(e2.solve((Forall(x, Lit("p", (x,))),))) == []
+    assert list(e2.solve((Forall((x,), Lit("p", (x,))),))) == []
 
 
 def test_criterion_08_global_check_structure_and_enforcement():

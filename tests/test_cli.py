@@ -357,12 +357,18 @@ def test_compile_errors_name_the_file_they_come_from(tmp_path, capsys):
     assert rc == 2 and err.startswith(f"{third}:2:11: ")
 
 
-@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    "unbuffered, shared",
+    [(False, False), (True, False), (False, True), (True, True)],
+    ids=["False", "True", "False-shared", "True-shared"],
+)
 @pytest.mark.parametrize("facts, read", [(20_000, 100), (2, 0)])
-def test_a_closed_stdout_exits_2_with_one_line(tmp_path, unbuffered, facts, read):
+def test_a_closed_stdout_exits_2_with_one_line(tmp_path, unbuffered, shared, facts, read):
     # The reader takes `read` bytes and closes the pipe: mid-stream for many
     # answers, or before the first write for two (a buffered stdout then
-    # meets the closed pipe only when it is flushed).
+    # meets the closed pipe only when it is flushed).  With stderr on the
+    # same pipe, the error line meets the closed pipe too: only the exit
+    # code is seen.
     path = write(tmp_path, "many.pl", "".join(f"p({i}).\n" for i in range(facts)))
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     env.pop("PYTHONUNBUFFERED", None)
@@ -370,10 +376,13 @@ def test_a_closed_stdout_exits_2_with_one_line(tmp_path, unbuffered, facts, read
         env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen(
         [sys.executable, "-m", "scasp.cli", path, "-q", "?- p(X)."],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT if shared else subprocess.PIPE, env=env,
     )
     proc.stdout.read(read)
     proc.stdout.close()
+    if shared:
+        assert proc.wait(timeout=120) == 2
+        return
     err = proc.stderr.read().decode()
     proc.stderr.close()
     assert proc.wait(timeout=120) == 2, err

@@ -56,7 +56,12 @@ def canon_goal(g, names):
         return (canon_pred(g.pred),) + tuple(canon_term(a, names) for a in g.args)
     if isinstance(g, CmpLit):
         return ("cmp", g.op, canon_term(g.lhs, names), canon_term(g.rhs, names))
-    return ("forall", canon_term(g.var, names), canon_goal(g.goal, names))
+    # A block of variables reads as the nest it prints as: forall(A,forall(B,G)).
+    vs = [canon_term(v, names) for v in g.vars]
+    out = canon_goal(g.goal, names)
+    for v in reversed(vs):
+        out = ("forall", v, out)
+    return out
 
 
 def canon_clause(rule):
@@ -330,7 +335,7 @@ def test_reserved_names_are_rejected_in_queries():
     x = fresh_var("X")
     for query in [
         parse_query("?- p(a), not_p(b)."),
-        Query((Forall(x, Lit("nmr_check", (x,))),)),
+        Query((Forall((x,), Lit("nmr_check", (x,))),)),
     ]:
         with pytest.raises(CompileError):
             list(Engine(cp).run_query(query))
@@ -342,8 +347,8 @@ def test_reserved_names_are_rejected_inside_forall_goals():
     # Only the API builds a forall goal; the name it hides is checked too.
     x = fresh_var("X")
     for program in [
-        Program([Rule(Lit("p"), (Forall(x, Lit("not_q", (x,))),))]),
-        Program([Rule(Lit("q", (x,)))], query=Query((Forall(x, Lit("chk_1", (x,))),))),
+        Program([Rule(Lit("p"), (Forall((x,), Lit("not_q", (x,))),))]),
+        Program([Rule(Lit("q", (x,)))], query=Query((Forall((x,), Lit("chk_1", (x,))),))),
     ]:
         with pytest.raises(CompileError, match="is reserved"):
             compiler.compile_program(program)
@@ -353,12 +358,12 @@ def test_a_forall_goal_in_a_rule_body_is_rejected_at_the_rule():
     # Only the API builds a forall goal.  In a rule body it ended in an
     # AttributeError while the dual was built; in a query it runs.
     x = fresh_var("X")
-    rule = Rule(Lit("p"), (Lit("r"), Forall(x, Lit("q", (x,)))), line=3, col=1)
+    rule = Rule(Lit("p"), (Lit("r"), Forall((x,), Lit("q", (x,)))), line=3, col=1)
     with pytest.raises(CompileError, match="rule body") as err:
         compiler.compile_program(Program([Rule(Lit("r")), rule]))
     assert (err.value.line, err.value.col) == (3, 1)
     cp = compiler.compile_program(Program([Rule(Lit("q", (x,)))]))
-    assert len(list(Engine(cp).run_query(Query((Forall(x, Lit("q", (x,))),))))) == 1
+    assert len(list(Engine(cp).run_query(Query((Forall((x,), Lit("q", (x,))),))))) == 1
 
 
 def test_arity_spelling_keeps_duals_of_distinct_predicates_apart():

@@ -1,12 +1,16 @@
 """Universal quantification by iterative domain narrowing."""
 
+import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from scasp.engine import Engine
 from scasp.parser import parse_query
+from scasp.render import render_answer, render_answer_json
 from scasp.store import TOP
-from scasp.terms import Const, Forall, Lit, fresh_var
+from scasp.terms import Const, Forall, Lit, Query, fresh_var
 
 from helpers import answers, compiled, sat_view_num
 
@@ -32,7 +36,7 @@ def lin(*entries):
 def test_forall_narrows_through_both_negation_pieces():
     e = Engine(compiled(NARROWING))
     a = fresh_var("A")
-    gen = e.solve((Forall(a, Lit("p", (a,))),))
+    gen = e.solve((Forall((a,), Lit("p", (a,))),))
     next(gen)
     gen.close()
     assert [view for _, view in e.forall_trace] == [
@@ -45,7 +49,7 @@ def test_forall_narrows_through_both_negation_pieces():
 def test_forall_over_one_bounded_clause_fails():
     e = Engine(compiled("p(X) :- X .<. 3."))
     x = fresh_var("X")
-    gen = e.solve((Forall(x, Lit("p", (x,))),))
+    gen = e.solve((Forall((x,), Lit("p", (x,))),))
     assert list(gen) == []
     # The uncovered remainder {X >= 3} is exactly where the retry failed.
     assert [view for _, view in e.forall_trace] == [TOP, lin((">=", 3))]
@@ -76,7 +80,7 @@ def test_uncoverable_disequality_split_fails():
 def test_forall_success_views_satisfy_the_goal():
     e = Engine(compiled(NARROWING))
     a = fresh_var("A")
-    gen = e.solve((Forall(a, Lit("p", (a,))),))
+    gen = e.solve((Forall((a,), Lit("p", (a,))),))
     next(gen)
     gen.close()
     rng = random.Random(13)
@@ -109,7 +113,28 @@ def test_forall_covers_a_bound_with_a_symbolic_exclusion_in_either_order():
     for body in ("Y .>. 2, Y \\= a", "Y \\= a, Y .>. 2"):
         e = Engine(compiled(f"s(Y) :- {body}.  s(Y) :- Y .=<. 2."))
         x = fresh_var("X")
-        gen = e.solve((Forall(x, Lit("s", (x,))),))
+        gen = e.solve((Forall((x,), Lit("s", (x,))),))
         assert next(gen, "failed") is None, body
         gen.close()
         assert [view for _, view in e.forall_trace] == [TOP, lin(("<=", 2))], body
+
+
+def test_nested_foralls_built_through_the_api_are_one_block():
+    # forall(X, forall(Y, G)) is the block forall((X, Y), G): it answers
+    # and prints as the flat one does, one forall(V, ...) per variable.
+    cp = compiled("q(X, Y) :- X .>. 0.  q(X, Y) :- X .=<. 0, Y .>=. 1.  q(X, Y) :- Y .<. 1.")
+    x, y = fresh_var("X"), fresh_var("Y")
+    goal = Lit("q", (x, y))
+    nested, flat = Forall((x,), Forall((y,), goal)), Forall((x, y), goal)
+    assert nested == flat and nested.vars == (x, y) and nested.goal is goal
+    printed = []
+    for query in (Query((nested,)), Query((flat,))):
+        (ans,) = Engine(cp).run_query(query)
+        text = render_answer(ans, cp.pred_info, cp.shows).split("\n", 1)[1]
+        record = json.loads(render_answer_json(ans, cp.pred_info, cp.shows))
+        del record["time_ms"]
+        printed.append((text, record))
+    assert printed[0] == printed[1]
+    assert printed[0][0].splitlines()[1] == "forall(A,forall(B,q(A,B))) :-"
+    with pytest.raises(ValueError):
+        Forall((), goal)

@@ -104,7 +104,7 @@ def test_constraints_are_out_of_scope():
         rules=(
             Rule(
                 Lit("p"),
-                (Forall(fresh_var("X"), Lit("q", (fresh_var("X"),))),),
+                (Forall((fresh_var("X"),), Lit("q", (fresh_var("X"),))),),
             ),
         ),
         shows=set(),
