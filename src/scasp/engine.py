@@ -49,11 +49,15 @@ aliased like any others, the store learning their equality first.  A
 value the store fixes lives only in the binding: the store reports it
 once, the engine binds the variable at once, and the store forgets it.
 A constraint goal resolves its two sides once, and their arith flag says
-whether `=` or `\\=` goes to the store; as terms are resolved before each
-assert, the store is never handed a variable it fixed before.
-A variable's exclusions are one set of the engine's own that each `\\=`
-grows in place, trailing the terms it added for an undo to remove; dump
-hands out a frozen copy.
+whether `=` or `\\=` goes to the store whole.  Any other `\\=` takes the
+one walk per argument pair that payments take too (assert_neq_term),
+wherever its variables sit in the two sides: a pair of two rational
+variables goes to the store as `!=`, and a pair of a variable and a ground
+term becomes an exclusion.  As terms are resolved before each assert, the
+store is never handed a variable it fixed before.  A variable's exclusions
+are one set of the engine's own that each `\\=`, or a forall piece's neq
+view, grows in place, trailing the terms it added for an undo to remove;
+dump hands out a frozen copy.
 
 Unification is a plain function: unify binds or reports a clash, leaving
 its bindings on the trail for the caller to undo.  Two ground structures
@@ -461,10 +465,8 @@ class Engine:
         any other variable keeps them as exclusions."""
         d = self.dom.get(var.id)
         if d is not RATIONAL:
-            if d.__class__ is not set:
-                # Not yet the engine's own set (no entry, or a view's
-                # frozenset that apply set): copied once, then grown in place.
-                d = set(d or ())
+            if d is None:
+                d = set()
                 self._set_dom(var.id, d)
             added = [g for g in terms if g not in d]
             if added:
@@ -499,9 +501,11 @@ class Engine:
             if a.__class__ is not Var:
                 ok = a != b  # different constants or shapes are never equal
             elif b.__class__ is Var:
-                # No information to tell two unbound variables apart: this branch
-                # just fails and lets a later alternative decide constructively.
-                ok = False
+                # Two rational variables differ in the store.  Nothing tells
+                # two other unbound variables apart: this branch just fails
+                # and lets a later alternative decide constructively.
+                ok = (self.dom.get(a.id) is RATIONAL and self.dom.get(b.id) is RATIONAL
+                      and self._assert_linear("!=", a, b))
             elif b.__class__ is Struct and not b.arith and self.dom.get(a.id) is RATIONAL:
                 ok = True  # a rational never equals a structure
             elif (g := self._resolved((b,), True)) is not None:
@@ -520,10 +524,6 @@ class Engine:
             self.undo_to(m)
 
     # -- linear constraints ------------------------------------------------------
-
-    def _numericish(self, t):
-        """Is a resolved term a number or a rational variable?"""
-        return t.is_number or (t.__class__ is Var and self.dom.get(t.id) is RATIONAL)
 
     def _assert_linear(self, op, l, r) -> bool:
         """Conjoin l op r, two resolved terms, with the rational store,
@@ -572,8 +572,7 @@ class Engine:
                 yield owed or None  # the payments, still to prove
         else:
             l, r = self._resolved((c.lhs, c.rhs), False)
-            arith = l.arith or r.arith
-            if op == "\\=" and not arith and not (self._numericish(l) and self._numericish(r)):
+            if op == "\\=" and not (l.arith or r.arith):
                 yield from self.assert_neq_term(l, r)
             elif self._assert_linear(op, l, r):
                 self.det = True
@@ -868,8 +867,7 @@ class Engine:
             self._bind_raw(var.id, view[1])
             return True
         if view[0] == "neq":
-            self._set_dom(var.id, view[1])
-            return True
+            return self._exclude(var, view[1])
         for op, val in view[1]:
             if not self._assert_linear(op, var, Const(val)):
                 return False

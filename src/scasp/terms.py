@@ -7,13 +7,18 @@ the empty-list constant '[]'.
 
 Terms and literals are immutable by contract: nothing assigns to a field
 after construction, so values derived from the fields are computed once and
-kept.  They are the inner loop of resolution, so Var, Const, Struct, Lit and
-CmpLit are slotted classes rather than dataclasses.  Two are equal when they
-are of the same class with equal fields, and hash consistently with that.
-Rule, built once per parsed clause, and Forall, one per block of
-universally quantified variables, are frozen slotted dataclasses.
-A derived value (a key, a flag, a cached hash or text) is never pickled: a
-pickle holds the fields alone, since string hashes differ between processes.
+kept.  Two are equal when they are of the same class with equal fields, and
+hash consistently with that.  Var, Lit and CmpLit are slotted dataclasses.
+Var keeps its own __eq__, as the generated one compares tuples of fields
+and a variable's equality is on resolution's inner loop, the __hash__ that
+goes with it, and its short repr.
+Const and Struct are hand-written slotted classes: each caches its hash,
+and a Struct its text, which a dataclass would pickle with its fields.  A
+cached hash or text is never pickled, since string hashes differ between
+processes.  Lit's key, a (name, arity) pair, is the same in every process,
+and is pickled with the fields.  Rule, built once per parsed clause, and
+Forall, one per block of universally quantified variables, are frozen
+slotted dataclasses.
 format_term keeps the text of a ground structure with no arithmetic functor
 on top, which no name or operator changes, if it is at most TEXT_CACHE_MAX
 characters long: each level of a d-deep term has its own text, and keeping
@@ -45,14 +50,11 @@ def fresh_var(name: str = "_") -> "Var":
     return Var(next(_ids), name)
 
 
+@dataclass(slots=True, eq=False, repr=False)
 class Var:
-    __slots__ = ("id", "name")
-    __match_args__ = ("id", "name")
+    id: int
+    name: str = "_"
     ground = arith = is_number = False  # every term answers these three
-
-    def __init__(self, id: int, name: str = "_"):
-        self.id = id
-        self.name = name
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -61,9 +63,6 @@ class Var:
 
     def __hash__(self):
         return hash((self.id, self.name))
-
-    def __reduce__(self):
-        return (self.__class__, (self.id, self.name))
 
     def __repr__(self):
         return f"Var({self.id}:{self.name})"
@@ -166,11 +165,14 @@ ARITH_OPS = ("+", "-", "*", "/")
 CONSTRAINT_OPS = ("=", "\\=", ".<.", ".>.", ".=<.", ".>=.", ".=.", ".\\=.")
 
 
+@dataclass(slots=True, unsafe_hash=True, init=False)
 class Lit:
     """A predicate applied to argument terms, possibly behind 'not'."""
 
-    __slots__ = ("pred", "args", "neg", "key")
-    __match_args__ = ("pred", "args", "neg")
+    pred: str
+    args: tuple = ()
+    neg: bool = False
+    key: tuple = field(init=False, compare=False, repr=False)  # (pred, arity)
 
     def __init__(self, pred: str, args: tuple = (), neg: bool = False):
         self.pred = pred
@@ -178,45 +180,14 @@ class Lit:
         self.neg = neg
         self.key = (pred, len(args))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.pred == other.pred and self.args == other.args and self.neg == other.neg
-        return NotImplemented
 
-    def __hash__(self):
-        return hash((self.pred, self.args, self.neg))
-
-    def __reduce__(self):
-        return (self.__class__, (self.pred, self.args, self.neg))
-
-    def __repr__(self):
-        return f"Lit(pred={self.pred!r}, args={self.args!r}, neg={self.neg!r})"
-
-
+@dataclass(slots=True, unsafe_hash=True)
 class CmpLit:
     """A binary comparison between two terms, e.g. X.<.3 or T\\=f(a)."""
 
-    __slots__ = ("op", "lhs", "rhs")
-    __match_args__ = ("op", "lhs", "rhs")
-
-    def __init__(self, op: str, lhs: Term, rhs: Term):
-        self.op = op
-        self.lhs = lhs
-        self.rhs = rhs
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.op == other.op and self.lhs == other.lhs and self.rhs == other.rhs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.op, self.lhs, self.rhs))
-
-    def __reduce__(self):
-        return (self.__class__, (self.op, self.lhs, self.rhs))
-
-    def __repr__(self):
-        return f"CmpLit(op={self.op!r}, lhs={self.lhs!r}, rhs={self.rhs!r})"
+    op: str
+    lhs: Term
+    rhs: Term
 
 
 @dataclass(frozen=True, slots=True)

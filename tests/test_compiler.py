@@ -385,6 +385,8 @@ _RECORDS = [
     (compiler.PredInfo, ("dual", "p__1", True), ("user", "p", False), {}, (), False),
     (Rule, (_HEAD, _BODY, 3, 4, "a.pl"), (None, (), 5, 6, "b.pl"),
      {"body": (), "line": 0, "col": 0, "file": "<program>"}, ("file",), True),
+    (Lit, ("p", (Var(1, "X"),), True), ("q", (), False), {"args": (), "neg": False}, (), False),
+    (CmpLit, ("=", Var(1, "X"), Const("a")), (".<.", Var(2, "Y"), Const("b")), {}, (), False),
 ]
 
 

@@ -256,6 +256,27 @@ def test_a_rational_variable_differs_from_any_structure():
     assert info.value.code == "nonground_disequality"
 
 
+def _two_positive_texts(goal):
+    return [
+        Renderer(a).bindings_text()
+        for a in answers(f"p(X,Y) :- X .>. 0, Y .>. 0, {goal}.", "?- p(X,Y).")
+    ]
+
+
+def test_rational_variables_differ_wherever_they_stand():
+    # `\\=` takes one walk per argument pair, so two rational variables
+    # differ in the store inside structures and lists as they do alone.
+    (alone,) = _two_positive_texts("X \\= Y")
+    assert _two_positive_texts("f(X) \\= f(Y)") == [alone]
+    assert _two_positive_texts("[X] \\= [Y]") == [alone]
+    assert _two_positive_texts("f(X) \\= f(Y), X = Y") == []
+    # One alternative per argument pair, as for symbols: the second holds
+    # by 1 \\= 2 alone, so X = Y leaves it standing.
+    assert _two_positive_texts("f(X,1) \\= f(Y,2)") == [alone, alone]
+    assert _two_positive_texts("f(X,a) \\= f(Y,b)") == [alone, alone]
+    assert _two_positive_texts("f(X,1) \\= f(Y,2), X = Y") == ["X = {A.>.0},\nY = {A.>.0} ? "]
+
+
 def test_an_implicit_equality_binds_the_variable():
     # Y + Z is pinched to 0 although neither Y nor Z is.
     assert _bindings_text("X .=. Y + Z, Y + Z .>=. 0, Y + Z .=<. 0") == ["X = 0 ? "]
@@ -285,6 +306,8 @@ a(X,Y) :- X .>. 0, Y .<. 0, X = Y.
     ("?- fold(X).", ["X = 1/2 ? "]),
     # Two rational variables with disjoint bounds cannot alias.
     ("?- a(X,Y).", []),
+    # Learning X = Y fixes both sides of X + Y .=. 2.
+    ("?- X + Y .=. 2, X = Y.", ["X = 1,\nY = 1 ? "]),
 ])
 def test_linear_arithmetic_by_constants(query, texts):
     assert [Renderer(a).bindings_text() for a in answers(ARITHMETIC, query)] == texts
@@ -490,6 +513,17 @@ def test_positive_loop_fails_finitely():
 
 def test_negation_over_positive_loop_succeeds():
     assert len(answers("p :- p.", "?- not p.")) == 1
+
+
+def test_a_call_to_a_predicate_without_rules_fails():
+    # q has no rules, so q fails and p with it, and not p holds by not q.
+    text = "p :- q."
+    assert answers(text, "?- p.") == [] and answers(text, "?- q.") == []
+    cp = compiled(text)
+    (ans,) = answers(text, "?- not p.")
+    assert Renderer(ans, cp.pred_info, cp.shows).justification_text() == (
+        "not p :-\n   not p__1 :-\n      not q.\nnmr_check."
+    )
 
 
 def test_odd_loop_blocks_the_trigger():
@@ -1060,7 +1094,7 @@ def _walk_engine(state):
         if t is not None and all(w.id > v.id for w in term_vars(t)):
             e._bind_raw(v.id, t)
         elif t is None and excluded[i] is not None:
-            e._set_dom(v.id, frozenset((excluded[i],)))
+            e._exclude(v, (excluded[i],))
     return e
 
 

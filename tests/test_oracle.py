@@ -118,6 +118,11 @@ def test_oversized_universe_is_refused():
     with pytest.raises(SolverError) as info:
         ground(parse_program("p(a,b). q(b,c). r(a)."))
     assert info.value.code == "universe_too_large"
+    # Too many ground instances: 27 of the first rule over three constants.
+    text = "p(X,Y,Z) :- q(X), q(Y), q(Z). q(a). q(b). q(c)."
+    with pytest.raises(SolverError) as info:
+        ground(parse_program(text), max_instances=10)
+    assert str(info.value) == "universe_too_large: too many ground instances"
 
 
 def test_a_deep_term_is_grounded_under_the_default_recursion_limit(tmp_path):

@@ -175,6 +175,7 @@ def test_source_errors_survive_a_pickle(err):
     ("p(X) :- X .=. -Y.", "1:16", "'-' must be followed by a number"),
     ("#show p/1.5.", "1:9", "arity must be an integer"),
     ("?- .", "1:4", "query must contain at least one goal"),
+    ("p :- X.", "1:7", "expected a constraint operator after expression"),
 ])
 def test_parse_errors_point_at_the_offending_token(text, where, message):
     with pytest.raises(ParseError) as info:
