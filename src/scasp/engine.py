@@ -1,9 +1,10 @@
 """Goal-directed evaluation of compiled programs.
 
 The engine resolves goals top-down over the compiled database without any
-grounding.  All state lives in one trail-recorded structure: variable
-bindings, each variable's constraint domain, one linear-arithmetic store,
-a registry of already-proved atoms and the call path.  The trail is also
+grounding.  It extends the constraint store (store.ConstraintStore), which
+keeps variable bindings, each variable's constraint domain and one
+linear-arithmetic store on one trail, with a registry of already-proved
+atoms and the call path, recorded on the same trail.  The trail is also
 the event log from which answers reconstruct their justification.
 
 Resolution is one loop (solve), run once per query, over a linked list of
@@ -30,63 +31,33 @@ Pushing and popping a frame are trail entries too, so an undo restores the
 call path with everything else.  The Python stack does not grow with the
 derivation, nor with a head's width or the disequalities a binding owes,
 since payments are goals of the loop.  Nor does it grow with a term's
-depth: no term walk recurses.  Resolving, unifying, the occurs check, a
-disequality and a linear form each walk a term with an explicit stack, as
-a WAM does.
+depth: as in a WAM, no term walk recurses (see store).
 
-One map, dom, says which constraint domain an unbound variable lives in:
-a set of excluded ground terms, or RATIONAL once any rational
-constraint mentions it, whether or not the store keeps a row for it (as
-X + 1 .>. X or X .=. X leave none).  The engine hands the store resolved
-terms (LinearStore.assert_terms) and never sees a linear form.  Before an
-assert, each variable it mentions becomes RATIONAL, and its exclusions
-follow it into the store, numbers as disequalities; any other excluded
-term is dropped as vacuous, since a rational never equals a symbol or a
-structure.  For the same reason `\\=` against a non-number records
-nothing on a rational variable, and such a variable never binds to one.
-`=` without arithmetic always unifies, so two rational variables are
-aliased like any others, the store learning their equality first.  A
-value the store fixes lives only in the binding: the store reports it
-once, the engine binds the variable at once, and the store forgets it.
-A constraint goal resolves its two sides once, and their arith flag says
-whether `=` or `\\=` goes to the store whole.  Any other `\\=` takes the
-one walk per argument pair that payments take too (assert_neq_term),
-wherever its variables sit in the two sides: a pair of two rational
-variables goes to the store as `!=`, and a pair of a variable and a ground
-term becomes an exclusion.  As terms are resolved before each assert, the
-store is never handed a variable it fixed before.  A variable's exclusions
-are one set of the engine's own that each `\\=`, or a forall piece's neq
-view, grows in place, trailing the terms it added for an undo to remove;
-dump hands out a frozen copy.
-
-Unification is a plain function: unify binds or reports a clash, leaving
-its bindings on the trail for the caller to undo.  Two ground structures
-unify when they are equal, binding nothing, and unequal ones mostly differ
-in hash, so unify rejects them at once.  The one way it can branch is
-binding a variable with excluded terms to a non-ground term, which owes a
-disequality per excluded term; the binding is made at once and the owed
-pairs are left in Engine.owed as payment steps.  `=` and a clause head
-yield them as goals of the loop, each a choice point that logs no event,
-and the loop check takes the first solution of its own from a nested
-solve.  A head pays after all its hidden `=` goals, not after each, with
-the same solutions in the same order: a payment only records exclusions,
-and it dereferences its pairs as it reaches them, depth first, left to
-right.  A compiled head is distinct fresh variables, so a clause is tried
-without unifying its head: the renaming of its body maps the head's
-variables to the call's arguments, and any constants or repeated variables
-of the source head are matched by the hidden `=` goals leading the body.
+Unifying a variable that has excluded terms with a non-ground term owes a
+disequality per excluded term, which the store leaves in owed as payment
+steps (store._Owed).  `=` and a clause head yield them as goals of the
+loop, each a choice point that logs no event, and the loop check takes the
+first solution of its own from a nested solve.  A head pays after all its
+hidden `=` goals, not after each, with the same solutions in the same
+order: a payment only records exclusions, and it dereferences its pairs as
+it reaches them, depth first, left to right.  A compiled head is distinct
+fresh variables, so a clause is tried without unifying its head: the
+renaming of its body maps the head's variables to the call's arguments,
+and any constants or repeated variables of the source head are matched by
+the hidden `=` goals leading the body.
 
 The log is the trail's event entries: one (kind, goal) per step -- an
 'atom' call, a 'constraint', a 'chs' or 'proved' shortcut, a 'forall' --
 plus an 'exit' closing each atom and forall.  A call's 'atom' and 'exit'
-entries carry its frame, so undoing them pops and re-pushes it.  Read in
-trail order, skipping bindings, domains, stores and registrations, the
-log is the pre-order of an answer's tree of Nodes, each carrying one
-resolved goal, so one walk of it per answer builds the tree, the model
-and the order of the answer's variables, resolving a structure many
-events share once.  A goal's polarity is read
-from its PredInfo (duals are negation markers) and a user predicate's
-complement from the compiled program's neg_of table, never from names.
+entries carry its frame, and its 'exit' the registry key of the atom it
+proved: undoing the 'atom' pops the frame, and undoing the 'exit'
+unregisters the atom and re-pushes the frame.  Read in trail order, skipping the store's own
+entries, the log is the pre-order of an answer's tree of Nodes, each
+carrying one resolved goal, so one walk of it per answer builds the tree,
+the model and the order of the answer's variables, resolving a structure
+many events share once.  A goal's polarity is read from its PredInfo
+(duals are negation markers) and a user predicate's complement from the
+compiled program's neg_of table, never from names.
 
 Loops on the call path are classified before a goal is resolved:
 
@@ -159,12 +130,10 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import NamedTuple
 
 from . import store as store_mod
 from .compiler import CompiledProgram, first_arg_key, rewrite_query
-from .errors import SolverError
-from .linear import LinearStore
+from .store import ConstraintStore, _Owed
 from .terms import (
     CmpLit,
     Const,
@@ -173,8 +142,6 @@ from .terms import (
     Query,
     Struct,
     Var,
-    format_term,
-    format_terms,
     fresh_var,
     goal_vars,
     rename_goal,
@@ -213,14 +180,6 @@ _FAIL = object()  # next() of an exhausted choice point
 _MK = attrgetter("mk")
 _SHORTCUT = {"succeed_coinductive": "chs", "succeed_proved": "proved"}
 _EVENTS = frozenset(("atom", "constraint", "chs", "proved", "forall"))  # trail tags
-RATIONAL = object()  # dom entry of a variable a rational constraint mentions
-
-
-class _Owed(NamedTuple):
-    """A payment step: the disequality t \\= x a binding owes, x ground."""
-
-    t: object
-    x: object
 
 
 class _Frame:
@@ -235,7 +194,7 @@ class _Frame:
         self.marker = info.marker
 
 
-class Engine:
+class Engine(ConstraintStore):
     """Evaluator for one compiled program; reusable across queries."""
 
     def __init__(self, cp: CompiledProgram):
@@ -246,9 +205,7 @@ class Engine:
         self.reset()
 
     def reset(self):
-        self.cells = {}  # vid -> term
-        self.dom = {}  # vid -> set of excluded ground terms, or RATIONAL
-        self.lin = LinearStore.empty()
+        super().reset()
         self.proved = {}  # (name, arity) -> [args, ...]
         self._proved_keys = {}  # (name, ground key) -> count
         self._proved_open = {}  # (name, arity) -> [(args, wi, w, ui, u), ...]
@@ -256,328 +213,27 @@ class Engine:
         self._by_pred = {}  # (name, arity) -> [frame, ...]
         self._open = {}  # (name, arity) -> [frame not ground at push, ...]
         self._by_key = {}  # (name, ground key) -> topmost frame
-        self.trail = []
         self.call_gkey = None  # ground key of the goal classify_loop saw last
-        self.owed = []  # (term, excluded term) disequalities binds left unpaid
-        self.det = False  # set as a generator yields its last alternative
         self.forall_trace = []  # diagnostic: (goal, view) per piece
 
-    # -- trail ---------------------------------------------------------------
-
-    def mark(self) -> int:
-        return len(self.trail)
-
-    def undo_to(self, mark: int):
-        trail = self.trail
-        while len(trail) > mark:
-            entry = trail.pop()
-            tag = entry[0]
-            if tag == "bind":
-                del self.cells[entry[1]]
-            elif tag == "atom":
-                if entry[2] is not None:
-                    self._pop()
-            elif tag == "exit":
-                if entry[1] is not None:
-                    self._push(entry[1])
-            elif tag == "dom":
-                if entry[2] is None:
-                    del self.dom[entry[1]]
-                else:
-                    self.dom[entry[1]] = entry[2]
-            elif tag == "excl":
-                entry[1].difference_update(entry[2])
-            elif tag == "lin":
-                self.lin = entry[1]
-            elif tag == "registered":
-                key, pk = entry[1], entry[2]
-                self.proved[key].pop()
-                if pk is None:
-                    self._proved_open[key].pop()
-                elif self._proved_keys[pk] == 1:
-                    del self._proved_keys[pk]
-                else:
-                    self._proved_keys[pk] -= 1
-            # Any other tag is an event that changed nothing else.
-
-    # -- terms -----------------------------------------------------------------
-
-    def deref(self, t):
-        while isinstance(t, Var):
-            nxt = self.cells.get(t.id)
-            if nxt is None:
-                return t
-            t = nxt
-        return t
-
-    def resolve(self, t):
-        """A term with every bound variable replaced by its value."""
-        return self._resolved((t,), False)[0]
-
-    def _resolved(self, args, ground, memo=None):
-        """A tuple of terms with every bound variable replaced by its value,
-        or None when ground is set and an unbound variable remains.  A
-        tuple or structure with nothing bound beneath it comes back as it
-        is, so ground terms are shared, not copied; memo, if given, maps the
-        id of each non-ground structure met to its copy, for one snapshot.
-        A structure is walked with an explicit stack of the parents entered,
-        each with the index reached and the copies made before it (None
-        while they are its own arguments)."""
-        cells = self.cells
-        stack = None
-        s, i, out = None, 0, None  # the structure whose args are walked
-        while True:
-            if i < len(args):
-                t = a = args[i]
-                while t.__class__ is Var:
-                    nxt = cells.get(t.id)
-                    if nxt is None:
-                        if ground:
-                            return None
-                        break
-                    t = nxt
-                if t.__class__ is Struct and not t.ground:
-                    r = memo.get(id(t)) if memo is not None else None
-                    if r is None:
-                        if stack is None:
-                            stack = []
-                        stack.append((s, args, i, out))
-                        s, args, i, out = t, t.args, 0, None
-                        continue
-                    t = r
+    def _undo_event(self, entry):
+        """A call's 'atom' entry pushed its frame, and its 'exit' entry
+        popped it and registered the atom it proved; any other event
+        changed nothing."""
+        tag = entry[0]
+        if tag == "atom":
+            if entry[2] is not None:
+                self._pop()
+        elif tag == "exit" and entry[1] is not None:
+            _, fr, pk = entry
+            self.proved[fr.key].pop()
+            if pk is None:
+                self._proved_open[fr.key].pop()
+            elif self._proved_keys[pk] == 1:
+                del self._proved_keys[pk]
             else:
-                sub = args if out is None else tuple(out)
-                if not stack:
-                    return sub
-                t = s if sub is args else Struct(s.functor, sub)
-                if memo is not None:
-                    memo[id(s)] = t
-                s, args, i, out = stack.pop()
-                a = args[i]
-            if out is None:
-                if t is a:
-                    i += 1
-                    continue
-                out = list(args[:i])
-            out.append(t)
-            i += 1
-
-    def _occurs(self, vid, t) -> bool:
-        """Does the unbound variable vid occur in t?"""
-        todo = None
-        while True:
-            t = self.deref(t)
-            if t.__class__ is Var:
-                if t.id == vid:
-                    return True
-            elif not t.ground:
-                if todo is None:
-                    todo = []
-                todo += t.args
-            if not todo:
-                return False
-            t = todo.pop()
-
-    def _bind_raw(self, vid, t):
-        self.cells[vid] = t
-        self.trail.append(("bind", vid))
-
-    def _set_dom(self, vid, new):
-        self.trail.append(("dom", vid, self.dom.get(vid)))
-        self.dom[vid] = new
-
-    def _set_lin(self, new_store):
-        self.trail.append(("lin", self.lin))
-        self.lin = new_store
-
-    # -- unification -------------------------------------------------------------
-
-    def unify(self, a, b) -> bool:
-        """Bind a = b; False on a clash.  Bindings stay on the trail for the
-        caller to undo.  Disequalities a binding owes are left in owed.
-        Argument pairs are taken depth first, left to right, from an
-        explicit stack."""
-        pairs = None
-        while True:
-            a = self.deref(a)
-            b = self.deref(b)
-            if a.__class__ is Var:
-                if not (b.__class__ is Var and a.id == b.id) and not self._bind(a, b):
-                    return False
-            elif b.__class__ is Var:
-                if not self._bind(b, a):
-                    return False
-            elif (a.__class__ is Struct and b.__class__ is Struct and a.key == b.key
-                  and not (a.ground and b.ground)):
-                if pairs is None:
-                    pairs = []
-                pairs += zip(reversed(a.args), reversed(b.args))
-            elif a != b:
-                return False  # two ground structures: most mismatches differ in hash
-            if not pairs:
-                return True
-            a, b = pairs.pop()
-
-    def _take_owed(self):
-        owed = self.owed
-        if owed:
-            self.owed = []
-        return owed
-
-    def _bind(self, var, t) -> bool:
-        """Bind an unbound variable to a dereferenced term, re-checking its
-        accumulated constraints."""
-        if self._occurs(var.id, t):
-            return False
-        d = self.dom.get(var.id)
-        if isinstance(t, Var):
-            # Aliasing keeps a rational variable as the root.
-            root, other = (var, t) if d is RATIONAL else (t, var)
-            d = self.dom.get(other.id)
-            if d is RATIONAL:
-                # The store learns root = other before the binding, after
-                # which other would resolve to root.
-                if not self._assert_linear("=", root, other):
-                    return False
-                if other.id in self.cells:
-                    return True  # the equality fixed both
-                d = None
-            self._bind_raw(other.id, root)
-            return not d or self._exclude(root, d)
-        if d is RATIONAL:
-            # A rational variable is never a symbol or structure.
-            return t.is_number and self._assert_linear("=", var, t)
-        if d:
-            g = self._resolved((t,), True)
-            if g is None:
-                # A non-ground value owes every excluded term a disequality,
-                # which can branch: the caller pays them after unifying.
-                self.owed.extend(_Owed(t, x) for x in sorted(d, key=format_term))
-            elif g[0] in d:
-                return False
-        self._bind_raw(var.id, t)
-        return True
-
-    def _exclude(self, var, terms) -> bool:
-        """Record that an unbound variable differs from each ground term.  On
-        a rational variable a number becomes a disequality and any other term
-        is vacuous, since a rational never equals a symbol or a structure;
-        any other variable keeps them as exclusions."""
-        d = self.dom.get(var.id)
-        if d is not RATIONAL:
-            if d is None:
-                d = set()
-                self._set_dom(var.id, d)
-            added = [g for g in terms if g not in d]
-            if added:
-                d.update(added)
-                self.trail.append(("excl", d, added))
-            return True
-        for g in sorted(terms, key=format_term):
-            if g.is_number and not self._assert_linear("!=", var, g):
-                return False
-        return True
-
-    # -- disequality over arbitrary terms -------------------------------------
-
-    def assert_neq_term(self, a, b):
-        """Solutions of a \\= b under the excluded-term discipline: one
-        per argument pair that can differ when both sides are structures of
-        one functor, else at most one; the last pair's is the last (det).
-        The argument pairs are taken in order, depth first, from an explicit
-        stack: each is dereferenced when reached, once the alternatives
-        before it are undone."""
-        pairs = [(a, b)]
-        while pairs:
-            a, b = pairs.pop()
-            a = self.deref(a)
-            b = self.deref(b)
-            if a.__class__ is Struct and b.__class__ is Struct and a.key == b.key:
-                pairs += zip(reversed(a.args), reversed(b.args))
-                continue
-            if b.__class__ is Var:
-                a, b = b, a
-            m = self.mark()
-            if a.__class__ is not Var:
-                ok = a != b  # different constants or shapes are never equal
-            elif b.__class__ is Var:
-                # Two rational variables differ in the store.  Nothing tells
-                # two other unbound variables apart: this branch just fails
-                # and lets a later alternative decide constructively.
-                ok = (self.dom.get(a.id) is RATIONAL and self.dom.get(b.id) is RATIONAL
-                      and self._assert_linear("!=", a, b))
-            elif b.__class__ is Struct and not b.arith and self.dom.get(a.id) is RATIONAL:
-                ok = True  # a rational never equals a structure
-            elif (g := self._resolved((b,), True)) is not None:
-                ok = self._exclude(a, g)
-            elif self._occurs(a.id, b):
-                ok = True  # a term strictly containing the variable never equals it
-            else:
-                sa, sb = format_terms(self.resolve(a), self.resolve(b))
-                raise SolverError(
-                    "nonground_disequality",
-                    f"{sa} \\= {sb} needs a ground right-hand side",
-                )
-            if ok:
-                self.det = not pairs
-                yield
-            self.undo_to(m)
-
-    # -- linear constraints ------------------------------------------------------
-
-    def _assert_linear(self, op, l, r) -> bool:
-        """Conjoin l op r, two resolved terms, with the rational store,
-        binding each variable it fixes.  Each variable it mentions becomes
-        rational first, bringing its exclusions into the store."""
-        for v in term_vars(l) + term_vars(r):
-            d = self.dom.get(v.id)
-            if d is not RATIONAL:
-                self._set_dom(v.id, RATIONAL)
-                if d and not self._exclude(v, d):
-                    return False
-        res = self.lin.assert_terms(op, l, r)
-        if res is None:
-            return False
-        new_store, determined = res
-        if new_store is not self.lin:
-            self._set_lin(new_store)
-        # Each variable is reported once, by the call that fixes it, and the
-        # store forgets it: its value lives on only in the binding made here.
-        # The store already checked it, and binding through _bind would
-        # assert it again.  A variable aliased to another is already bound.
-        for vid, val in determined:
-            if vid not in self.cells:
-                self._bind_raw(vid, Const(val))
-        return True
-
-    # -- constraint goals -------------------------------------------------------
-
-    def _equate(self, a, b) -> bool:
-        """Bind a = b once both are resolved: unify them, or conjoin them with
-        the store when a side has arithmetic.  Owed disequalities are left
-        in owed."""
-        l, r = self._resolved((a, b), False)
-        if l.arith or r.arith:
-            return self._assert_linear("=", l, r)
-        return self.unify(l, r)
-
-    def solve_constraint(self, c: CmpLit):
-        m = self.mark()
-        op = c.op
-        if op == "=":
-            ok = self._equate(c.lhs, c.rhs)
-            owed = self._take_owed()
-            if ok:
-                self.det = True
-                yield owed or None  # the payments, still to prove
-        else:
-            l, r = self._resolved((c.lhs, c.rhs), False)
-            if op == "\\=" and not (l.arith or r.arith):
-                yield from self.assert_neq_term(l, r)
-            elif self._assert_linear(op, l, r):
-                self.det = True
-                yield
-        self.undo_to(m)
+                self._proved_keys[pk] -= 1
+            self._push(fr)
 
     # -- loop classification ------------------------------------------------------
 
@@ -733,8 +389,7 @@ class Engine:
                 if type(goal) is tuple:  # a call's exit step: its body is proved
                     goal, fr = goal
                     self._pop()
-                    self.trail.append(("exit", fr))
-                    self._register_proved(goal, fr.gkey)
+                    self.trail.append(("exit", fr, self._register_proved(goal, fr.gkey)))
                     continue
                 if isinstance(goal, Lit):
                     gen = self.solve_call(goal)
@@ -838,6 +493,8 @@ class Engine:
             self.undo_to(m)
 
     def _register_proved(self, goal: Lit, gkey):
+        """Register a proved atom; returns its registry key, None when it
+        is not ground."""
         if gkey is None:
             gkey = self._resolved(goal.args, True)
         pk = None if gkey is None else (goal.pred, gkey)
@@ -855,33 +512,9 @@ class Engine:
             self._proved_open.setdefault(goal.key, []).append((goal.args, wi, w, ui, u))
         else:
             self._proved_keys[pk] = self._proved_keys.get(pk, 0) + 1
-        self.trail.append(("registered", goal.key, pk))
+        return pk
 
     # -- universal quantification ----------------------------------------------
-
-    def apply(self, view, var: Var) -> bool:
-        """Constrain a fresh variable to one constraint view."""
-        if view[0] == "top":
-            return True
-        if view[0] == "eq":
-            self._bind_raw(var.id, view[1])
-            return True
-        if view[0] == "neq":
-            return self._exclude(var, view[1])
-        for op, val in view[1]:
-            if not self._assert_linear(op, var, Const(val)):
-                return False
-        return True
-
-    def dump(self, var: Var):
-        """Project the current state onto one variable as a constraint view."""
-        t = self.deref(var)
-        if isinstance(t, Var):
-            d = self.dom.get(t.id)
-            if d is RATIONAL:
-                return store_mod.lin_view(self.lin, t.id)
-            return ("neq", frozenset(d)) if d else store_mod.TOP
-        return ("eq", self.resolve(t))
 
     def c_forall(self, vs: tuple, goal):
         """One alternative, its last: a commit step carrying the driver of
@@ -954,7 +587,7 @@ class Engine:
                 stack.pop()
                 continue
             if kind not in _EVENTS:
-                continue  # a binding, domain, store or registry entry
+                continue  # one of the store's own entries
             goal = self._resolve_goal(ev[1], memo)
             node = Node(kind, goal)
             stack[-1].children.append(node)

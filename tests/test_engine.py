@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 import scasp
 from scasp import linear, store as store_mod
 from scasp.compiler import compile_program
-from scasp.engine import Engine, Node
+from scasp.engine import Engine, Node, _Frame
 from scasp.errors import SolverError
 from scasp.linear import LinearStore
 from scasp.parser import parse_query
@@ -658,9 +658,16 @@ _REG_STEPS = st.one_of(
 
 def _apply_step(e, step):
     """One registry or constraint step through the engine's own methods;
-    a step that fails or owes disequalities is undone whole."""
+    a step that fails or owes disequalities is undone whole.  A registry
+    step enters a call to p as solve_call does and proves it through solve's
+    exit step, whose one trail entry unregisters the atom on an undo."""
     if step[0] == "register":
-        e._register_proved(Lit("p", step[1]), None)
+        goal = Lit("p", step[1])
+        fr = _Frame(goal, e.cp.pred_info["p"])
+        fr.gkey = e._resolved(goal.args, True)
+        e.trail.append(("atom", goal, fr))
+        e._push(fr)
+        next(e.solve(((goal, fr),)))
         return
     m = e.mark()
     var = e.deref(step[1])
@@ -695,7 +702,7 @@ def test_proved_lookup_agrees_with_a_scan_of_every_entry(steps, calls, back):
     # must answer as a full scan would, also after part of the trail is
     # undone.  A call given as an integer repeats a registered atom's
     # arguments, so that variants are common.
-    e = engine_for()
+    e = engine_for("p(a, a).")
     marks = []
     for step in steps:
         marks.append(e.mark())
@@ -1304,7 +1311,7 @@ def test_the_model_snapshot_walks_a_deep_proof_without_recursion():
     e = engine_for("q(X) :- q(X). q(a).")
     depth = sys.getrecursionlimit() + 10
     e.trail = [("atom", Lit("q", (Const(i),)), None) for i in range(depth)]
-    e.trail += [("registered", ("q", 1), None), ("chs", Lit("q", (Const(0),)))]
+    e.trail += [("bind", 0), ("chs", Lit("q", (Const(0),)))]
     e.trail += [("exit", None)] * (depth - 1)
     e.trail += [("atom", Lit("q", (Const("b"),)), None), ("exit", None), ("exit", None)]
     try:

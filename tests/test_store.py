@@ -1,15 +1,23 @@
 """Single-variable constraint views: conjunction, negation, canonical forms."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scasp
+from scasp import store as store_mod
+from scasp.engine import Engine
 from scasp.errors import SolverError
-from scasp.store import TOP, add, dual, lin_canon, view_conj
-from scasp.terms import Const, Struct, fresh_var
+from scasp.linear import LinearStore
+from scasp.store import TOP, ConstraintStore, add, dual, lin_canon, view_conj
+from scasp.terms import Const, Struct, Var, fresh_var
 
-from helpers import engine_for, pick_witness_num, sat_entry, sat_view_num
+from helpers import ROOT, compiled, engine_for, num, pick_witness_num, sat_entry, sat_view_num
+
+if str(ROOT / "perfbench") not in sys.path:
+    sys.path.append(str(ROOT / "perfbench"))
 
 
 def lin(*entries):
@@ -206,3 +214,99 @@ def test_a_view_applied_to_a_fresh_variable_reads_back_as_itself(entries):
     e, x = engine_for(), fresh_var("X")
     assert e.apply(view, x)
     assert e.dump(x) == view
+
+
+# -- the view algebra against its former rules, tag by tag --------------------
+#
+# view_conj and lin_canon now apply views to a throwaway ConstraintStore and
+# read its dump.  They once restated the store's domain rules per view tag;
+# those rules are kept here as a reference that the two must agree with.
+
+
+def ref_lin_canon(entries):
+    store, x = LinearStore.empty(), Var(0)
+    for op, val in entries:
+        got = store.assert_terms(op, x, Const(Fraction(val)))
+        if got is None:
+            return None
+        store, fixed = got
+        if fixed:
+            x = Const(fixed[0][1])
+    return ("eq", x) if isinstance(x, Const) else store_mod.lin_view(store, x.id)
+
+
+def ref_view_conj(a, b):
+    if a[0] == "top":
+        return b
+    if b[0] == "top":
+        return a
+    if a[0] == "eq" and b[0] == "eq":
+        return a if a[1] == b[1] else None
+    if a[0] == "eq" or b[0] == "eq":
+        eqv, other = (a, b) if a[0] == "eq" else (b, a)
+        t = eqv[1]
+        if other[0] == "neq":
+            return None if t in other[1] else eqv
+        if not t.is_number:
+            return None
+        return ref_lin_canon(list(other[1]) + [("=", t.value)])
+    if a[0] == "neq" and b[0] == "neq":
+        return ("neq", a[1] | b[1])
+    if a[0] == "neq" or b[0] == "neq":
+        neqv, linv = (a, b) if a[0] == "neq" else (b, a)
+        extra = [("!=", t.value) for t in neqv[1] if t.is_number]
+        return ref_lin_canon(list(linv[1]) + extra)
+    return ref_lin_canon(list(a[1]) + list(b[1]))
+
+
+# Ground terms as bindings hold them.  No binding holds an arithmetic
+# structure: arithmetic parses only as a constraint side, and `=` hands it to
+# the rational store.  (On a binding to 1+2 the two would differ: the former
+# rules refused rational bounds on it, and the store evaluates it.)
+_NUMBERS = st.sampled_from((-2, -1, 0, Fraction(1, 2), 1, 3)).map(num)
+_GROUND = st.one_of(
+    st.sampled_from((Const("a"), Const("b"))),
+    _NUMBERS,
+    st.builds(lambda t: Struct("f", (t,)), st.sampled_from((Const("a"), num(1)))),
+)
+_LIN_ENTRIES = st.lists(
+    st.tuples(st.sampled_from(["<", "<=", ">", ">=", "=", "!="]), _NUMBERS.map(lambda c: c.value)),
+    min_size=1,
+    max_size=4,
+)
+_VIEWS = st.one_of(
+    st.just(TOP),
+    st.builds(lambda t: ("eq", t), _GROUND),
+    st.builds(lambda t: ("eq", t), _NUMBERS),  # so that bounds meet numbers often
+    st.builds(lambda ts: ("neq", frozenset(ts)), st.lists(_GROUND, min_size=1, max_size=3)),
+    _LIN_ENTRIES.map(ref_lin_canon).filter(lambda v: v is not None),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VIEWS, _VIEWS, _LIN_ENTRIES)
+def test_the_view_algebra_agrees_with_its_former_rules(a, b, entries):
+    assert view_conj(a, b) == ref_view_conj(a, b)
+    assert lin_canon(entries) == ref_lin_canon(entries)
+
+
+def test_tracing_counts_the_view_algebra_and_undoes_its_patches():
+    # perfbench's tracer patches the view algebra by module attribute and
+    # Engine's entry points by class attribute; the stream query's forall
+    # reaches both.
+    import tracing  # perfbench's, read through sys.path: a break fails this test alone
+
+    cp = compiled((ROOT / "tests" / "programs" / "stream.pl").read_text())
+    owners = (Engine, ConstraintStore, LinearStore, store_mod, scasp)
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        assert list(Engine(cp).run_query(cp.query))
+    finally:
+        undo()
+    assert [dict(vars(owner)) for owner in owners] == before
+    for span in ("store.add", "store.view_conj", "linear.assert"):
+        assert tracer.calls[span] > 0, span
+    for count in ("engine.calls", "forall.calls"):
+        assert tracer.counts[count] > 0, count
