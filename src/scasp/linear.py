@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
+from operator import eq, ge, gt, le, lt, ne
 
 from .errors import SolverError
 from .terms import ARITH_OPS, Var, format_terms
@@ -67,6 +68,18 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 _FM1 = Fraction(-1)
 _NO_VARS = frozenset()
+
+# Each store operator: its test of a constant `lhs - rhs` against zero, the
+# operators whose disjunction is its exact negation, and for an inequality
+# its row `sign * (lhs - rhs) <= 0` (`< 0` when strict) as (sign, strict).
+_OPS = {
+    "<": (lt, (">=",), (_F1, True)),
+    "<=": (le, (">",), (_F1, False)),
+    ">": (gt, ("<=",), (_FM1, True)),
+    ">=": (ge, ("<",), (_FM1, False)),
+    "=": (eq, ("<", ">"), None),
+    "!=": (ne, ("=",), None),
+}
 
 ZERO = (_F0, ())
 
@@ -186,14 +199,7 @@ def form_of(t):
 
 def complement(op: str):
     """Operators whose disjunction is the exact negation of op."""
-    return {
-        "<": (">=",),
-        "<=": (">",),
-        ">": ("<=",),
-        ">=": ("<",),
-        "=": ("<", ">"),
-        "!=": ("=",),
-    }[op]
+    return _OPS[op][1]
 
 
 # -- Fourier-Motzkin machinery ------------------------------------------------
@@ -350,44 +356,29 @@ class LinearStore:
         mentions them, so lhs and rhs must not mention a variable reported
         before.
         """
+        try:
+            holds, _, row = _OPS[op]
+        except KeyError:
+            raise ValueError(f"unknown linear operator {op!r}") from None
         diff = form_apply(form_sub(lhs, rhs), self.subst)
-        ineqs, neqs = self.ineqs, self.neqs
+        if form_is_const(diff):
+            return (self, []) if holds(diff[0], _F0) else None
         # A form over one variable the store does not mention leaves every
         # row as it is, so the store needs no _normalize (module docstring).
-        if op == "=":
-            if form_is_const(diff):
-                return (self, []) if diff[0] == 0 else None
-            if len(diff[1]) == 1 and diff[1][0][0] not in self.vars():
+        if op != "!=" and len(diff[1]) == 1 and diff[1][0][0] not in self.vars():
+            if op == "=":
                 (vid, coef), = diff[1]
                 return self, [(vid, -diff[0] / coef)]
-        elif op == "!=":
-            if form_is_const(diff):
-                return (self, []) if diff[0] != 0 else None
-            neqs += (diff,)
-        else:
-            if op == "<":
-                entry = (diff, True)
-            elif op == "<=":
-                entry = (diff, False)
-            elif op == ">":
-                entry = (form_neg(diff), True)
-            elif op == ">=":
-                entry = (form_neg(diff), False)
-            else:
-                raise ValueError(f"unknown linear operator {op!r}")
-            form, strict = entry
-            if form_is_const(form):
-                if form[0] < 0 or (form[0] == 0 and not strict):
-                    return (self, [])
-                return None
-            if len(form[1]) == 1 and form[1][0][0] not in self.vars():
-                ineqs = list(ineqs)
-                insort(ineqs, _canonical(form, strict))
-                return LinearStore(self.subst, ineqs, neqs), []
-            ineqs += (entry,)
-        subst = dict(self.subst)
+            ineqs = list(self.ineqs)
+            insort(ineqs, _canonical(form_scale(diff, row[0]), row[1]))
+            return LinearStore(self.subst, ineqs, self.neqs), []
+        subst, ineqs, neqs = dict(self.subst), self.ineqs, self.neqs
         if op == "=":
             _solve_eq(subst, diff)
+        elif op == "!=":
+            neqs += (diff,)
+        else:
+            ineqs += ((form_scale(diff, row[0]), row[1]),)
         got = _normalize(subst, ineqs, neqs)
         if got is None:
             return None

@@ -1,31 +1,24 @@
 """Shared utilities for the test suite."""
 
-import importlib.util
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import scasp
+from scasp import store as store_mod
 from scasp.compiler import compile_program
 from scasp.engine import Engine, run_query
+from scasp.linear import LinearStore
 from scasp.parser import parse_program, parse_query
+from scasp.render import render_answer
+from scasp.store import ConstraintStore
 from scasp.terms import CmpLit, Const, Forall, Lit, Struct, Var
 
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def perfbench_module(name, monkeypatch):
-    """perfbench/<name>.py, imported for one test (perfbench is no package)."""
-    spec = importlib.util.spec_from_file_location(
-        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    # Dataclasses look their module up while the module executes.
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
 
 
 def run_child(*args, code=None, limit=None, env=(), timeout=300):
@@ -60,6 +53,43 @@ def answers(text, query=None, n=0):
         if n and len(out) >= n:
             break
     return out
+
+
+def traced_run(program, query=None, bound=0, spans=(), counts=()):
+    """The contract of perfbench/tracing.py, which patches Engine methods,
+    LinearStore methods and store/scasp functions by name: run the query of
+    tests/programs/<program>.pl (or query) untraced, then traced; check that
+    both render the same answers, that each named span was opened and has
+    self time, that each named counter counted, and that undo() restored
+    every patched owner.  Returns the traced engine."""
+    import tracing  # imported here, so that a break in it fails its callers alone
+
+    owners = (Engine, ConstraintStore, LinearStore, store_mod, scasp)
+    before = [dict(vars(owner)) for owner in owners]
+    cp = compiled((ROOT / "tests" / "programs" / f"{program}.pl").read_text())
+    query = cp.query if query is None else parse_query(query)
+
+    def rendered(engine):
+        return [
+            re.sub(r"in [0-9.]+ ms", "", render_answer(a, cp.pred_info, cp.shows))
+            for a in engine.run_query(query, bound)
+        ]
+
+    plain = rendered(Engine(cp))
+    engine = Engine(cp)
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        traced = rendered(engine)
+    finally:
+        undo()
+    assert [dict(vars(owner)) for owner in owners] == before
+    assert traced == plain and plain
+    for span in spans:
+        assert tracer.calls[span] > 0 and tracer.self_s[span] > 0, span
+    for count in counts:
+        assert tracer.counts[count] > 0, count
+    return engine
 
 
 def engine_for(text="seed_fact."):

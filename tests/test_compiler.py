@@ -18,7 +18,8 @@ from scasp.terms import (
     CONSTRAINT_OPS, CmpLit, Const, Forall, Lit, Program, Query, Rule, Var, fresh_var,
 )
 
-from helpers import answers, compiled, perfbench_module
+import workloads
+from helpers import answers, compiled
 
 
 # -- name and structure canonicalization -----------------------------------------
@@ -257,7 +258,6 @@ def test_each_compiled_rule_is_built_once(monkeypatch):
     # Duals are named before any rule is built, so every rule is built
     # once, calls and all: a source rule's negated goals call their duals
     # from the start.
-    workloads = perfbench_module("workloads", monkeypatch)
     built = []
 
     class Counted(compiler.CompiledRule):

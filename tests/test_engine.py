@@ -1,10 +1,7 @@
 """Engine behavior: unification, disequality, loops, and consistency checks."""
 
 import gc
-import importlib.util
 import itertools
-import json
-import json.scanner
 import pickle
 import re
 import sys
@@ -17,14 +14,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import scasp
 from scasp import linear, store as store_mod
 from scasp.compiler import compile_program
 from scasp.engine import Engine, Node, _Frame
 from scasp.errors import SolverError
 from scasp.linear import LinearStore
 from scasp.parser import parse_query
-from scasp.render import Renderer, render_answer, render_answer_json
+from scasp.render import Renderer, render_answer
 from scasp.terms import (
     CmpLit,
     Const,
@@ -50,8 +46,8 @@ from helpers import (
     compiled,
     engine_for,
     num,
-    perfbench_module,
     run_child,
+    traced_run,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -1435,70 +1431,27 @@ def test_structures_keep_their_hash_and_flags_out_of_pickles():
     assert run(check, "2", dumped[1]) == "True True True ('p', 2) True True False"
 
 
-def _rendered(cp, query):
-    return [
-        re.sub(r"in [0-9.]+ ms", "", render_answer(a, cp.pred_info, cp.shows))
-        for a in Engine(cp).run_query(parse_query(query))
-    ]
-
-
-def _tracing():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
-    )
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+# -- the benchmark's tracer ------------------------------------------------------
 
 
 def test_benchmark_tracing_hooks_the_engine():
-    # perfbench/tracing.py patches Engine methods and store/linear functions
-    # by name and reads engine attributes; renaming one must fail here, not
-    # only in a traced run.
-    tracing = _tracing()
-
-    def traced_run(program, query):
-        cp = compiled((ROOT / "tests" / "programs" / program).read_text())
-        plain = _rendered(cp, query)
-        tracer = tracing.Tracer()
-        undo = tracing.install(tracer)
-        try:
-            traced = _rendered(cp, query)
-        finally:
-            undo()
-        assert traced == plain and plain
-        return tracer
-
-    tracer = traced_run("hanoi.pl", "?- hanoi(5, T).")
-    counts = tracer.counts
-    assert counts["engine.loop.continue"] > 0
-    assert counts["engine.loop.succeed_coinductive"] > 0
-    assert tracer.self_s["classify_loop"] > 0
-    # The stream query reaches the layers hanoi(5) does not: forall, the
-    # projection of rational stores, and the view algebra.
-    tracer = traced_run("stream.pl", "?- valid_stream(Pr, Data).")
-    for span in ("forall", "linear.project", "store.lin_canon", "store.dual"):
-        assert tracer.calls[span] >= 1, span
+    # hanoi(5) reaches the loop checks; the stream query reaches the layers
+    # hanoi(5) does not: forall, the projection of rational stores, and the
+    # view algebra.
+    traced_run(
+        "hanoi", "?- hanoi(5, T).", spans=("classify_loop",),
+        counts=("engine.loop.continue", "engine.loop.succeed_coinductive"),
+    )
+    traced_run("stream", spans=("forall", "linear.project", "store.lin_canon", "store.dual"))
 
 
 def test_benchmark_tracing_counts_the_solver_and_undoes_its_patches():
     # The tsp query reaches resolution, forall and the rational store; the
-    # tracer and its client read the engine attributes checked at the end.
-    tracing = _tracing()
-    owners = (Engine, LinearStore, store_mod, scasp)
-    before = [dict(vars(owner)) for owner in owners]
-    cp = compiled((ROOT / "tests" / "programs" / "tsp.pl").read_text())
-    engine = Engine(cp)
-    tracer = tracing.Tracer()
-    undo = tracing.install(tracer)
-    try:
-        assert len(list(engine.run_query(cp.query, 1))) == 1
-    finally:
-        undo()
-    assert [dict(vars(owner)) for owner in owners] == before
-    assert tracer.counts["engine.calls"] > 0
-    assert tracer.counts["forall.calls"] > 0
-    assert tracer.calls["linear.assert"] > 0
+    # tracer and its client read the engine attributes checked at the end
+    # (the client reads forall_trace after each query).
+    engine = traced_run(
+        "tsp", bound=1, spans=("linear.assert",), counts=("engine.calls", "forall.calls")
+    )
     for name in ("proved", "frames", "trail", "forall_trace"):
         assert hasattr(engine, name), name
     assert engine.forall_trace
@@ -1632,58 +1585,6 @@ def test_a_point_query_tries_a_handful_of_clauses(monkeypatch):
     monkeypatch.setattr("scasp.engine.rename_goal", counting)
     assert len(list(Engine(cp).run_query(parse_query("?- f(c500).")))) == 1
     assert len(calls) <= 5
-
-
-def test_benchmark_wide_queries_pass_their_checks(monkeypatch):
-    # The wide workload's point queries, checked against the references the
-    # benchmark computes from its generated facts.
-    workloads = perfbench_module("workloads", monkeypatch)
-    checks = perfbench_module("checks", monkeypatch)
-    wl = workloads.wide(41)
-    assert len(wl.queries) == 50
-    cp = compiled(wl.programs["family"])
-    engine = Engine(cp)
-    for q in wl.queries:
-        got = [
-            json.loads(render_answer_json(a, cp.pred_info, cp.shows))
-            for a in engine.run_query(parse_query(q.text), q.bound)
-        ]
-        assert checks.check(q.expect, got) is None, q.key
-
-
-def _decode(text):
-    """json.loads, falling back on the pure-Python scanner where the C one
-    raises RecursionError at a fixed nesting depth (Python 3.12)."""
-    try:
-        return json.loads(text)
-    except RecursionError:
-        decoder = json.JSONDecoder()
-        decoder.scan_once = json.scanner.py_make_scanner(decoder)
-        return decoder.decode(text)
-
-
-def test_benchmark_deep_queries_pass_their_checks(monkeypatch):
-    # The deep workload's long derivations (hanoi, countdowns, deep ground
-    # terms, chains), checked against the benchmark's references.  A chain
-    # answer nests 2,000 levels deep.
-    workloads = perfbench_module("workloads", monkeypatch)
-    checks = perfbench_module("checks", monkeypatch)
-    wl = workloads.deep(41, ROOT)
-    programs = {key: compiled(text) for key, text in wl.programs.items()}
-    # Decoding recurses once per level of nesting, in C or in Python: the
-    # test raises the limit it needs, and puts the caller's back.
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 20_000))
-    try:
-        for q in wl.queries:
-            cp = programs[q.program]
-            got = [
-                _decode(render_answer_json(a, cp.pred_info, cp.shows))
-                for a in Engine(cp).run_query(parse_query(q.text), q.bound)
-            ]
-            assert checks.check(q.expect, got) is None, q.key
-    finally:
-        sys.setrecursionlimit(limit)
 
 
 # -- queries and answers ---------------------------------------------------------

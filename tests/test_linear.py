@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from scasp.linear import (
@@ -114,6 +115,13 @@ def test_contradictions_are_detected():
     assert (
         store_of((">=", v(X), c(4)), ("<=", v(X), c(4)), ("!=", v(X), c(4))) is None
     )
+
+
+def test_an_unknown_operator_is_an_error():
+    # Also where both sides are constants and no row is built.
+    for lhs in (v(X), c(1)):
+        with pytest.raises(ValueError, match="unknown linear operator"):
+            LinearStore.empty().assert_constraint("=<", lhs, c(2))
 
 
 def test_disequality_forced_equal_fails():

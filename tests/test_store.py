@@ -1,23 +1,17 @@
 """Single-variable constraint views: conjunction, negation, canonical forms."""
 
-import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import scasp
 from scasp import store as store_mod
-from scasp.engine import Engine
 from scasp.errors import SolverError
 from scasp.linear import LinearStore
-from scasp.store import TOP, ConstraintStore, add, dual, lin_canon, view_conj
+from scasp.store import TOP, add, dual, lin_canon, view_conj
 from scasp.terms import Const, Struct, Var, fresh_var
 
-from helpers import ROOT, compiled, engine_for, num, pick_witness_num, sat_entry, sat_view_num
-
-if str(ROOT / "perfbench") not in sys.path:
-    sys.path.append(str(ROOT / "perfbench"))
+from helpers import engine_for, num, pick_witness_num, sat_entry, sat_view_num, traced_run
 
 
 def lin(*entries):
@@ -294,19 +288,7 @@ def test_tracing_counts_the_view_algebra_and_undoes_its_patches():
     # perfbench's tracer patches the view algebra by module attribute and
     # Engine's entry points by class attribute; the stream query's forall
     # reaches both.
-    import tracing  # perfbench's, read through sys.path: a break fails this test alone
-
-    cp = compiled((ROOT / "tests" / "programs" / "stream.pl").read_text())
-    owners = (Engine, ConstraintStore, LinearStore, store_mod, scasp)
-    before = [dict(vars(owner)) for owner in owners]
-    tracer = tracing.Tracer()
-    undo = tracing.install(tracer)
-    try:
-        assert list(Engine(cp).run_query(cp.query))
-    finally:
-        undo()
-    assert [dict(vars(owner)) for owner in owners] == before
-    for span in ("store.add", "store.view_conj", "linear.assert"):
-        assert tracer.calls[span] > 0, span
-    for count in ("engine.calls", "forall.calls"):
-        assert tracer.counts[count] > 0, count
+    traced_run(
+        "stream", spans=("store.add", "store.view_conj", "linear.assert"),
+        counts=("engine.calls", "forall.calls"),
+    )
