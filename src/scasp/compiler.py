@@ -31,14 +31,19 @@ first-argument keys, and the graph of the odd-loop search.  Every
 predicate's dual is named in `CompiledProgram.neg_of` before any rule is
 built, so each rule is built once and every body literal of the
 executable rules is a positive call: a negated user literal calls its
-dual.  `source_rules` are those executable rules, one per clause in
+dual.  `neg_of` is the one complement table, read both ways: it maps a
+user predicate's key to its dual's name and the dual's key back to the
+user name, so the loop check finds either polarity's complement with one
+lookup.  `source_rules` are those executable rules, one per clause in
 source order, and they print as written.  `CompiledProgram.rules` is the
 one table of rules: indexed by predicate, each generated predicate where
 it is defined, and, for user predicates, by the first argument of each
-source head (`CompiledProgram.first_arg`); `dual_rules` and `nmr_rules`
-are views of its generated entries.  `synth_name` spells every generated name
-and returns its `PredInfo`, which is how the rest of the system tells a
-dual from a user predicate and prints it as `not <base>`; the
+source head (`CompiledProgram.first_arg`, each entry a `ClauseRuns`
+whose one lookup is `get`); `dual_rules` and `nmr_rules` are views of its
+generated entries.  `synth_name` spells every generated name, from
+`NMR_CHECK` for the check the engine appends to each query, and returns
+its `PredInfo`, which is how the rest of the system tells a dual from a
+user predicate and prints it as `not <base>`; the
 reserved-name check, one precompiled pattern, rejects every user name
 that one of its shapes could take.  `CompiledRule` and `PredInfo`, made
 a few times per clause, are slotted dataclasses and, like terms,
@@ -49,7 +54,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -83,7 +87,11 @@ __all__ = [
     "first_arg_key",
     "dump_compiled",
     "RESERVED_NOTE",
+    "NMR_CHECK",
 ]
+
+# The check rule that every query ends with.
+NMR_CHECK = "nmr_check"
 
 RESERVED_NOTE = (
     "names 'nmr_check', 'forall' and 'not', the prefixes 'not_' and "
@@ -106,7 +114,7 @@ class CompiledRule:
 @dataclass(slots=True, unsafe_hash=True)
 class PredInfo:
     kind: str  # 'user' | 'umbrella' | 'dual' | 'chk' | 'nmr'
-    base: str  # display name without the negation wrapper
+    base: str  # display name: a dual's user predicate, else the name itself
     marker: bool  # displayed behind 'not'; a negation boundary on the call path
 
 
@@ -115,7 +123,9 @@ class CompiledProgram:
     rules: dict = field(default_factory=dict)  # (name, arity) -> [CompiledRule]
     source_rules: list = field(default_factory=list)  # one per clause, in order
     pred_info: dict = field(default_factory=dict)
-    neg_of: dict = field(default_factory=dict)  # (name, arity) -> dual's name
+    # The complement table: (name, arity) -> its dual's name for a user
+    # predicate, and (dual, arity) -> the user name for its dual.
+    neg_of: dict = field(default_factory=dict)
     # First-argument index of the user predicates that have a clause whose
     # head's first argument has a first_arg_key: (name, arity) ->
     # (ClauseRuns {key: that key's clauses and the wildcard clauses},
@@ -154,7 +164,7 @@ def synth_name(kind, user="", arity=None, index=0, body=False):
     variables (not_p__1_body, chk_1_body).
     """
     if kind == "nmr":
-        base = "nmr_check"
+        base = NMR_CHECK
     elif kind == "chk":
         base = f"chk_{index}"
     else:
@@ -172,11 +182,6 @@ def synth_name(kind, user="", arity=None, index=0, body=False):
 _RESERVED = re.compile(r"\A(?:(?:nmr_check|forall|not)\Z|not_|chk_\d)|__")
 
 
-def _is_reserved(name: str) -> bool:
-    """Could name clash with a shape synth_name emits?"""
-    return _RESERVED.search(name) is not None
-
-
 def _check_goals(goals, source, free):
     """Reject goals (forall bodies included) that name a generated predicate,
     and a forall goal in a rule body, at the position of source (a rule or
@@ -187,7 +192,7 @@ def _check_goals(goals, source, free):
         if in_forall:
             g = g.goal
         if isinstance(g, Lit) and g.pred not in free:
-            if _is_reserved(g.pred):
+            if _RESERVED.search(g.pred) is not None:
                 raise CompileError(
                     f"predicate name {g.pred!r} is reserved ({RESERVED_NOTE})",
                     source.line, source.col, source.file,
@@ -430,6 +435,7 @@ def compile_program(program: Program) -> CompiledProgram:
             "umbrella", name, ar if arities[name] > 1 else None
         )
         cp.neg_of[key] = umbrella
+        cp.neg_of[(umbrella, ar)] = name
 
     # Index the database.  A user predicate's rules are its source clauses
     # in order, and only they can carry a first-argument key.  Generated
@@ -463,14 +469,14 @@ def first_arg_key(t):
     return None
 
 
-class ClauseRuns(Mapping):
-    """First-argument key -> the clauses a call with that key must try.
+class ClauseRuns:
+    """First-argument key -> the clauses a call with that key must try (get).
 
     As a WAM's switch instructions do, the clause list is cut into maximal
     runs of keyed clauses and of wildcard clauses, and each clause is stored
     once: a key's clauses are, run by run in source order, its own clauses
     in a keyed run and the whole of a wildcard run.  A key that no clause
-    has is not in the mapping (its clauses are the wildcards alone).
+    has gets the default (its clauses are the wildcards alone).
     """
 
     __slots__ = ("runs",)
@@ -479,8 +485,6 @@ class ClauseRuns(Mapping):
         self.runs = runs  # tuple of {key: clauses} and (wildcard clauses)
 
     def get(self, key, default=None):
-        # The primitive lookup, not Mapping.get's: a call whose key no clause
-        # has is common, and should not raise and catch a KeyError.
         runs = self.runs
         if len(runs) == 1:
             return runs[0].get(key, default)  # keyed clauses only: one dict hit
@@ -494,18 +498,6 @@ class ClauseRuns(Mapping):
             else:
                 out.extend(run)
         return tuple(out) if hit else default
-
-    def __getitem__(self, key):
-        got = self.get(key)
-        if got is None:
-            raise KeyError(key)
-        return got
-
-    def __iter__(self):
-        return iter(dict.fromkeys(k for run in self.runs if isinstance(run, dict) for k in run))
-
-    def __len__(self):
-        return sum(1 for _ in self)
 
 
 def _first_arg_entry(clauses, keys):

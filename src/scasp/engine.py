@@ -56,8 +56,10 @@ entries, the log is the pre-order of an answer's tree of Nodes, each
 carrying one resolved goal, so one walk of it per answer builds the tree,
 the model and the order of the answer's variables, resolving a structure
 many events share once.  A goal's polarity is read from its PredInfo
-(duals are negation markers) and a user predicate's complement from the
-compiled program's neg_of table, never from names.
+(duals are negation markers) and its complement from the compiled
+program's neg_of table, never from names: one lookup of the goal's key
+gives a user predicate's dual or a dual's user predicate, and a goal with
+no entry (a sub-dual, a check) has no complement to contradict.
 
 Loops on the call path are classified before a goal is resolved:
 
@@ -132,7 +134,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from . import store as store_mod
-from .compiler import CompiledProgram, first_arg_key, rewrite_query
+from .compiler import NMR_CHECK, CompiledProgram, first_arg_key, rewrite_query
 from .store import ConstraintStore, _Owed
 from .terms import (
     CmpLit,
@@ -173,7 +175,7 @@ class Answer:
 
     def model_atoms(self):
         """(pred, args) pairs of the model, nmr marker excluded."""
-        return [(lit.pred, lit.args) for lit in self.model if lit.pred != "nmr_check"]
+        return [(lit.pred, lit.args) for lit in self.model if lit.pred != NMR_CHECK]
 
 
 _FAIL = object()  # next() of an exhausted choice point
@@ -199,8 +201,8 @@ class Engine(ConstraintStore):
 
     def __init__(self, cp: CompiledProgram):
         self.cp = cp
-        # The dual of each user predicate, so the call path and the proof
-        # registry can be searched for a goal's complement.
+        # The complement of each user predicate and of its dual, so the call
+        # path and the proof registry can be searched for a goal's complement.
         self.neg_of = cp.neg_of
         self.reset()
 
@@ -294,25 +296,20 @@ class Engine(ConstraintStore):
         """How a goal relates to the in-flight call path (and proof registry).
 
         Leaves the call's ground key in call_gkey for solve_call."""
-        info = self.cp.pred_info[goal.pred]
-        kind, marker = info.kind, info.marker
-        n = len(goal.args)
+        marker = self.cp.pred_info[goal.pred].marker
         gkey = self.call_gkey = self._resolved(goal.args, True)
         # Contradiction with an ancestor: the same user atom in the opposite
         # polarity that could be the very instance being evaluated.
-        comp = None
-        if kind == "user":
-            comp = self.neg_of.get((goal.pred, n))
-        elif kind == "umbrella":
-            comp = info.base
+        comp = self.neg_of.get(goal.key)
         if comp is not None:
-            for fr in self._by_pred.get((comp, n), ()):
+            comp = (comp, len(goal.args))
+            for fr in self._by_pred.get(comp, ()):
                 if self._unifiable_args(goal.args, fr.args):
                     return "fail_odd"
             # A completed proof of the complement also contradicts this goal:
             # everything established earlier in the derivation stays in force
             # for the partial model under construction.
-            if self._proved_variant((comp, n), goal.args, gkey):
+            if self._proved_variant(comp, goal.args, gkey):
                 return "fail_odd"
         # k, the negations between an ancestor fr and the goal, is
         # marker + total - fr.mk; it never falls going down the stack.
@@ -556,7 +553,7 @@ class Engine(ConstraintStore):
         """Answers of a query; each answer snapshots bindings, model, and proof."""
         self.reset()
         q = rewrite_query(query, self.cp)
-        goals = list(q.goals) + [Lit("nmr_check")]
+        goals = list(q.goals) + [Lit(NMR_CHECK)]
         t0 = time.perf_counter()
         n = 0
         for _ in self.solve(goals):
@@ -600,7 +597,7 @@ class Engine(ConstraintStore):
                 if info is not None and info.kind == "user" and key not in in_model:
                     in_model.add(key)
                     model.append(goal)
-        model.append(Lit("nmr_check"))
+        model.append(Lit(NMR_CHECK))
         bindings = [(name, self._resolved((v,), False, memo)[0]) for name, v in query.vars]
         for _, t in bindings:
             term_vars(t, found, seen)

@@ -343,9 +343,6 @@ class LinearStore:
             self._vars = out or _NO_VARS
         return self._vars
 
-    def is_empty(self) -> bool:
-        return not (self.subst or self.ineqs or self.neqs)
-
     # -- assertion ----------------------------------------------------------
 
     def assert_constraint(self, op: str, lhs: tuple, rhs: tuple):
@@ -516,13 +513,7 @@ def _normalize(subst, ineqs, neqs):
         if canon[1][0][1] < 0:
             canon = form_neg(canon)
         out_neqs.append(canon)
-    seen = set()
-    uniq = []
-    for form in sorted(out_neqs):
-        if form not in seen:
-            seen.add(form)
-            uniq.append(form)
-    return ineqs, uniq
+    return ineqs, sorted(set(out_neqs))
 
 
 _EMPTY = LinearStore()

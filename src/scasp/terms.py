@@ -38,7 +38,7 @@ __all__ = [
     "Var", "Const", "Struct", "Term", "Lit", "CmpLit", "Forall", "Goal",
     "Rule", "Query", "Program", "NIL", "ARITH_OPS", "CONSTRAINT_OPS",
     "collector_paused", "fresh_var", "mk_list", "list_parts", "term_vars",
-    "goal_vars", "rename_term", "rename_terms", "rename_goal",
+    "goal_vars", "rename_terms", "rename_goal",
     "format_term", "format_terms", "format_goal", "format_rule",
 ]
 
@@ -326,15 +326,11 @@ def _vars_of(ts: tuple, acc: list, seen: set) -> list:
             it = stack.pop()
 
 
-def rename_term(t: Term, mapping: dict) -> Term:
-    """Copy a term replacing every variable; unseen ids get fresh variables."""
-    return rename_terms((t,), mapping)[0]
-
-
 def rename_terms(ts: tuple, mapping: dict) -> tuple:
-    """rename_term of each term of a tuple.  Ground subterms are shared, not
-    copied.  A structure is walked with an explicit stack, so that a term's
-    depth costs no Python stack."""
+    """Copy each term of a tuple replacing every variable; unseen ids get
+    fresh variables.  Ground subterms are shared, not copied.  A structure
+    is walked with an explicit stack, so that a term's depth costs no
+    Python stack."""
     # The structures being copied, outermost first: each one's functor, an
     # iterator over its arguments and the copies made of those before it.
     stack = []

@@ -6,9 +6,12 @@ verbose test run reads as a pass/fail checklist.
 """
 
 import random
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from scasp.engine import Engine, run_query
 from scasp.errors import SolverError
@@ -298,6 +301,122 @@ def test_criterion_09a_random_programs_agree_with_reference_semantics():
             if rejected >= 3:
                 break
         checked += 1
+
+
+def random_safe_program(rng):
+    """A random safe non-ground program over the constants a and b: up to
+    three predicates of arity at most 1, and two to seven rules of up to
+    three body literals, each negated with probability 1/2.  A rule is kept
+    only if each of its variables occurs in a positive body literal: the
+    oracle grounds over the program's constants, while s(CASP) ranges over
+    an unbounded domain, so an unsafe rule may rightly answer otherwise."""
+    names = ["p", "q", "r"][: rng.randint(1, 3)]
+    arities = {name: rng.randint(0, 1) for name in names}
+
+    def atom():
+        name = rng.choice(names)
+        return name + (f"({rng.choice('abXY')})" if arities[name] else "")
+
+    rules = []
+    for _ in range(rng.randint(2, 7)):
+        head = atom()
+        body = [("not " if rng.random() < 0.5 else "") + atom() for _ in range(rng.randint(0, 3))]
+        bound = re.findall("[XY]", " ".join(b for b in body if not b.startswith("not ")))
+        if set(re.findall("[XY]", head + " ".join(body))) <= set(bound):
+            rules.append(head + (" :- " + ", ".join(body) if body else "") + ".")
+    return "\n".join(rules)
+
+
+class OutOfCalls(Exception):
+    """A query made more calls than its budget allows."""
+
+
+@pytest.fixture
+def holds(monkeypatch):
+    """holds(cp, query_text, budget): whether the query has an answer, found
+    within budget calls of Engine.solve_call, else OutOfCalls.  A count, not
+    a timer, so a query that runs without end stops at the same point on
+    every host."""
+    left = [0]
+    solve_call = Engine.solve_call
+
+    def counting(self, goal):
+        left[0] -= 1
+        if left[0] < 0:
+            raise OutOfCalls
+        return solve_call(self, goal)
+
+    monkeypatch.setattr(Engine, "solve_call", counting)
+
+    def run(cp, query_text, budget=1000):
+        left[0] = budget
+        return next(run_query(cp, parse_query(query_text), 1), None) is not None
+
+    return run
+
+
+# The differential's disagreements, by program number and query: each is a
+# case of the defect test_a_call_unifying_with_a_complementary_ancestor_...
+# pins.  Program 292 needs r under `not p(b)`, and each rule for r calls
+# p(X) or p(Y), which unifies with the ancestor and so fails, though p(a)
+# holds.  A mend changes this set, and the test then fails until the set
+# is updated.
+KNOWN_DISAGREEMENTS = {(292, "?- not p(b).")}
+
+
+def test_criterion_09a_random_safe_non_ground_programs_agree_with_the_oracle(holds):
+    # Brave agreement, both polarities, on every atom of the universe.
+    # Each query may make 1,000 calls, where no finished query makes more
+    # than 137; one that runs out is left out, since left recursion through
+    # a fresh variable runs without end (pinned below).
+    rng = random.Random(30)
+    programs, disagree = 0, {}
+    while programs < 400:
+        text = random_safe_program(rng)
+        if not text:
+            continue
+        try:
+            gp = ground(parse_program(text))
+        except SolverError:
+            continue  # variables, but no constant to ground them over
+        models = stable_models(gp)
+        programs += 1
+        cp = compiled(text)
+        for atom in gp.universe:
+            for neg in ("", "not "):
+                query = f"?- {neg}{atom_text(atom)}."
+                try:
+                    got = holds(cp, query)
+                except OutOfCalls:
+                    continue
+                if got != any((atom in m) != bool(neg) for m in models):
+                    disagree[(programs, query)] = text
+    assert set(disagree) == KNOWN_DISAGREEMENTS, disagree
+
+
+@pytest.mark.xfail(
+    strict=True, raises=OutOfCalls,
+    reason="left recursion through a fresh variable: no variant check stops "
+    "`q(b) :- q(X)`, and no step bound exists (ROADMAP item 2)",
+)
+def test_left_recursion_through_a_fresh_variable_ends(holds):
+    text = "q(b) :- q(X).\nq(a)."
+    (model,) = stable_models(ground(parse_program(text)))
+    assert ("q", (Const("b"),)) in model
+    assert holds(compiled(text), "?- q(b).", 5000)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="the loop check fails a non-ground call that unifies with a "
+    "complementary ancestor, though its other instances may hold",
+)
+def test_a_call_unifying_with_a_complementary_ancestor_keeps_its_other_instances(holds):
+    # Under `not p(b)`, q calls p(X): X = b contradicts the ancestor, but
+    # X = a is the fact p(a), so q holds and p(b) does not.
+    text = "p(a).\np(b) :- not q.\nq :- p(X)."
+    (model,) = stable_models(ground(parse_program(text)))
+    assert holds(compiled(text), "?- not p(b).") == (("p", (Const("b"),)) not in model)
 
 
 def random_rational(rng, span=20):

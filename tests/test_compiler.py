@@ -19,7 +19,7 @@ from scasp.terms import (
 )
 
 import workloads
-from helpers import answers, compiled
+from helpers import ROOT, answers, compiled
 
 
 # -- name and structure canonicalization -----------------------------------------
@@ -165,7 +165,23 @@ def test_same_name_different_arities_get_distinct_negations():
     assert "not_p__1" in names and "not_p__2" in names
     assert cp.pred_info["not_p__1"].base == "p"
     assert cp.pred_info["not_p__2"].base == "p"
-    assert cp.neg_of == {("p", 1): "not_p__1", ("p", 2): "not_p__2"}
+    assert cp.neg_of == {
+        ("p", 1): "not_p__1", ("p", 2): "not_p__2",
+        ("not_p__1", 1): "p", ("not_p__2", 2): "p",
+    }
+
+
+@pytest.mark.parametrize("program", ["hanoi", "stream", "tsp", "yale"])
+def test_the_complement_table_maps_each_user_predicate_and_its_dual_to_each_other(program):
+    cp = compiled((ROOT / "tests" / "programs" / f"{program}.pl").read_text())
+    info = cp.pred_info
+    users = [key for key in cp.neg_of if info[key[0]].kind == "user"]
+    assert users and all(key in cp.neg_of for key in cp.rules if info[key[0]].kind == "user")
+    for name, arity in users:
+        dual = cp.neg_of[(name, arity)]
+        assert info[dual].kind == "umbrella" and info[dual].base == name
+        assert cp.neg_of[(dual, arity)] == name
+    assert len(cp.neg_of) == 2 * len(users)
 
 
 def test_marker_flags_on_synthesized_predicates():

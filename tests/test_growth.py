@@ -9,9 +9,10 @@ gates need nothing from the solver but the functions they wrap.
 
 import pytest
 
-from scasp import linear, terms
+from scasp import compiler, linear, terms
 from scasp.engine import Engine
 from scasp.parser import parse_query
+from scasp.store import ConstraintStore
 from scasp.terms import Forall
 
 from helpers import compiled
@@ -87,3 +88,61 @@ def test_forall_narrowing_grows_at_most_4_5x_per_doubling_in_elimination_steps(m
 
     small, large = family(10), family(20)
     assert large["fm_step"] <= 4.5 * small["fm_step"], (small, large)
+
+
+def _count_exclusions(m, counts):
+    counts["excluded"] = 0
+    exclude, set_dom = ConstraintStore._exclude, ConstraintStore._set_dom
+
+    def counting_exclude(self, var, terms):
+        counts["excluded"] += len(terms)
+        return exclude(self, var, terms)
+
+    def counting_set_dom(self, vid, new):
+        if isinstance(new, (set, frozenset)):
+            counts["excluded"] += len(new)
+        set_dom(self, vid, new)
+
+    m.setattr(ConstraintStore, "_exclude", counting_exclude)
+    m.setattr(ConstraintStore, "_set_dom", counting_set_dom)
+
+
+def test_many_disequalities_on_one_variable_grow_linearly_in_excluded_terms(monkeypatch):
+    # `?- X \= c0, ..., X \= c(n-1).`: each disequality adds one term to
+    # X's exclusion set.  The count is the terms handed to _exclude plus
+    # those of every set installed as a domain, so a store that copies the
+    # whole set on each addition counts quadratically and fails the bound.
+    def chain(n):
+        query = "?- " + ", ".join(f"X \\= c{i}" for i in range(n)) + "."
+        return _query_counts(monkeypatch, "r.", query, _count_exclusions)
+
+    small, large = chain(200), chain(400)
+    assert large["excluded"] <= 2.5 * small["excluded"], (small, large)
+
+
+def test_the_odd_loop_search_of_a_negated_chain_grows_linearly_in_graph_lookups(monkeypatch):
+    # `p_i :- not p_(i+1).` for i < n, and `p_n.`: every rule has a negated
+    # call, so the odd-loop search starts from each.  Each lookup of a
+    # node's successors in the (predicate, parity) graph counts; one pass
+    # over the graph looks each node up once (2n - 1 lookups), and a search
+    # per negated call walks the rest of the chain each time.
+    counts = {"lookups": 0}
+
+    class CountingGraph(dict):
+        def get(self, key, default=None):
+            counts["lookups"] += 1
+            return dict.get(self, key, default)
+
+    nmr_checks = compiler._nmr_checks
+
+    def counting(cp, constrained, adj, roots):
+        nmr_checks(cp, constrained, CountingGraph(adj), roots)
+
+    def chain(n):
+        counts["lookups"] = 0
+        compiled("".join(f"p{i} :- not p{i + 1}.\n" for i in range(n)) + f"p{n}.\n")
+        return counts["lookups"]
+
+    monkeypatch.setattr(compiler, "_nmr_checks", counting)
+    small, large = chain(1000), chain(2000)
+    assert large <= 2.5 * small, (small, large)

@@ -76,7 +76,7 @@ def c(value):
 
 def test_empty_store():
     s = LinearStore.empty()
-    assert s.is_empty()
+    assert not s.vars()
     assert s.project(X) == []
 
 
@@ -92,7 +92,7 @@ def test_equalities_determine_values():
     assert det == []
     s, det = s.assert_constraint("=", v(Y), c(3))
     assert dict(det) == {X: Fraction(61, 10), Y: Fraction(3)}
-    assert s.is_empty()  # both values are handed back
+    assert not s.vars()  # both values are handed back
 
 
 def test_bounds_can_pinch_a_value():
@@ -262,9 +262,8 @@ def test_stores_that_mention_no_variable_share_one_vars_set():
     b, _ = store_of(("=", v(X), v(Y))).assert_constraint("=", v(Y), c(4))
     empty = LinearStore.empty()
     assert a is not b and a is not empty and b is not empty
-    assert a.is_empty() and b.is_empty()
+    assert not a.vars() and not b.vars()
     assert a.vars() is b.vars() is empty.vars()
-    assert not a.vars()
     held, _ = a.assert_constraint("<", v(X), c(3))
     assert held.vars() == {X} and held.vars() is not a.vars()
     # A value fixed for a variable the store does not mention changes no
@@ -281,7 +280,7 @@ def test_a_fixed_value_is_reported_once_and_still_answered():
     # The caller puts the reported value in for X from now on.
     s, det = s.assert_constraint("=", form_add(c(3), v(Y)), c(5))
     assert det == [(Y, Fraction(2))]
-    assert s.is_empty()
+    assert not s.vars()
     assert values_of(("=", v(X), c(3)), ("=", form_add(v(X), v(Y)), c(5))) == {
         X: Fraction(3),
         Y: Fraction(2),
