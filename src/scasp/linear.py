@@ -40,6 +40,20 @@ module, for ``assert_constraint`` and ``entails``.  Linear forms are plain
 tuples ``(constant, ((vid, coeff), ...))`` with the variable ids sorted;
 an inequality entry ``(form, strict)`` means ``form <= 0`` (or
 ``form < 0`` when strict), and a disequality entry means ``form != 0``.
+
+A number in a form is an ``int`` or a ``Fraction``, never a ``float``.
+It enters a form as an ``int`` when it is integral (``form_const``, and
+``form_var``'s coefficient 1) and as a ``Fraction`` otherwise, so a store
+whose numbers are all integral does integer arithmetic alone.  Sums and
+products keep to that only while every operand is an ``int``: one with
+a ``Fraction`` gives a ``Fraction``, integral or not, which compares and
+hashes as the ``int`` of its value does.  Every division goes through
+``_div``: two ``int``s that divide evenly give their ``int`` quotient
+(``divmod``), any other pair the exact quotient, an ``int`` when
+integral, never the ``float`` that ``/`` gives two ``int``s.  The values that leave
+the module, ``assert_constraint``'s determined values and ``project``'s
+bounds and excluded points, are always ``Fraction``s (``_exact``), the
+numbers the parser builds.
 """
 
 from __future__ import annotations
@@ -64,38 +78,54 @@ OP_TEXT = {"<": ".<.", "<=": ".=<.", ">": ".>.", ">=": ".>=.", "=": ".=.", "!=":
 # store's `=` and `!=`.
 _STORE_OP = {**{op: op for op in OP_TEXT}, **{t: op for op, t in OP_TEXT.items()}, "\\=": "!="}
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-_FM1 = Fraction(-1)
 _NO_VARS = frozenset()
 
 # Each store operator: its test of a constant `lhs - rhs` against zero, the
 # operators whose disjunction is its exact negation, and for an inequality
 # its row `sign * (lhs - rhs) <= 0` (`< 0` when strict) as (sign, strict).
 _OPS = {
-    "<": (lt, (">=",), (_F1, True)),
-    "<=": (le, (">",), (_F1, False)),
-    ">": (gt, ("<=",), (_FM1, True)),
-    ">=": (ge, ("<",), (_FM1, False)),
+    "<": (lt, (">=",), (1, True)),
+    "<=": (le, (">",), (1, False)),
+    ">": (gt, ("<=",), (-1, True)),
+    ">=": (ge, ("<",), (-1, False)),
     "=": (eq, ("<", ">"), None),
     "!=": (ne, ("=",), None),
 }
 
-ZERO = (_F0, ())
+ZERO = (0, ())
+
+
+def _div(a, b):
+    """a / b, exactly: an int when it is integral, else a Fraction; never
+    the float that ``/`` gives two ints."""
+    if b == 1:
+        return a
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q._numerator if q._denominator == 1 else q
+
+
+def _exact(q) -> Fraction:
+    """A number of a form as it leaves the module: always a Fraction."""
+    return Fraction(q) if q.__class__ is int else q
 
 
 def form_const(c) -> tuple:
-    return (c if type(c) is Fraction else Fraction(c), ())
+    if c.__class__ is Fraction:
+        return (c._numerator if c._denominator == 1 else c, ())
+    return (c, ())
 
 
 def form_var(vid: int) -> tuple:
-    return (_F0, ((vid, _F1),))
+    return (0, ((vid, 1),))
 
 
 def form_add(a: tuple, b: tuple) -> tuple:
     terms = dict(a[1])
     for vid, coef in b[1]:
-        c = terms.get(vid, _F0) + coef
+        c = terms.get(vid, 0) + coef
         if c == 0:
             terms.pop(vid, None)
         else:
@@ -106,7 +136,7 @@ def form_add(a: tuple, b: tuple) -> tuple:
 def form_sub(a: tuple, b: tuple) -> tuple:
     terms = dict(a[1])
     for vid, coef in b[1]:
-        c = terms.get(vid, _F0) - coef
+        c = terms.get(vid, 0) - coef
         if c == 0:
             terms.pop(vid, None)
         else:
@@ -114,7 +144,7 @@ def form_sub(a: tuple, b: tuple) -> tuple:
     return (a[0] - b[0], tuple(sorted(terms.items())))
 
 
-def form_scale(a: tuple, k: Fraction) -> tuple:
+def form_scale(a: tuple, k) -> tuple:
     if k == 1:
         return a
     if k == 0:
@@ -122,19 +152,26 @@ def form_scale(a: tuple, k: Fraction) -> tuple:
     return (a[0] * k, tuple((vid, coef * k) for vid, coef in a[1]))
 
 
+def form_div(a: tuple, k) -> tuple:
+    """a / k for a nonzero number k, each number through _div."""
+    if k == 1:
+        return a
+    return (_div(a[0], k), tuple((vid, _div(coef, k)) for vid, coef in a[1]))
+
+
 def form_neg(a: tuple) -> tuple:
-    return form_scale(a, _FM1)
+    return form_scale(a, -1)
 
 
 def form_vars(a: tuple):
     return {vid for vid, _ in a[1]}
 
 
-def form_coef(a: tuple, vid: int) -> Fraction:
+def form_coef(a: tuple, vid: int):
     for v, coef in a[1]:
         if v == vid:
             return coef
-    return _F0
+    return 0
 
 
 def form_is_const(a: tuple) -> bool:
@@ -187,7 +224,7 @@ def form_of(t):
                     f"division by a non-constant or zero in {format_terms(t)[0]}",
                 )
             else:
-                forms.append(form_scale(lf, _F1 / rf[0]))
+                forms.append(form_div(lf, rf[0]))
         elif cls is Var:
             forms.append(form_var(t.id))
         elif t.arith and t.functor in ARITH_OPS and len(t.args) == 2:
@@ -288,9 +325,7 @@ def _within(val, span):
 
 def _canonical(form, strict):
     k = abs(form[1][0][1])
-    if k != 1:
-        form = form_scale(form, _F1 / k)
-    return (form, strict)
+    return (form_div(form, k), strict)
 
 
 def _tighten(cons):
@@ -359,13 +394,13 @@ class LinearStore:
             raise ValueError(f"unknown linear operator {op!r}") from None
         diff = form_apply(form_sub(lhs, rhs), self.subst)
         if form_is_const(diff):
-            return (self, []) if holds(diff[0], _F0) else None
+            return (self, []) if holds(diff[0], 0) else None
         # A form over one variable the store does not mention leaves every
         # row as it is, so the store needs no _normalize (module docstring).
         if op != "!=" and len(diff[1]) == 1 and diff[1][0][0] not in self.vars():
             if op == "=":
                 (vid, coef), = diff[1]
-                return self, [(vid, -diff[0] / coef)]
+                return self, [(vid, _exact(_div(-diff[0], coef)))]
             ineqs = list(self.ineqs)
             insort(ineqs, _canonical(form_scale(diff, row[0]), row[1]))
             return LinearStore(self.subst, ineqs, self.neqs), []
@@ -380,7 +415,7 @@ class LinearStore:
         if got is None:
             return None
         # A constant row is a determined value: hand it back and forget it.
-        determined = [(vid, form[0]) for vid, form in subst.items() if not form[1]]
+        determined = [(vid, _exact(form[0])) for vid, form in subst.items() if not form[1]]
         for vid, _ in determined:
             del subst[vid]
         return LinearStore(subst, got[0], got[1]), determined
@@ -425,7 +460,7 @@ class LinearStore:
         excluded = set()
         for form in self.neqs:
             if form_vars(form) == {vid}:
-                excluded.add(-form[0] / form_coef(form, vid))
+                excluded.add(_div(-form[0], form_coef(form, vid)))
             else:
                 excluded |= _forced_zero_points(cons, vid, form, span)
         out = []
@@ -434,7 +469,8 @@ class LinearStore:
         if hi:
             out.append(("<" if hi[1] or hi[0] in excluded else "<=", hi[0]))
         excluded -= {val for _, val in out}
-        return out + [("!=", val) for val in sorted(excluded)]
+        out += [("!=", val) for val in sorted(excluded)]
+        return [(op, _exact(val)) for op, val in out]
 
 
 def _forced_zero_points(cons, vid, form, span):
@@ -466,7 +502,7 @@ def _solve_eq(subst, diff):
     variable."""
     vid, coef = diff[1][0]
     rest = (diff[0], diff[1][1:])
-    repl = form_scale(rest, _F1 / -coef)
+    repl = form_div(rest, -coef)
     solved = {vid: repl}
     for k, form in subst.items():
         subst[k] = form_apply(form, solved)

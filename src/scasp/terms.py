@@ -73,9 +73,14 @@ class Const:
     __match_args__ = ("value",)
     ground, arith = True, False
 
-    def __init__(self, value: Union[str, Fraction]):
+    def __init__(self, value: Union[str, int, Fraction]):
+        cls = value.__class__
+        if cls is int:
+            value, cls = Fraction(value), Fraction
+        elif cls is not str and cls is not Fraction:
+            raise TypeError(f"a constant is a str, an int or a Fraction, not {cls.__name__}")
         self.value = value
-        self.is_number = isinstance(value, Fraction)
+        self.is_number = cls is Fraction
         self._hash = None
 
     def __eq__(self, other):

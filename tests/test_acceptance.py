@@ -89,6 +89,34 @@ def test_criterion_02_yale_shooting_six_action_sequences():
     ]
 
 
+def scaled_literals(text, s):
+    """text with every numeric literal multiplied by s, written N or N/D."""
+    def scale(m):
+        q = int(m.group()) * s
+        return f"{q.numerator}" if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+    return re.sub(r"\b\d+\b", scale, text)
+
+
+@pytest.mark.parametrize(
+    "s", [Fraction(1, 3), Fraction(7, 2), Fraction(10**12)], ids=["1/3", "7/2", "10^12"]
+)
+def test_yale_shooting_answers_scale_with_the_time_line(s):
+    """Every number of the program and its query times s gives the same
+    answers, actions and order, each time T times s: the store decides
+    integral, non-integral and large values alike."""
+    def found(text):
+        return [
+            (binding(a, "T").value, tuple(const_list(binding(a, "Actions"))))
+            for a in answers(text)
+        ]
+
+    text = (PROGRAMS / "yale.pl").read_text()
+    want = found(text)
+    assert len(want) == 6
+    assert found(scaled_literals(text, s)) == [(t * s, actions) for t, actions in want]
+
+
 def test_criterion_03_travelling_salesman_parametric_edge():
     got, elapsed = timed_answers("tsp.pl", n=1)
     assert elapsed < 60.0

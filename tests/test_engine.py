@@ -1507,6 +1507,22 @@ def test_rational_literal_hits_a_numeric_key():
     assert _selected(cp, parse_query("?- q(7/2).")) == []
 
 
+def test_an_int_constant_built_through_the_api_is_a_number():
+    # It holds the Fraction the parser builds, so the store takes it and
+    # its answer renders.
+    assert Const(3) == num(3) and Const(3).is_number and type(Const(3).value) is Fraction
+    cp = compile_program(Program([Rule(Lit("p", (Const(3),)))]))
+    assert len(list(Engine(cp).run_query(parse_query("?- p(X), X .>. 2.")))) == 1
+    (ans,) = Engine(cp).run_query(parse_query("?- p(X)."))
+    assert "X = 3" in render_answer(ans)
+
+
+@pytest.mark.parametrize("value", [3.0, True, None, (1, 2)])
+def test_a_constant_is_a_str_an_int_or_a_fraction(value):
+    with pytest.raises(TypeError, match="a constant is a str, an int or a Fraction"):
+        Const(value)
+
+
 def test_first_argument_determined_by_the_linear_store():
     cp = compiled("r(0). r(N) :- N .>. 0.")
     assert _bindings(cp, "?- X .=. 2-2, r(X).", "X") == [num(0)]

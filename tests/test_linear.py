@@ -214,21 +214,34 @@ def test_complement_partitions_each_operator(op, value, bound):
     assert cover == (0 if holds else 1)
 
 
-constraint = st.tuples(
-    st.sampled_from(all_ops),
-    st.lists(
-        st.tuples(st.sampled_from([X, Y, Z]), st.integers(-3, 3)),
-        min_size=1,
-        max_size=3,
-    ),
-    st.integers(-8, 8),
+def constraints(coefs, consts):
+    """(op, [(vid, coef), ...], const) triples, each coef drawn from coefs
+    and const from consts."""
+    return st.tuples(
+        st.sampled_from(all_ops),
+        st.lists(st.tuples(st.sampled_from([X, Y, Z]), coefs), min_size=1, max_size=3),
+        consts,
+    )
+
+
+constraint = constraints(st.integers(-3, 3), st.integers(-8, 8))
+# Integers mixed with non-integral (and integral) Fractions, so that both
+# kinds of number meet in one form.
+mixed_constraint = constraints(
+    st.one_of(st.integers(-3, 3), rationals), st.one_of(st.integers(-8, 8), rationals)
 )
+
+
+def sequences(max_size):
+    """Lists of constraints, all from one of the two strategies."""
+    return st.one_of(*(st.lists(cons, min_size=1, max_size=max_size)
+                       for cons in (constraint, mixed_constraint)))
 
 
 def _lhs(parts):
     lhs = form_const(0)
     for vid, coef in parts:
-        lhs = form_add(lhs, form_scale(form_var(vid), Fraction(coef)))
+        lhs = form_add(lhs, form_scale(form_var(vid), coef))
     return lhs
 
 
@@ -311,8 +324,8 @@ def test_determined_reports_each_fixed_variable_once(cons):
         assert s.entails(op, known(lhs, values), rhs)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(constraint, min_size=1, max_size=5))
+@settings(max_examples=120, deadline=None)
+@given(sequences(5))
 def test_the_store_keeps_an_interior_point(cons):
     """Every implicit equality is solved, so the inequalities left hold
     strictly together: no live variable is fixed."""
@@ -325,6 +338,40 @@ def test_the_store_keeps_an_interior_point(cons):
         lo = [val for op, val in entries if op in (">", ">=")]
         hi = [val for op, val in entries if op in ("<", "<=")]
         assert not (lo and hi) or lo[0] < hi[0], entries
+
+
+def numbers_of(s):
+    """Every number in the forms of a store."""
+    for form in [*s.subst.values(), *(form for form, _ in s.ineqs), *s.neqs]:
+        yield form[0]
+        yield from (coef for _, coef in form[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(sequences(6))
+def test_numbers_stay_exact_and_leave_as_fractions(cons):
+    """Every number in a form is an int or a Fraction, never a float, and
+    every value the store hands out, determined or projected, is a
+    Fraction."""
+    s, values = LinearStore.empty(), {}
+    for op, parts, const in cons:
+        got = s.assert_constraint(op, known(_lhs(parts), values), c(const))
+        if got is None:
+            return
+        s, det = got
+        assert all(type(val) is Fraction for _, val in det), det
+        values.update(det)
+        assert all(type(q) in (int, Fraction) for q in numbers_of(s)), (s.subst, s.ineqs, s.neqs)
+        for vid in (X, Y, Z):
+            entries = s.project(vid)
+            assert all(type(val) is Fraction for _, val in entries), entries
+
+
+def test_a_non_integral_value_is_determined_as_a_fraction():
+    # 2*X = 1 with X fresh to the store, and with X in a row.
+    for s in (LinearStore.empty(), store_of(("<", v(X), v(Y)))):
+        _, det = s.assert_constraint("=", form_scale(v(X), 2), c(1))
+        assert det == [(X, Fraction(1, 2))] and type(det[0][1]) is Fraction
 
 
 def general_assert(s, op, lhs, rhs):
@@ -356,8 +403,8 @@ def general_assert(s, op, lhs, rhs):
 # in a disequality, is not fresh.
 @example([("=", [(X, 1), (Y, -1)], 0), ("=", [(Y, 1)], 4)])
 @example([("!=", [(X, 1), (Y, -1)], 0), ("<", [(Y, 1)], 4)])
-@settings(max_examples=200, deadline=None)
-@given(st.lists(constraint, min_size=1, max_size=6))
+@settings(max_examples=400, deadline=None)
+@given(sequences(6))
 def test_assert_agrees_with_the_general_path(cons):
     """Each assert, shortcut or not, returns what the general path would,
     and every store it returns is a fixed point of _normalize."""
