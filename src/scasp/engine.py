@@ -3,16 +3,18 @@
 The engine resolves goals top-down over the compiled database without any
 grounding.  It extends the constraint store (store.ConstraintStore), which
 keeps variable bindings, each variable's constraint domain and one
-linear-arithmetic store on one trail, with a registry of already-proved
-atoms and the call path, recorded on the same trail.  The trail is also
-the event log from which answers reconstruct their justification.
+linear-arithmetic store on one trail, with the coinductive hypothesis set
+of s(ASP): the atoms the derivation has called and not yet proved (the
+call path) and those it has proved, recorded on the same trail.  The
+trail is also the event log from which answers reconstruct their
+justification.
 
 Resolution is one loop (solve), run once per query, over a linked list of
 goals still to prove and a flat stack of choice points, as a WAM keeps one
 choice-point stack beside its trail.  A choice point is one goal's
 generator of alternatives: a call's generator yields, per matching clause,
 the payments its head owes (below), the rest of the clause's body and an
-exit step that pops the call's frame; a forall's yields a commit step
+exit step that closes the call's entry; a forall's yields a commit step
 (below); `=` yields the payments it owes; any other constraint, a payment
 or a loop-check shortcut yields None, nothing left to prove.  Every
 generator obeys one rule: it undoes its previous alternative when it is
@@ -27,11 +29,11 @@ Every constraint's and payment's last alternative is determinate this way
 several ways, one per argument pair, and the last pair's is the last), and
 so are loop-check shortcuts, foralls, and a call's last selected clause:
 its hidden head unifications are a plain loop with no alternatives.
-Pushing and popping a frame are trail entries too, so an undo restores the
-call path with everything else.  The Python stack does not grow with the
-derivation, nor with a head's width or the disequalities a binding owes,
-since payments are goals of the loop.  Nor does it grow with a term's
-depth: as in a WAM, no term walk recurses (see store).
+Opening and closing an entry are trail entries too, so an undo restores
+the hypothesis set with everything else.  The Python stack does not grow
+with the derivation, nor with a head's width or the disequalities a
+binding owes, since payments are goals of the loop.  Nor does it grow with
+a term's depth: as in a WAM, no term walk recurses (see store).
 
 Unifying a variable that has excluded terms with a non-ground term owes a
 disequality per excluded term, which the store leaves in owed as payment
@@ -49,49 +51,68 @@ the hidden `=` goals leading the body.
 The log is the trail's event entries: one (kind, goal) per step -- an
 'atom' call, a 'constraint', a 'chs' or 'proved' shortcut, a 'forall' --
 plus an 'exit' closing each atom and forall.  A call's 'atom' and 'exit'
-entries carry its frame, and its 'exit' the registry key of the atom it
-proved: undoing the 'atom' pops the frame, and undoing the 'exit'
-unregisters the atom and re-pushes the frame.  Read in trail order, skipping the store's own
-entries, the log is the pre-order of an answer's tree of Nodes, each
-carrying one resolved goal, so one walk of it per answer builds the tree,
-the model and the order of the answer's variables, resolving a structure
-many events share once.  A goal's polarity is read from its PredInfo
-(duals are negation markers) and its complement from the compiled
-program's neg_of table, never from names: one lookup of the goal's key
-gives a user predicate's dual or a dual's user predicate, and a goal with
-no entry (a sub-dual, a check) has no complement to contradict.
+entries carry its entry, and its 'exit' the ground key the entry was
+pushed with: undoing the 'atom' pops the entry, and undoing the 'exit'
+reopens it.  Read in trail order, skipping the store's own entries, the
+log is the pre-order of an answer's tree of Nodes, each carrying one
+resolved goal, so one walk of it per answer builds the tree, the model and
+the order of the answer's variables, resolving a structure many events
+share once.  A goal's polarity is read from its PredInfo (duals are
+negation markers) and its complement from the compiled program's neg_of
+table, never from names: one lookup of the goal's key gives a user
+predicate's dual or a dual's user predicate, and a goal missing from it
+(a sub-dual, a check) has no complement to contradict.
 
-Loops on the call path are classified before a goal is resolved:
+Loops are classified against the hypothesis set before a goal is
+resolved:
 
 * a goal that unifies with a complementary (negated vs. positive) ancestor
-  of the same user predicate fails, discarding the contradictory branch;
+  of the same user predicate, or is a variant of a complementary atom
+  already proved, fails, discarding the contradictory branch;
 * a goal equal (variant) to an ancestor with no intervening negation fails
   finitely instead of diverging;
 * a goal that unifies with an ancestor across an even, non-zero number of
   negations succeeds coinductively;
 * a goal that is a variant of an already-proved atom succeeds immediately.
 
-These checks read indexes kept in step with the call path and the registry
-instead of scanning them.  A call's ground key is its resolved argument
-tuple, or None while an unbound variable remains; a ground term never
-changes, so a key taken when a frame is pushed or an atom is registered
-stays valid while that entry lives.  Each call builds its key once, in
-classify_loop, and its frame and registry entry reuse it; only a key that
-was None is taken again, since the hidden head unifications may have made
-the call ground.  Frames are indexed per (name, arity), by (name, ground
-key) for the topmost frame with that key, and, when they were not ground
-at push, in a per-predicate open list that is still checked term by term
-(its terms may have been bound since).  Each frame records the running
-count of negation markers up to itself, so the number between an ancestor
-and the goal costs one subtraction.  The registry counts ground keys and
-keeps its non-ground entries in open lists checked the same way, each with
-the position and variable w of its first argument that was unbound, and
-the position and value u (a constant, or a structure's functor and arity)
-of its first that was not.  While an entry lives its bindings only grow, so
-u stays put, and so does w until it is bound: a lookup skips, unwalked, an
-entry whose still-unbound w meets a ground call, a call argument that is
-not an unbound variable, or another variable where either has a domain,
-and one whose u meets another constant or functor.
+These checks read the set through indexes instead of scanning it.  Each
+entry is one object (_Entry) for its whole life: open while its call is
+on the path, with the running count of negation markers up to itself, so
+the number between an ancestor and the goal costs one subtraction; closed
+once the call exits, in place, until an undo reopens it.  A call's ground
+key is its resolved argument tuple, or None while an unbound variable
+remains; a ground term never changes, so a key taken when an entry is
+filed stays valid while the entry lives.  Each call builds its key once,
+in classify_loop, and its entry reuses it; only a key that was None is
+taken again, since the hidden head unifications may have made the call
+ground.  One filing path (_push) and its one undo (_pop) keep the
+indexes, for both states:
+
+* an entry ground when pushed, open or closed, is filed by (name, ground
+  key), topmost first, so two ground terms, which unify only when equal,
+  meet in one lookup: a ground call finds an equal entry, or an equal
+  complement, without comparing terms;
+* an entry that was not ground when pushed sits in its predicate's loose
+  list, checked term by term (its terms may have been bound since); at
+  its exit, if it has become ground and is last in the list (its own
+  non-ground descendants of the predicate have left it), it moves to its
+  ground key, and an undo of the exit moves it back;
+* the open entries of each predicate are also listed bottom first, for
+  the unify tests against open complements of a non-ground call and for
+  the even-loop test, whose candidates, the entries at least two markers
+  down, are a bottom part found by binary search.
+
+One lookup (_variant) answers the three variant questions: the topmost
+open entry with no marker since, else a closed entry, for the goal's own
+predicate, and a closed entry for its complement.  A closed entry of the
+loose list carries the position and variable w of its first argument that
+was unbound at its exit, and the position and value u (a constant, or a
+structure's functor and arity) of its first that was not.  While an entry
+lives its bindings only grow, so u stays put, and so does w until it is
+bound: a lookup skips, unwalked, an entry whose still-unbound w meets a
+ground call, a call argument that is not an unbound variable, or another
+variable where either has a domain, and one whose u meets another
+constant or functor.
 
 Ground terms are shared, not copied: resolving a term (for a ground key,
 a binding or an answer snapshot) returns every part with nothing bound
@@ -134,7 +155,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from . import store as store_mod
-from .compiler import NMR_CHECK, CompiledProgram, first_arg_key, rewrite_query
+from .compiler import NMR_CHECK, CompiledProgram, CompiledRule, first_arg_key, rewrite_query
 from .store import ConstraintStore, _Owed
 from .terms import (
     CmpLit,
@@ -182,18 +203,18 @@ _FAIL = object()  # next() of an exhausted choice point
 _MK = attrgetter("mk")
 _SHORTCUT = {"succeed_coinductive": "chs", "succeed_proved": "proved"}
 _EVENTS = frozenset(("atom", "constraint", "chs", "proved", "forall"))  # trail tags
+_FACT = (CompiledRule(Lit("fact")),)  # one clause with no arguments and no body
 
 
-class _Frame:
-    # key: (name, arity); gkey: ground key at push; mk: markers up to and
-    # including this frame; below: next frame down with the same gkey.
-    __slots__ = ("name", "args", "key", "marker", "gkey", "mk", "below")
+class _Entry:
+    # An atom of the coinductive hypothesis set.  key: (name, arity); gkey:
+    # ground key, None while not ground; mk: while open, the markers up to
+    # and including it, None once closed; below: the next entry down with
+    # the same gkey; wi, w, ui, u: a closed non-ground entry's skip filter.
+    __slots__ = ("name", "args", "key", "marker", "gkey", "mk", "below", "wi", "w", "ui", "u")
 
-    def __init__(self, goal, info):
-        self.name = goal.pred
-        self.args = goal.args
-        self.key = goal.key
-        self.marker = info.marker
+    def __init__(self, goal, marker):
+        self.name, self.args, self.key, self.marker = goal.pred, goal.args, goal.key, marker
 
 
 class Engine(ConstraintStore):
@@ -201,41 +222,37 @@ class Engine(ConstraintStore):
 
     def __init__(self, cp: CompiledProgram):
         self.cp = cp
-        # The complement of each user predicate and of its dual, so the call
-        # path and the proof registry can be searched for a goal's complement.
+        # The complement of each user predicate and of its dual, so the
+        # hypothesis set can be searched for a goal's complement.
         self.neg_of = cp.neg_of
         self.reset()
 
     def reset(self):
         super().reset()
-        self.proved = {}  # (name, arity) -> [args, ...]
-        self._proved_keys = {}  # (name, ground key) -> count
-        self._proved_open = {}  # (name, arity) -> [(args, wi, w, ui, u), ...]
-        self.frames = []
-        self._by_pred = {}  # (name, arity) -> [frame, ...]
-        self._open = {}  # (name, arity) -> [frame not ground at push, ...]
-        self._by_key = {}  # (name, ground key) -> topmost frame
+        self.frames = []  # open entries, bottom first: the call path
+        self.proved = {}  # (name, arity) -> [args of each closed entry, ...]
+        self._path = {}  # (name, arity) -> [open entry, ...], bottom first
+        self._ground = {}  # (name, ground key) -> topmost entry with that key
+        self._loose = {}  # (name, arity) -> [entry not ground when pushed, ...]
         self.call_gkey = None  # ground key of the goal classify_loop saw last
         self.forall_trace = []  # diagnostic: (goal, view) per piece
 
     def _undo_event(self, entry):
-        """A call's 'atom' entry pushed its frame, and its 'exit' entry
-        popped it and registered the atom it proved; any other event
-        changed nothing."""
+        """A call's 'atom' entry pushed its entry, and its 'exit' entry
+        closed it; any other event changed nothing."""
         tag = entry[0]
-        if tag == "atom":
-            if entry[2] is not None:
-                self._pop()
+        if tag == "atom" and entry[2] is not None:
+            self._pop()
         elif tag == "exit" and entry[1] is not None:
-            _, fr, pk = entry
-            self.proved[fr.key].pop()
-            if pk is None:
-                self._proved_open[fr.key].pop()
-            elif self._proved_keys[pk] == 1:
-                del self._proved_keys[pk]
-            else:
-                self._proved_keys[pk] -= 1
-            self._push(fr)
+            # Reopen: back on the path, with the ground key it was pushed with.
+            _, e, gkey = entry
+            self.proved[e.key].pop()
+            if e.gkey is gkey:
+                self._push(e, file=False)
+            else:  # moved back from its ground key to the loose list
+                self._pop(e, path=False)
+                e.gkey = None
+                self._push(e)
 
     # -- loop classification ------------------------------------------------------
 
@@ -251,10 +268,8 @@ class Engine(ConstraintStore):
             if isinstance(x, Var) and isinstance(y, Var):
                 if x.id != y.id and (x.id in self.dom or y.id in self.dom):
                     return False
-                if fwd.get(x.id, y.id) != y.id or bwd.get(y.id, x.id) != x.id:
+                if fwd.setdefault(x.id, y.id) != y.id or bwd.setdefault(y.id, x.id) != x.id:
                     return False
-                fwd[x.id] = y.id
-                bwd[y.id] = x.id
             elif isinstance(x, Struct) and isinstance(y, Struct) and x.key == y.key:
                 pairs.extend(zip(x.args, y.args))
             elif not (isinstance(x, Const) and isinstance(y, Const) and x == y):
@@ -271,92 +286,134 @@ class Engine(ConstraintStore):
         self.undo_to(m)
         return ok
 
-    def _proved_variant(self, key, args, gkey):
-        """Is args (ground key gkey) a variant of a registered atom of key?"""
-        if gkey is not None and (key[0], gkey) in self._proved_keys:
-            return True
+    def _variant(self, key, args, gkey, mk=None):
+        """An entry of key whose atom is a variant of args (ground key
+        gkey): an open one with marker count mk if there is one, else a
+        closed one, else None."""
+        closed = None
+        e = None if gkey is None else self._ground.get((key[0], gkey))
+        while e is not None:
+            if e.mk == mk:
+                return e
+            if e.mk is None:
+                closed = e
+            e = e.below
         cells, dom, deref = self.cells, self.dom, self.deref
-        for p, wi, w, ui, u in self._proved_open.get(key, ()):
-            # The skips the module docstring describes, inline: no call per entry.
-            if w is not None and w.id not in cells:
-                if gkey is not None:
-                    continue
-                c = deref(args[wi])
-                if c.__class__ is not Var or (c.id != w.id and (c.id in dom or w.id in dom)):
-                    continue
-            if ui is not None:
-                c = deref(args[ui])
-                if (c.key if c.__class__ is Struct else c) != u:
-                    continue
-            if self._variant_args(args, p):
-                return True
-        return False
+        for e in reversed(self._loose.get(key, ())):
+            if e.mk is None:
+                # The skips the module docstring describes, inline: no call per entry.
+                w = e.w
+                if w is not None and w.id not in cells:
+                    if gkey is not None:
+                        continue
+                    c = deref(args[e.wi])
+                    if c.__class__ is not Var or (c.id != w.id and (c.id in dom or w.id in dom)):
+                        continue
+                if e.ui is not None:
+                    c = deref(args[e.ui])
+                    if (c.key if c.__class__ is Struct else c) != e.u:
+                        continue
+            elif e.mk != mk:
+                continue
+            if self._variant_args(args, e.args):
+                if e.mk == mk:
+                    return e
+                closed = e
+        return closed
 
     def classify_loop(self, goal: Lit):
-        """How a goal relates to the in-flight call path (and proof registry).
+        """How a goal relates to the hypothesis set: the call path and the
+        atoms proved.
 
         Leaves the call's ground key in call_gkey for solve_call."""
         marker = self.cp.pred_info[goal.pred].marker
-        gkey = self.call_gkey = self._resolved(goal.args, True)
-        # Contradiction with an ancestor: the same user atom in the opposite
-        # polarity that could be the very instance being evaluated.
+        args = goal.args
+        gkey = self.call_gkey = self._resolved(args, True)
+        # Contradiction with an entry of the same user atom in the opposite
+        # polarity: an ancestor that could be the very instance being
+        # evaluated, or a completed proof, which stays in force for the
+        # partial model under construction.  A ground call unifies only
+        # with an equal entry: one lookup finds those filed by ground key.
         comp = self.neg_of.get(goal.key)
         if comp is not None:
-            comp = (comp, len(goal.args))
-            for fr in self._by_pred.get(comp, ()):
-                if self._unifiable_args(goal.args, fr.args):
-                    return "fail_odd"
-            # A completed proof of the complement also contradicts this goal:
-            # everything established earlier in the derivation stays in force
-            # for the partial model under construction.
-            if self._proved_variant(comp, goal.args, gkey):
+            comp = (comp, len(args))
+            if self._ground.get((comp[0], gkey)) or self._variant(comp, args, gkey):
                 return "fail_odd"
-        # k, the negations between an ancestor fr and the goal, is
-        # marker + total - fr.mk; it never falls going down the stack.
+            for e in (self._path if gkey is None else self._loose).get(comp, ()):
+                if e.mk is not None and self._unifiable_args(args, e.args):
+                    return "fail_odd"
+        # k, the negations between an open entry e and the goal, is
+        # marker + total - e.mk; it never falls going down the path.
         total = self.frames[-1].mk if self.frames else 0
-        if not marker:
-            if gkey is not None:
-                fr = self._by_key.get((goal.pred, gkey))
-                if fr is not None and fr.mk == total:
-                    return "fail_positive"
-            for fr in reversed(self._open.get(goal.key, ())):
-                if fr.mk != total:
-                    break
-                if self._variant_args(goal.args, fr.args):
-                    return "fail_positive"
-        # The frames with k >= 2, the only ones that can close an even
-        # loop, are a bottom part of the stack: found by binary search.
+        hit = self._variant(goal.key, args, gkey, None if marker else total)
+        if hit is not None and hit.mk is not None:
+            return "fail_positive"
+        # The entries with k >= 2, the only ones that can close an even
+        # loop, are a bottom part of the path: found by binary search.
         k0 = marker + total
-        stack = self._by_pred.get(goal.key, ())
+        stack = self._path.get(goal.key, ())
         for i in range(bisect_right(stack, k0 - 2, key=_MK) - 1, -1, -1):
-            fr = stack[i]
-            if (k0 - fr.mk) % 2 == 0 and self._unifiable_args(goal.args, fr.args):
+            e = stack[i]
+            if (k0 - e.mk) % 2 == 0 and self._unifiable_args(args, e.args):
                 return "succeed_coinductive"
-        if self._proved_variant(goal.key, goal.args, gkey):
-            return "succeed_proved"
-        return "continue"
+        return "continue" if hit is None else "succeed_proved"
 
-    def _push(self, fr):
-        frames = self.frames
-        fr.mk = (frames[-1].mk if frames else 0) + fr.marker
-        frames.append(fr)
-        self._by_pred.setdefault(fr.key, []).append(fr)
-        if fr.gkey is None:
-            self._open.setdefault(fr.key, []).append(fr)
-        else:
-            k = (fr.name, fr.gkey)
-            fr.below = self._by_key.get(k)
-            self._by_key[k] = fr
+    def _push(self, e, path=True, file=True):
+        """The one filing path of the set: open e on top of the call path,
+        and file it, by its ground key or in its predicate's loose list."""
+        if path:
+            frames = self.frames
+            e.mk = (frames[-1].mk if frames else 0) + e.marker
+            frames.append(e)
+            self._path.setdefault(e.key, []).append(e)
+        if file:
+            if e.gkey is None:
+                self._loose.setdefault(e.key, []).append(e)
+            else:
+                k = (e.name, e.gkey)
+                e.below = self._ground.get(k)
+                self._ground[k] = e
 
-    def _pop(self):
-        fr = self.frames.pop()
-        self._by_pred[fr.key].pop()
-        if fr.gkey is None:
-            self._open[fr.key].pop()
-        elif fr.below is None:
-            del self._by_key[(fr.name, fr.gkey)]
-        else:
-            self._by_key[(fr.name, fr.gkey)] = fr.below
+    def _pop(self, e=None, path=True, file=True):
+        """The one undo path: the inverse of _push, on the top of the path
+        or on e.  A ground key whose last entry has gone maps to None."""
+        if path:
+            e = self.frames.pop()
+            self._path[e.key].pop()
+        if file:
+            if e.gkey is None:
+                self._loose[e.key].pop()
+            else:
+                self._ground[(e.name, e.gkey)] = e.below
+
+    def _close(self, e):
+        """e, the top of the call path, is proved: it leaves the path and
+        stays in the set, closed, filed by its ground key if it was ground
+        when pushed or has become ground and is last in its loose list,
+        else with its skip filter.  Logs its 'exit' with the ground key it
+        was pushed with, which reopening restores."""
+        self._pop(file=False)
+        e.mk = None
+        self.proved.setdefault(e.key, []).append(e.args)
+        self.trail.append(("exit", e, e.gkey))
+        if e.gkey is not None:
+            return
+        gkey = self._resolved(e.args, True)
+        if gkey is not None and self._loose[e.key][-1] is e:
+            # Moved from the loose list to its ground key.
+            self._pop(e, path=False)
+            e.gkey = gkey
+            self._push(e, path=False)
+            return
+        # w and u, with their positions, for _variant's filter.
+        e.wi = e.w = e.ui = e.u = None
+        for i, a in enumerate(e.args):
+            t = self.deref(a)
+            if t.__class__ is Var:
+                if e.w is None:
+                    e.wi, e.w = i, t
+            elif e.ui is None:
+                e.ui, e.u = i, (t.key if t.__class__ is Struct else t)
 
     # -- resolution ---------------------------------------------------------------
 
@@ -368,7 +425,7 @@ class Engine(ConstraintStore):
         last alternative leaves no choice point: the generator sets det as
         it yields it, and the loop pops it, so the choice point below
         undoes the goal with its own alternative.  Besides goals, the list
-        holds three kinds of step: a call's exit step (goal, frame), a
+        holds three kinds of step: a call's exit step (goal, entry), a
         payment step _Owed(t, x), and a forall's commit step [piece driver,
         depth], whose depth is None before the first piece.  The loop logs
         a constraint's event just before it pushes the constraint's choice
@@ -384,9 +441,7 @@ class Engine(ConstraintStore):
             else:
                 goal, todo = todo
                 if type(goal) is tuple:  # a call's exit step: its body is proved
-                    goal, fr = goal
-                    self._pop()
-                    self.trail.append(("exit", fr, self._register_proved(goal, fr.gkey)))
+                    self._close(goal[1])
                     continue
                 if isinstance(goal, Lit):
                     gen = self.solve_call(goal)
@@ -426,21 +481,23 @@ class Engine(ConstraintStore):
     def solve_call(self, goal: Lit):
         """Alternatives of a call: per clause whose head matches, the
         payments the match owes, the rest of its body and the exit step
-        that pops its frame.  A shortcut's alternative and the last
+        that closes its entry.  A shortcut's alternative and the last
         clause's are its last (see solve)."""
         rules = self.cp.rules.get(goal.key)
         trail = self.trail
         if goal.neg:
             # A negation rewrite_query found no dual for: the predicate is
-            # not in the program, so it holds vacuously.
-            trail.append(("atom", goal, None))
-            trail.append(("exit", None))
-            self.det = True
-            yield None
-            return
-        if rules is None:
+            # not in the program, so it holds vacuously, as by a fact, and
+            # enters the set like one.  No positive call to it reaches the
+            # set: it has no rules.
+            rules, marker = _FACT, 0
+            gkey = self.call_gkey = self._resolved(goal.args, True)
+            act = "succeed_proved" if self._variant(goal.key, goal.args, gkey) else "continue"
+        elif rules is None:
             return  # a call to a predicate with no rules fails
-        act = self.classify_loop(goal)
+        else:
+            marker = self.cp.pred_info[goal.pred].marker
+            act = self.classify_loop(goal)
         if act == "fail_odd" or act == "fail_positive":
             return
         if act != "continue":
@@ -455,14 +512,14 @@ class Engine(ConstraintStore):
             if key is not None:
                 # A skipped clause's head has a first argument with another
                 # key, so its first hidden `=` fails quietly, before any
-                # event, frame or lasting trail entry:
+                # event, hypothesis entry or lasting trail entry:
                 # - differing functors, symbols or numbers fail in unify;
                 # - arithmetic below a top functor sends `=` to the linear
                 #   store, where linear.form_of returns None (it never raises
                 #   on a non-arithmetic top), so it fails too.
                 by_key, wildcards = index
                 rules = by_key.get(key, wildcards)
-        fr = _Frame(goal, self.cp.pred_info[goal.pred])
+        e = _Entry(goal, marker)
         last = rules[-1] if rules else None
         for rule in rules:
             # A compiled head is distinct variables: they stand for the
@@ -471,8 +528,8 @@ class Engine(ConstraintStore):
             body = tuple(rename_goal(g, mapping) for g in rule.body)
             hide = rule.hide_prefix
             m = self.mark()
-            # The hidden head unifications run before the frame is pushed,
-            # so a clause whose head does not match costs no frame.  They
+            # The hidden head unifications run before the entry is pushed,
+            # so a clause whose head does not match costs no entry.  They
             # are determinate: what their bindings owe is paid after them.
             for c in body[:hide]:
                 if not self._equate(c.lhs, c.rhs):
@@ -483,33 +540,11 @@ class Engine(ConstraintStore):
                 self.det = rule is last
                 # A ground key never changes: only a call that was not
                 # ground may have become ground since.
-                fr.gkey = self._resolved(goal.args, True) if gkey is None else gkey
-                trail.append(("atom", goal, fr))
-                self._push(fr)
-                yield (*owed, *body[hide:], (goal, fr))
+                e.gkey = self._resolved(goal.args, True) if gkey is None else gkey
+                trail.append(("atom", goal, e))
+                self._push(e)
+                yield (*owed, *body[hide:], (goal, e))
             self.undo_to(m)
-
-    def _register_proved(self, goal: Lit, gkey):
-        """Register a proved atom; returns its registry key, None when it
-        is not ground."""
-        if gkey is None:
-            gkey = self._resolved(goal.args, True)
-        pk = None if gkey is None else (goal.pred, gkey)
-        self.proved.setdefault(goal.key, []).append(goal.args)
-        if pk is None:
-            # w and u, with their positions, for _proved_variant's filter.
-            wi = w = ui = u = None
-            for i, a in enumerate(goal.args):
-                t = self.deref(a)
-                if t.__class__ is Var:
-                    if w is None:
-                        wi, w = i, t
-                elif ui is None:
-                    ui, u = i, (t.key if t.__class__ is Struct else t)
-            self._proved_open.setdefault(goal.key, []).append((goal.args, wi, w, ui, u))
-        else:
-            self._proved_keys[pk] = self._proved_keys.get(pk, 0) + 1
-        return pk
 
     # -- universal quantification ----------------------------------------------
 

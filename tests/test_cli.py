@@ -198,6 +198,32 @@ def test_negated_query_goal_on_an_unknown_predicate_holds(tmp_path, capsys):
     )
 
 
+def test_a_repeated_negation_of_an_unknown_predicate_is_proved_once(tmp_path, capsys):
+    # The first `not zz(a)` holds vacuously and enters the proved atoms, so
+    # the second is a proved shortcut, as a negation of a mentioned
+    # predicate is (`?- not q(a), not q(a).` on `p :- q(X).`).
+    path = write(tmp_path, "r.pl", "r.")
+    query = "?- not zz(a), not zz(a)."
+    rc, out, err = run(capsys, path, "-q", query)
+    assert rc == 0 and err == ""
+    assert mask_time(out) == (
+        f"{query}\n\n"
+        "Answer 1\t(in _ ms):\n\n"
+        "not zz(a),\n"
+        "proved(not zz(a)),\n"
+        "nmr_check.\n\n"
+        "[ nmr_check ]\n\n"
+        "no\n"
+    )
+    rc, out, err = run(capsys, path, "--json-lines", "-q", query)
+    assert rc == 0 and err == ""
+    record = json.loads(out)
+    assert record["justification"] == [
+        {"label": "not zz(a)"}, {"label": "proved(not zz(a))"}, {"label": "nmr_check"},
+    ]
+    assert record["model"] == ["nmr_check"] and record["bindings"] == {}
+
+
 def test_dual_labels_of_a_multi_arity_predicate_match_the_dump(tmp_path, capsys):
     path = write(
         tmp_path, "p.pl",

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from scasp import linear, store as store_mod
 from scasp.compiler import compile_program
-from scasp.engine import Engine, Node, _Frame
+from scasp.engine import Engine, Node, _Entry
 from scasp.errors import SolverError
 from scasp.linear import LinearStore
 from scasp.parser import parse_query
@@ -644,34 +644,47 @@ _REG_VARS = tuple(fresh_var(n) for n in "ABCD")
 _REG_LEAVES = st.sampled_from(_SYMBOLS + (num(1),) + _REG_VARS)
 _REG_TERMS = st.one_of(_REG_LEAVES, _REG_LEAVES.map(lambda t: Struct("f", (t,))))
 _REG_ARGS = st.tuples(_REG_TERMS, _REG_TERMS)
+_REG_PREDS = st.sampled_from(("p", "not_p"))  # a user predicate and its dual
 _REG_STEPS = st.one_of(
-    st.tuples(st.just("register"), _REG_ARGS),
+    st.tuples(st.just("register"), _REG_PREDS, _REG_ARGS),
+    st.tuples(st.just("open"), _REG_PREDS, _REG_ARGS),
+    st.tuples(st.just("close")),
+    st.tuples(st.just("undo"), st.integers(min_value=0)),
     st.tuples(st.just("bind"), st.sampled_from(_REG_VARS), _REG_TERMS),
     st.tuples(st.just("exclude"), st.sampled_from(_REG_VARS), st.sampled_from(_SYMBOLS)),
     st.tuples(st.just("linear"), st.sampled_from(_REG_VARS), st.sampled_from((">", "="))),
 )
 
 
-def _apply_step(e, step):
-    """One registry or constraint step through the engine's own methods;
-    a step that fails or owes disequalities is undone whole.  A registry
-    step enters a call to p as solve_call does and proves it through solve's
-    exit step, whose one trail entry unregisters the atom on an undo."""
-    if step[0] == "register":
-        goal = Lit("p", step[1])
-        fr = _Frame(goal, e.cp.pred_info["p"])
-        fr.gkey = e._resolved(goal.args, True)
-        e.trail.append(("atom", goal, fr))
-        e._push(fr)
-        next(e.solve(((goal, fr),)))
+def _apply_step(e, step, marks):
+    """One hypothesis-set or constraint step through the engine's own
+    methods; a constraint step that fails or owes disequalities is undone
+    whole.  An 'open' step enters a call as solve_call does, a 'close' step
+    proves the topmost open call through solve's exit step, a 'register'
+    step does both, and an 'undo' step goes back to the mark before an
+    earlier step, reopening and popping what came after it."""
+    kind = step[0]
+    if kind == "undo":
+        e.undo_to(marks[step[1] % len(marks)])
+        return
+    if kind in ("open", "register"):
+        goal = Lit(step[1], step[2])
+        entry = _Entry(goal, e.cp.pred_info[goal.pred].marker)
+        entry.gkey = e._resolved(goal.args, True)
+        e.trail.append(("atom", goal, entry))
+        e._push(entry)
+    if kind in ("close", "register") and e.frames:
+        top = e.frames[-1]
+        next(e.solve(((Lit(top.name, top.args), top),)))
+    if kind in ("open", "close", "register"):
         return
     m = e.mark()
     var = e.deref(step[1])
-    if step[0] == "bind":
+    if kind == "bind":
         ok = e.unify(var, step[2]) and not e._take_owed()
     elif not isinstance(var, Var):
         return
-    elif step[0] == "exclude":
+    elif kind == "exclude":
         ok = e._exclude(var, frozenset((step[2],)))
     else:
         ok = e._assert_linear(step[2], var, num(1))
@@ -680,38 +693,75 @@ def _apply_step(e, step):
         e.undo_to(m)
 
 
-def _variant_by_scan(e, args):
-    gkey = e._resolved(args, True)
-    if gkey is not None and ("p", gkey) in e._proved_keys:
-        return True
-    return any(e._variant_args(args, entry[0]) for entry in e._proved_open.get(("p", 2), ()))
+def _classify_by_scan(e, goal):
+    """classify_loop's outcome from a plain scan of every entry: the open
+    ones are the call path, the closed ones the proved atoms."""
+    args, key = goal.args, goal.key
+    marker = e.cp.pred_info[goal.pred].marker
+    comp = (e.neg_of[key], len(args))
+    total = e.frames[-1].mk if e.frames else 0
+
+    def closed(k):
+        return any(e._variant_args(args, other) for other in e.proved.get(k, ()))
+
+    def opened(k, test):
+        return any(fr.key == k and test(fr) for fr in e.frames)
+
+    if opened(comp, lambda fr: e._unifiable_args(args, fr.args)) or closed(comp):
+        return "fail_odd"
+    if not marker and opened(key, lambda fr: fr.mk == total and e._variant_args(args, fr.args)):
+        return "fail_positive"
+    k0 = marker + total
+
+    def even(fr):
+        k = k0 - fr.mk
+        return k >= 2 and k % 2 == 0 and e._unifiable_args(args, fr.args)
+
+    if opened(key, even):
+        return "succeed_coinductive"
+    return "succeed_proved" if closed(key) else "continue"
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(_REG_STEPS, min_size=1, max_size=12),
-    st.lists(st.one_of(_REG_ARGS, st.integers(min_value=0)), min_size=1, max_size=3),
+    st.lists(st.tuples(_REG_PREDS, st.one_of(_REG_ARGS, st.integers(min_value=0))),
+             min_size=1, max_size=3),
     st.integers(min_value=0),
 )
 def test_proved_lookup_agrees_with_a_scan_of_every_entry(steps, calls, back):
-    # The registry's lookup skips open entries without walking them; it
-    # must answer as a full scan would, also after part of the trail is
-    # undone.  A call given as an integer repeats a registered atom's
-    # arguments, so that variants are common.
+    # The hypothesis set's lookups skip entries without walking them; each
+    # of classify_loop's questions must answer as a plain scan of every
+    # entry would, also after part of the trail is undone: an open
+    # complement that unifies, a closed complement that is a variant, an
+    # open variant with no negation since, and a closed variant.  A call
+    # given as an integer repeats an entered atom's arguments, so that
+    # variants are common.
     e = engine_for("p(a, a).")
     marks = []
     for step in steps:
         marks.append(e.mark())
-        _apply_step(e, step)
-    registered = [step[1] for step in steps if step[0] == "register"] or [(num(1), num(1))]
+        _apply_step(e, step, marks)
+    entered = [step[2] for step in steps if step[0] in ("open", "register")] or [(num(1), num(1))]
     for undo in (False, True):
         if undo:
             e.undo_to(marks[back % len(marks)])
-        for args in calls:
+        for pred, args in calls:
             if isinstance(args, int):
-                args = registered[args % len(registered)]
+                args = entered[args % len(entered)]
+            goal = Lit(pred, args)
             gkey = e._resolved(args, True)
-            assert e._proved_variant(("p", 2), args, gkey) == _variant_by_scan(e, args)
+            comp = (e.neg_of[goal.key], 2)
+            total = e.frames[-1].mk if e.frames else 0
+            for k in (goal.key, comp):
+                want = any(e._variant_args(args, other) for other in e.proved.get(k, ()))
+                assert (e._variant(k, args, gkey) is not None) == want
+            hit = e._variant(goal.key, args, gkey, total)
+            assert (hit is not None and hit.mk is not None) == any(
+                fr.key == goal.key and fr.mk == total and e._variant_args(args, fr.args)
+                for fr in e.frames
+            )
+            assert e.classify_loop(goal) == _classify_by_scan(e, goal)
 
 
 CNT = "cnt(0). cnt(N) :- N .>. 0, M .=. N-1, cnt(M)."

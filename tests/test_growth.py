@@ -146,3 +146,29 @@ def test_the_odd_loop_search_of_a_negated_chain_grows_linearly_in_graph_lookups(
     monkeypatch.setattr(compiler, "_nmr_checks", counting)
     small, large = chain(1000), chain(2000)
     assert large <= 2.5 * small, (small, large)
+
+
+def _count_unify(m, counts):
+    counts["unify"] = 0
+    unify = ConstraintStore.unify
+
+    def counting(self, a, b):
+        counts["unify"] += 1
+        return unify(self, a, b)
+
+    m.setattr(ConstraintStore, "unify", counting)
+
+
+def test_the_complement_test_of_a_ground_call_grows_linearly_in_unify_calls(monkeypatch):
+    # `?- c(n).` on `c(N) :- N .>. 0, not c(-1), M .=. N - 1, c(M).`: every
+    # level calls `not c(-1)` under n open ground calls of its complement
+    # c.  Two ground terms unify only when they are equal, so one lookup by
+    # ground key answers the test; a unify test against each open entry
+    # of the complement makes the count quadratic and fails the bound.
+    text = "c(0).\nc(N) :- N .>. 0, not c(-1), M .=. N - 1, c(M).\n"
+
+    def family(n):
+        return _query_counts(monkeypatch, text, f"?- c({n}).", _count_unify)
+
+    small, large = family(200), family(400)
+    assert large["unify"] <= 2.5 * small["unify"], (small, large)
