@@ -98,8 +98,9 @@ indexes, for both states:
   non-ground descendants of the predicate have left it), it moves to its
   ground key, and an undo of the exit moves it back;
 * the open entries of each predicate are also listed bottom first, for
-  the unify tests against open complements of a non-ground call and for
-  the even-loop test, whose candidates, the entries at least two markers
+  the unify tests against open complements (for a ground call, only those
+  not ground when pushed, which no ground-key lookup finds) and for the
+  even-loop test, whose candidates, the entries at least two markers
   down, are a bottom part found by binary search.
 
 One lookup (_variant) answers the three variant questions: the topmost
@@ -333,14 +334,15 @@ class Engine(ConstraintStore):
         # polarity: an ancestor that could be the very instance being
         # evaluated, or a completed proof, which stays in force for the
         # partial model under construction.  A ground call unifies only
-        # with an equal entry: one lookup finds those filed by ground key.
+        # with an equal entry: one lookup finds those filed by ground key,
+        # and the open ones not ground when pushed are unify-tested.
         comp = self.neg_of.get(goal.key)
         if comp is not None:
             comp = (comp, len(args))
             if self._ground.get((comp[0], gkey)) or self._variant(comp, args, gkey):
                 return "fail_odd"
-            for e in (self._path if gkey is None else self._loose).get(comp, ()):
-                if e.mk is not None and self._unifiable_args(args, e.args):
+            for e in self._path.get(comp, ()):
+                if (gkey is None or e.gkey is None) and self._unifiable_args(args, e.args):
                     return "fail_odd"
         # k, the negations between an open entry e and the goal, is
         # marker + total - e.mk; it never falls going down the path.

@@ -16,7 +16,14 @@ caller, as a CLP system hands a solved variable back to the engine:
 returns no longer mentions it.  The caller keeps the value (the engine
 binds the variable at once) and puts the value, not the variable, in every
 later constraint.  So a long derivation that determines one value per step
-keeps the store small and each step's cost constant.
+keeps the store small and each step's cost constant.  As in CLP(R), the
+cheapest constraints never reach a store at all: ``assert_known`` decides
+a constraint between two ground terms as a test of their values, and an
+equality between a variable and a ground term as an assignment of its
+value, with the answer ``assert_terms`` would give on a store that does
+not mention the variable.  ``ConstraintStore._assert_linear`` sends it
+every test, and every assignment to a variable in no constraint domain, so
+a countdown's ``N .>. 0`` and ``M .=. N-1`` never reach a store.
 
 An assert re-normalises the store (``_normalize``: substitute, tighten,
 and solve every implicit equality) only where the new constraint can
@@ -50,10 +57,13 @@ a ``Fraction`` gives a ``Fraction``, integral or not, which compares and
 hashes as the ``int`` of its value does.  Every division goes through
 ``_div``: two ``int``s that divide evenly give their ``int`` quotient
 (``divmod``), any other pair the exact quotient, an ``int`` when
-integral, never the ``float`` that ``/`` gives two ``int``s.  The values that leave
-the module, ``assert_constraint``'s determined values and ``project``'s
-bounds and excluded points, are always ``Fraction``s (``_exact``), the
-numbers the parser builds.
+integral, never the ``float`` that ``/`` gives two ``int``s.  A form the
+store keeps, a scaled row or a solved variable's form, has every integral
+number an ``int`` again (``_ints``), so later work on it keeps to integer
+arithmetic where it can.  The values that leave the module,
+``assert_constraint``'s determined values and ``project``'s bounds and
+excluded points, are always ``Fraction``s (``_exact``), the numbers the
+parser builds.
 """
 
 from __future__ import annotations
@@ -66,7 +76,7 @@ from .errors import SolverError
 from .terms import ARITH_OPS, Var, format_terms
 
 __all__ = [
-    "LinearStore", "OP_TEXT", "complement", "form_of", "form_const",
+    "LinearStore", "OP_TEXT", "assert_known", "complement", "form_of", "form_const",
     "form_var", "form_add", "form_sub", "form_neg", "form_scale", "form_vars",
     "form_is_const", "ZERO",
 ]
@@ -99,7 +109,7 @@ def _div(a, b):
     """a / b, exactly: an int when it is integral, else a Fraction; never
     the float that ``/`` gives two ints."""
     if b == 1:
-        return a
+        return a if a.__class__ is int or a._denominator != 1 else a._numerator
     if a.__class__ is int and b.__class__ is int:
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
@@ -152,10 +162,18 @@ def form_scale(a: tuple, k) -> tuple:
     return (a[0] * k, tuple((vid, coef * k) for vid, coef in a[1]))
 
 
-def form_div(a: tuple, k) -> tuple:
-    """a / k for a nonzero number k, each number through _div."""
-    if k == 1:
+def _ints(a: tuple) -> tuple:
+    """a with each integral number an int; a itself when it is already."""
+    if a[0].__class__ is int and all(c.__class__ is int for _, c in a[1]):
         return a
+    return (_div(a[0], 1), tuple((vid, _div(coef, 1)) for vid, coef in a[1]))
+
+
+def form_div(a: tuple, k) -> tuple:
+    """a / k for a nonzero number k, each number through _div, so an int
+    wherever it is integral."""
+    if k == 1:
+        return _ints(a)
     return (_div(a[0], k), tuple((vid, _div(coef, k)) for vid, coef in a[1]))
 
 
@@ -232,6 +250,32 @@ def form_of(t):
         else:
             forms.append(form_const(t.value) if t.is_number else None)
     return forms[0]
+
+
+def _known(t):
+    """The value of a ground resolved term, as form_of reads it; None when
+    it is not numeric."""
+    form = form_of(t)
+    return None if form is None else form[0]
+
+
+def assert_known(op: str, lhs, rhs):
+    """Decide ``lhs op rhs`` on known numbers, with no store: two resolved
+    terms, op in either spelling, either both ground, or op ``=`` between a
+    variable and a ground side.  What assert_terms returns as determined on
+    a store that does not mention the variable, or None when it fails:
+    [] for a test that holds, [(vid, value)] for the variable.  Both sides
+    are read before anything is decided, as assert_terms reads them."""
+    lv = lhs if lhs.__class__ is Var else _known(lhs)
+    rv = rhs if rhs.__class__ is Var else _known(rhs)
+    if lv is None or rv is None:
+        return None
+    if lv is lhs:
+        return [(lhs.id, _exact(rv))]
+    if rv is rhs:
+        return [(rhs.id, _exact(lv))]
+    # Exact numbers: lv op rv is the test of lv - rv against zero.
+    return [] if _OPS[_STORE_OP[op]][0](lv, rv) else None
 
 
 def complement(op: str):
@@ -505,7 +549,7 @@ def _solve_eq(subst, diff):
     repl = form_div(rest, -coef)
     solved = {vid: repl}
     for k, form in subst.items():
-        subst[k] = form_apply(form, solved)
+        subst[k] = _ints(form_apply(form, solved))
     subst[vid] = repl
 
 

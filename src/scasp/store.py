@@ -9,29 +9,33 @@ undo_to hands every entry that is not the store's own (bind, dom, excl,
 lin) to _undo_event, which the engine overrides.
 
 One map, dom, says which constraint domain an unbound variable lives in:
-a set of excluded ground terms, or RATIONAL once any rational
-constraint mentions it, whether or not the store keeps a row for it (as
-X + 1 .>. X or X .=. X leave none).  The store is handed resolved terms
-(LinearStore.assert_terms), never a linear form.  Before an assert, each
-variable it mentions becomes RATIONAL, and its exclusions follow it into
-the store, numbers as disequalities; any other excluded term is dropped
-as vacuous, since a rational never equals a symbol or a structure.  For
-the same reason `\\=` against a non-number records nothing on a rational
-variable, and such a variable never binds to one.  `=` without
-arithmetic always unifies, so two rational variables are aliased like
-any others, the store learning their equality first.  A value the store
-fixes lives only in the binding: the store reports it once, the variable
-is bound at once, and the store forgets it.  A constraint goal resolves
-its two sides once, and their arith flag says whether `=` or `\\=` goes
-to the store whole.  Any other `\\=` takes the one walk per argument pair
-that payments take too (assert_neq_term), wherever its variables sit in
-the two sides: a pair of two rational variables goes to the store as
-`!=`, and a pair of a variable and a ground term becomes an exclusion.
-As terms are resolved before each assert, the store is never handed a
-variable it fixed before.  A variable's exclusions are one set of the
-store's own that each `\\=`, or an applied neq view, grows in place,
-trailing the terms it added for an undo to remove; dump hands out a
-frozen copy.
+a set of excluded ground terms, or RATIONAL once a rational constraint
+that reaches the store mentions it, whether or not the store keeps a row
+for it (as X + 1 .>. X or X .=. X leave none).  Tests and assignments
+on known numbers never reach the store: a constraint whose two sides are
+ground is decided on their values, and an `=` between a variable in no
+domain and a ground side binds the variable to its value, which gives it
+no domain (linear.assert_known).  The store is handed resolved terms
+(LinearStore.assert_terms), never a linear form.  Before any other
+assert, each variable it mentions becomes RATIONAL, and its exclusions
+follow it into the store, numbers as disequalities; any other excluded
+term is dropped as vacuous, since a rational never equals a symbol or a
+structure.  For the same reason `\\=` against a non-number records
+nothing on a rational variable, and such a variable never binds to one.
+`=` without arithmetic always unifies, so two rational variables are
+aliased like any others, the store learning their equality first.  A
+value the store fixes lives only in the binding: the store reports it
+once, the variable is bound at once, and the store forgets it.  A
+constraint goal resolves its two sides once, and their arith flag says
+whether `=` or `\\=` goes to the store whole.  Any other `\\=` takes the
+one walk per argument pair that payments take too (assert_neq_term),
+wherever its variables sit in the two sides: a pair of two rational
+variables goes to the store as `!=`, and a pair of a variable and a
+ground term becomes an exclusion.  As terms are resolved before each
+assert, the store is never handed a variable it fixed before.  A
+variable's exclusions are one set of the store's own that each `\\=`, or
+an applied neq view, grows in place, trailing the terms it added for an
+undo to remove; dump hands out a frozen copy.
 
 Unification is a plain function: unify binds or reports a clash, leaving
 its bindings on the trail for the caller to undo.  Two ground structures
@@ -69,13 +73,14 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import SolverError
-from .linear import LinearStore, complement
+from .linear import OP_TEXT, LinearStore, assert_known, complement
 from .terms import CmpLit, Const, Struct, Var, format_term, format_terms, term_vars
 
 __all__ = ["ConstraintStore", "TOP", "view_conj", "dual", "add", "lin_canon", "lin_view"]
 
 TOP = ("top",)  # the view that says nothing about the variable
 RATIONAL = object()  # dom entry of a variable a rational constraint mentions
+_EQ = frozenset(("=", OP_TEXT["="]))  # an assignment's operator, in either spelling
 
 
 class _Owed(NamedTuple):
@@ -354,20 +359,31 @@ class ConstraintStore:
 
     def _assert_linear(self, op, l, r) -> bool:
         """Conjoin l op r, two resolved terms, with the rational store,
-        binding each variable it fixes.  Each variable it mentions becomes
-        rational first, bringing its exclusions into the store."""
-        for v in term_vars(l) + term_vars(r):
-            d = self.dom.get(v.id)
-            if d is not RATIONAL:
-                self._set_dom(v.id, RATIONAL)
-                if d and not self._exclude(v, d):
-                    return False
-        res = self.lin.assert_terms(op, l, r)
-        if res is None:
-            return False
-        new_store, determined = res
-        if new_store is not self.lin:
-            self._set_lin(new_store)
+        binding each variable it fixes.  A test of two ground sides, or an
+        assignment of a ground side to a variable in no domain, is decided
+        on its values alone.  Before any other constraint, each variable it
+        mentions becomes rational, bringing its exclusions into the store."""
+        if l.ground:
+            known = r.ground or r.__class__ is Var and op in _EQ and r.id not in self.dom
+        else:
+            known = r.ground and l.__class__ is Var and op in _EQ and l.id not in self.dom
+        if known:
+            determined = assert_known(op, l, r)
+            if determined is None:
+                return False
+        else:
+            for v in term_vars(l) + term_vars(r):
+                d = self.dom.get(v.id)
+                if d is not RATIONAL:
+                    self._set_dom(v.id, RATIONAL)
+                    if d and not self._exclude(v, d):
+                        return False
+            res = self.lin.assert_terms(op, l, r)
+            if res is None:
+                return False
+            new_store, determined = res
+            if new_store is not self.lin:
+                self._set_lin(new_store)
         # Each variable is reported once, by the call that fixes it, and the
         # store forgets it: its value lives on only in the binding made here.
         # The store already checked it, and binding through _bind would

@@ -765,6 +765,9 @@ def test_proved_lookup_agrees_with_a_scan_of_every_entry(steps, calls, back):
 
 
 CNT = "cnt(0). cnt(N) :- N .>. 0, M .=. N-1, cnt(M)."
+# The same countdown, whose step `M + 1 .=. N` is no assignment: it reaches
+# the rational store.
+CNT_STORE = "cnt(0). cnt(N) :- N .>. 0, M + 1 .=. N, cnt(M)."
 
 
 @pytest.mark.parametrize(
@@ -794,7 +797,7 @@ def test_loop_check_compares_terms_only_for_open_entries(monkeypatch, text, quer
 @pytest.mark.parametrize(
     "program, query, counted, limit",
     [
-        (CNT, "?- cnt(200).", "_normalize", 0),
+        (CNT_STORE, "?- cnt(200).", "_normalize", 0),
         ((ROOT / "tests" / "programs" / "hanoi.pl").read_text(), "?- hanoi(5,T).", "_normalize", 0),
         ((ROOT / "tests" / "programs" / "yale.pl").read_text(), None, "_fm_sat", 180),
         ((ROOT / "tests" / "programs" / "stream.pl").read_text(), None, "_fm_step", 125),
@@ -804,8 +807,9 @@ def test_loop_check_compares_terms_only_for_open_entries(monkeypatch, text, quer
 def test_linear_asserts_eliminate_only_where_the_store_can_change(
     monkeypatch, program, query, counted, limit
 ):
-    # A countdown step fixes a variable no row mentions, so the store needs
-    # no re-normalising (without the shortcut: 200 and 46 runs).  Rows that
+    # A countdown step `M + 1 .=. N` fixes a variable no row mentions, so
+    # the store needs no re-normalising (without the shortcut: 200 runs);
+    # hanoi's are tests and assignments, which never reach it.  Rows that
     # hold strictly together take one elimination, not one more per weak
     # row (yale: 210 without it, 218 with neither).  A projection reads the
     # points a disequality forces off two spans instead of verifying each
@@ -835,7 +839,7 @@ def test_countdown_keeps_no_fixed_value_in_the_substitution(monkeypatch):
         return res
 
     monkeypatch.setattr(LinearStore, "assert_constraint", recording)
-    assert len(answers(CNT, "?- cnt(300).")) == 1
+    assert len(answers(CNT_STORE, "?- cnt(300).")) == 1
     assert len(rows) >= 300
     assert max(rows) <= 5
 
@@ -858,13 +862,52 @@ def test_countdown_store_does_not_grow_with_the_count(monkeypatch):
             return res
 
         monkeypatch.setattr(LinearStore, "assert_constraint", recording)
-        assert len(answers(CNT, f"?- cnt({n}).")) == 1
+        assert len(answers(CNT_STORE, f"?- cnt({n}).")) == 1
         assert len(sizes) >= n
         return max(sizes)
 
     small, large = largest_store(300), largest_store(1200)
     assert large <= 3
     assert large == small
+
+
+@pytest.mark.parametrize(
+    "text, query",
+    [
+        (CNT, "?- cnt(300)."),
+        ((ROOT / "tests" / "programs" / "hanoi.pl").read_text(), "?- hanoi(7, T)."),
+    ],
+    ids=["cnt300", "hanoi7"],
+)
+def test_tests_and_assignments_on_known_numbers_never_reach_the_store(monkeypatch, text, query):
+    # `N .>. 0` with N bound is a test, and `M .=. N-1` with M fresh an
+    # assignment: each is decided on its values, with no store call.
+    calls = []
+    orig = LinearStore.assert_constraint
+
+    def counting(self, op, lhs, rhs):
+        calls.append(op)
+        return orig(self, op, lhs, rhs)
+
+    monkeypatch.setattr(LinearStore, "assert_constraint", counting)
+    assert len(answers(text, query, n=1)) == 1
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "query, count",
+    [
+        ("?- X .>. 2, X .=. 1.", 0),
+        ("?- X .>. 2, 1 .=. X.", 0),
+        ("?- X \\= 1, X .=. 2 - 1.", 0),
+        ("?- X .>. 2, X .=. 3.", 1),
+        ("?- X \\= 1, X .=. 2.", 1),
+    ],
+)
+def test_an_assignment_to_a_variable_in_a_domain_goes_to_the_store(query, count):
+    # X already has rows or exclusions, which a binding made without the
+    # store would skip.
+    assert len(answers("p(1).", query)) == count
 
 
 def test_deep_ground_argument_is_shared_not_copied(monkeypatch):

@@ -351,8 +351,8 @@ def numbers_of(s):
 @given(sequences(6))
 def test_numbers_stay_exact_and_leave_as_fractions(cons):
     """Every number in a form is an int or a Fraction, never a float, and
-    every value the store hands out, determined or projected, is a
-    Fraction."""
+    an int when it is integral; every value the store hands out,
+    determined or projected, is a Fraction."""
     s, values = LinearStore.empty(), {}
     for op, parts, const in cons:
         got = s.assert_constraint(op, known(_lhs(parts), values), c(const))
@@ -361,7 +361,8 @@ def test_numbers_stay_exact_and_leave_as_fractions(cons):
         s, det = got
         assert all(type(val) is Fraction for _, val in det), det
         values.update(det)
-        assert all(type(q) in (int, Fraction) for q in numbers_of(s)), (s.subst, s.ineqs, s.neqs)
+        assert all(type(q) is (int if q.denominator == 1 else Fraction) for q in numbers_of(s)), (
+            s.subst, s.ineqs, s.neqs)
         for vid in (X, Y, Z):
             entries = s.project(vid)
             assert all(type(val) is Fraction for _, val in entries), entries
@@ -372,6 +373,24 @@ def test_a_non_integral_value_is_determined_as_a_fraction():
     for s in (LinearStore.empty(), store_of(("<", v(X), v(Y)))):
         _, det = s.assert_constraint("=", form_scale(v(X), 2), c(1))
         assert det == [(X, Fraction(1, 2))] and type(det[0][1]) is Fraction
+
+
+def test_an_integral_number_in_a_stored_row_is_an_int():
+    # 2*X = Y solves X = Y/2, so X + Y/2 <= 3 and X + Y/2 != 2 reach the
+    # store with Y's coefficient 1/2 + 1/2, a Fraction until the row is
+    # scaled.  Values that leave the store stay Fractions.
+    half_y = form_scale(v(Y), Fraction(1, 2))
+    s = store_of(
+        ("=", form_scale(v(X), 2), v(Y)),
+        ("<=", form_add(v(X), half_y), c(3)),
+        ("!=", form_add(v(X), half_y), c(2)),
+    )
+    assert s.ineqs == (((-3, ((Y, 1),)), False),)
+    assert s.neqs == ((-2, ((Y, 1),)),)
+    assert all(type(q) is (int if q.denominator == 1 else Fraction) for q in numbers_of(s)), (
+        s.subst, s.ineqs, s.neqs)
+    assert s.project(Y) == [("<=", 3), ("!=", 2)]
+    assert all(type(val) is Fraction for _, val in s.project(Y))
 
 
 def general_assert(s, op, lhs, rhs):

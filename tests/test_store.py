@@ -3,12 +3,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scasp import store as store_mod
 from scasp.errors import SolverError
-from scasp.linear import LinearStore
-from scasp.store import TOP, add, dual, lin_canon, view_conj
+from scasp.linear import OP_TEXT, LinearStore, assert_known
+from scasp.store import TOP, ConstraintStore, add, dual, lin_canon, view_conj
 from scasp.terms import Const, Struct, Var, fresh_var
 
 from helpers import engine_for, num, pick_witness_num, sat_entry, sat_view_num, traced_run
@@ -282,6 +282,66 @@ _VIEWS = st.one_of(
 def test_the_view_algebra_agrees_with_its_former_rules(a, b, entries):
     assert view_conj(a, b) == ref_view_conj(a, b)
     assert lin_canon(entries) == ref_lin_canon(entries)
+
+
+# -- tests and assignments on known numbers ------------------------------------
+#
+# A constraint whose two sides are ground, or an assignment of a ground side
+# to a variable in no domain, is decided on its values and never reaches the
+# rational store; the store, which mentions no variable, must agree with it.
+
+# Mostly numbers, zero often enough to divide by, and now and then a symbol
+# or a structure, which makes its side non-numeric.
+_KNOWN = st.recursive(
+    st.sampled_from(
+        (*map(num, (-2, 0, 0, Fraction(1, 2), 1, 2, 3, Fraction(-3, 4))), Const("a"), Struct("f", (num(1),)))
+    ),
+    lambda kids: st.builds(lambda f, a, b: Struct(f, (a, b)), st.sampled_from("+-*/"), kids, kids),
+    max_leaves=6,
+)
+_X = Var(0)
+# A test under each operator in both spellings, and an assignment to either side.
+_ASSIGN_OPS = st.sampled_from(("=", OP_TEXT["="]))
+_ON_KNOWN_NUMBERS = st.one_of(
+    st.tuples(st.sampled_from([*OP_TEXT, *OP_TEXT.values(), "\\="]), _KNOWN, _KNOWN),
+    st.tuples(_ASSIGN_OPS, st.just(_X), _KNOWN),
+    st.tuples(_ASSIGN_OPS, _KNOWN, st.just(_X)),
+)
+
+
+def _outcome(assert_fn):
+    """What an assert returns, or the code and text of the SolverError it
+    raises."""
+    try:
+        return assert_fn()
+    except SolverError as e:
+        return ("error", e.code, str(e))
+
+
+# A non-numeric side does not spare the other side's division by zero, and
+# an integral value of arithmetic is bound as a Fraction.
+@example(("<", Const("a"), Struct("/", (num(1), num(0)))))
+@example((".=.", _X, Struct("+", (num(1), num(2)))))
+@settings(max_examples=400, deadline=None)
+@given(_ON_KNOWN_NUMBERS)
+def test_known_numbers_are_decided_as_the_store_decides_them(case):
+    op, lhs, rhs = case
+    cs = ConstraintStore()
+    got = _outcome(lambda: cs._assert_linear(op, lhs, rhs))
+    want = _outcome(lambda: LinearStore.empty().assert_terms(op, lhs, rhs))
+    if want is None or want[0] == "error":
+        assert got == (want or False)
+    else:
+        assert got is True
+        det = assert_known(op, lhs, rhs)
+        assert det == want[1] and all(type(val) is Fraction for _, val in det)
+        bound = cs.deref(_X)
+        if bound is _X:
+            assert want[1] == []
+        else:
+            assert want[1] == [(_X.id, bound.value)] and type(bound.value) is Fraction
+    # Decided without the store: it is left empty, and no variable has a domain.
+    assert cs.lin is LinearStore.empty() and not cs.dom
 
 
 def test_tracing_counts_the_view_algebra_and_undoes_its_patches():
