@@ -46,7 +46,9 @@ it reaches them, depth first, left to right.  A compiled head is distinct
 fresh variables, so a clause is tried without unifying its head: the
 renaming of its body maps the head's variables to the call's arguments,
 and any constants or repeated variables of the source head are matched by
-the hidden `=` goals leading the body.
+the hidden `=` goals leading the body.  A clause with no variable (no
+head argument and none in its body) is used as it is, uncopied, as ground
+terms are (below).
 
 The log is the trail's event entries: one (kind, goal) per step -- an
 'atom' call, a 'constraint', a 'chs' or 'proved' shortcut, a 'forall' --
@@ -101,7 +103,9 @@ indexes, for both states:
   the unify tests against open complements (for a ground call, only those
   not ground when pushed, which no ground-key lookup finds) and for the
   even-loop test, whose candidates, the entries at least two markers
-  down, are a bottom part found by binary search.
+  down, are a bottom part found by binary search; a ground call compares
+  its ground key with each candidate ground when pushed, and unify-tests
+  only the others.
 
 One lookup (_variant) answers the three variant questions: the topmost
 open entry with no marker since, else a closed entry, for the goal's own
@@ -167,6 +171,7 @@ from .terms import (
     Struct,
     Var,
     fresh_var,
+    goal_ground,
     goal_vars,
     rename_goal,
     term_vars,
@@ -350,15 +355,25 @@ class Engine(ConstraintStore):
         hit = self._variant(goal.key, args, gkey, None if marker else total)
         if hit is not None and hit.mk is not None:
             return "fail_positive"
-        # The entries with k >= 2, the only ones that can close an even
-        # loop, are a bottom part of the path: found by binary search.
-        k0 = marker + total
-        stack = self._path.get(goal.key, ())
+        if self._even_loop(goal.key, args, gkey, marker + total):
+            return "succeed_coinductive"
+        return "continue" if hit is None else "succeed_proved"
+
+    def _even_loop(self, key, args, gkey, k0):
+        """Does an open entry of key with an even k = k0 - e.mk >= 2 unify
+        with args (ground key gkey)?  Those entries, the only ones that can
+        close an even loop, are a bottom part of the path: found by binary
+        search.  Two ground terms unify only when equal, so an entry ground
+        when pushed meets a ground call by its key."""
+        stack = self._path.get(key, ())
         for i in range(bisect_right(stack, k0 - 2, key=_MK) - 1, -1, -1):
             e = stack[i]
-            if (k0 - e.mk) % 2 == 0 and self._unifiable_args(args, e.args):
-                return "succeed_coinductive"
-        return "continue" if hit is None else "succeed_proved"
+            if (k0 - e.mk) % 2 == 0 and (
+                e.gkey == gkey if gkey is not None and e.gkey is not None
+                else self._unifiable_args(args, e.args)
+            ):
+                return True
+        return False
 
     def _push(self, e, path=True, file=True):
         """The one filing path of the set: open e on top of the call path,
@@ -524,10 +539,13 @@ class Engine(ConstraintStore):
         e = _Entry(goal, marker)
         last = rules[-1] if rules else None
         for rule in rules:
-            # A compiled head is distinct variables: they stand for the
-            # call's arguments, so only the body is renamed.
-            mapping = {v.id: a for v, a in zip(rule.head.args, goal.args)}
-            body = tuple(rename_goal(g, mapping) for g in rule.body)
+            body = rule.body
+            if rule.head.args or not all(map(goal_ground, body)):
+                # A compiled head is distinct variables: they stand for the
+                # call's arguments, so only the body is renamed.  A clause
+                # with no variable is used as it is, as ground terms are.
+                mapping = {v.id: a for v, a in zip(rule.head.args, goal.args)}
+                body = tuple(rename_goal(g, mapping) for g in body)
             hide = rule.hide_prefix
             m = self.mark()
             # The hidden head unifications run before the entry is pushed,

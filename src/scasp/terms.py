@@ -38,7 +38,7 @@ __all__ = [
     "Var", "Const", "Struct", "Term", "Lit", "CmpLit", "Forall", "Goal",
     "Rule", "Query", "Program", "NIL", "ARITH_OPS", "CONSTRAINT_OPS",
     "collector_paused", "fresh_var", "mk_list", "list_parts", "term_vars",
-    "goal_vars", "rename_terms", "rename_goal",
+    "goal_vars", "goal_ground", "rename_terms", "rename_goal",
     "format_term", "format_terms", "format_goal", "format_rule",
 ]
 
@@ -306,6 +306,16 @@ def goal_vars(g: Goal, acc=None, seen=None):
         _vars_of(g.vars, acc, seen)
         g = g.goal
     return _vars_of((g.lhs, g.rhs) if isinstance(g, CmpLit) else g.args, acc, seen)
+
+
+def goal_ground(g: Goal) -> bool:
+    """Does no variable occur in g?  One does in every forall."""
+    if g.__class__ is Lit:
+        for a in g.args:
+            if not a.ground:
+                return False
+        return True
+    return g.__class__ is CmpLit and g.lhs.ground and g.rhs.ground
 
 
 def _vars_of(ts: tuple, acc: list, seen: set) -> list:

@@ -224,6 +224,67 @@ def test_a_repeated_negation_of_an_unknown_predicate_is_proved_once(tmp_path, ca
     assert record["model"] == ["nmr_check"] and record["bindings"] == {}
 
 
+EVEN_LOOP = "p :- not q.\nq :- not p.\nr :- p.\n"
+
+
+@pytest.mark.parametrize(
+    "query, text",
+    [
+        ("?- r.", "r :-\n   p :-\n      not q :-\n         not q__1 :-\n            chs(p).\n"
+                  "nmr_check.\n\n[ r, p, nmr_check ]\n"),
+        ("?- not r.", "not r :-\n   not r__1 :-\n      not p :-\n         not p__1 :-\n"
+                      "            q :-\n               chs(not p).\nnmr_check.\n\n[ q, nmr_check ]\n"),
+    ],
+)
+def test_a_propositional_even_loop_prints_its_answer(tmp_path, capsys, query, text):
+    # No clause of the program, its duals or nmr_check has a variable, so
+    # each is used as it is, uncopied: the answer, its justification and
+    # its model print as when every clause tried was renamed.
+    path = write(tmp_path, "even.pl", EVEN_LOOP)
+    rc, out, err = run(capsys, path, "-q", query)
+    assert rc == 0 and err == ""
+    assert mask_time(out) == f"{query}\n\nAnswer 1\t(in _ ms):\n\n{text}\nno\n"
+    rc, out, err = run(capsys, path, "-q", "?- p, q.")
+    assert rc == 0 and out == "?- p, q.\n\nno\n"
+
+
+def test_a_clause_with_no_head_argument_renames_its_body_variables(tmp_path, capsys):
+    # `not p`'s dual quantifies Y, p's body-only variable, in a forall, a
+    # clause with no head argument; the second call of `not p`, inside the
+    # first's forall, quantifies a fresh variable of its own (C), as every
+    # clause with a variable is renamed when tried.
+    path = write(tmp_path, "s.pl", "p :- q(Y), not s.\ns :- not p.\nq(a).\n")
+    rc, out, err = run(capsys, path, "-q", "?- s.")
+    assert rc == 0 and err == ""
+    assert mask_time(out) == (
+        "?- s.\n\nAnswer 1\t(in _ ms):\n\n"
+        "s :-\n"
+        "   not p :-\n"
+        "      not p__1 :-\n"
+        "         forall(A,not p__1_body(A)) :-\n"
+        "            not p__1_body({B.\\=.[a]}) :-\n"
+        "               not q({B.\\=.[a]}) :-\n"
+        "                  not q__1({B.\\=.[a]}) :-\n"
+        "                     {B.\\=.[a]}\\=a.\n"
+        "            not p__1_body(a) :-\n"
+        "               q(a),\n"
+        "               s :-\n"
+        "                  not p :-\n"
+        "                     not p__1 :-\n"
+        "                        forall(C,not p__1_body(C)) :-\n"
+        "                           not p__1_body({D.\\=.[a]}) :-\n"
+        "                              not q({D.\\=.[a]}) :-\n"
+        "                                 not q__1({D.\\=.[a]}) :-\n"
+        "                                    {D.\\=.[a]}\\=a.\n"
+        "                           not p__1_body(a) :-\n"
+        "                              proved(q(a)),\n"
+        "                              chs(s).\n"
+        "nmr_check.\n\n"
+        "[ s, q(a), nmr_check ]\n\n"
+        "no\n"
+    )
+
+
 def test_dual_labels_of_a_multi_arity_predicate_match_the_dump(tmp_path, capsys):
     path = write(
         tmp_path, "p.pl",

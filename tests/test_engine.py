@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scasp import linear, store as store_mod
 from scasp.compiler import compile_program
@@ -711,15 +711,19 @@ def _classify_by_scan(e, goal):
         return "fail_odd"
     if not marker and opened(key, lambda fr: fr.mk == total and e._variant_args(args, fr.args)):
         return "fail_positive"
-    k0 = marker + total
-
-    def even(fr):
-        k = k0 - fr.mk
-        return k >= 2 and k % 2 == 0 and e._unifiable_args(args, fr.args)
-
-    if opened(key, even):
+    if _even_loop_by_scan(e, goal, marker + total):
         return "succeed_coinductive"
     return "succeed_proved" if closed(key) else "continue"
+
+
+def _even_loop_by_scan(e, goal, k0):
+    """Does an open entry of the goal's predicate, k = k0 - mk >= 2 markers
+    down with k even, unify with the goal, by a unify test of each?"""
+    return any(
+        fr.key == goal.key and k0 - fr.mk >= 2 and (k0 - fr.mk) % 2 == 0
+        and e._unifiable_args(goal.args, fr.args)
+        for fr in e.frames
+    )
 
 
 @settings(max_examples=300, deadline=None)
@@ -729,12 +733,23 @@ def _classify_by_scan(e, goal):
              min_size=1, max_size=3),
     st.integers(min_value=0),
 )
+# A ground call two markers above an open entry that was bound ground after
+# it was pushed: its ground key is None, so only a unify test finds the
+# even loop.
+@example(
+    steps=[("open", "not_p", (Const("a"), _REG_VARS[0])), ("bind", _REG_VARS[0], Const("a")),
+           ("open", "not_p", (Const("a"), num(1)))],
+    calls=[("not_p", 0)],
+    back=0,
+)
 def test_proved_lookup_agrees_with_a_scan_of_every_entry(steps, calls, back):
     # The hypothesis set's lookups skip entries without walking them; each
     # of classify_loop's questions must answer as a plain scan of every
     # entry would, also after part of the trail is undone: an open
     # complement that unifies, a closed complement that is a variant, an
-    # open variant with no negation since, and a closed variant.  A call
+    # open variant with no negation since, a closed variant, and an open
+    # entry at least two markers down, with even parity, that unifies (a
+    # ground call meets one ground when pushed by its ground key).  A call
     # given as an integer repeats an entered atom's arguments, so that
     # variants are common.
     e = engine_for("p(a, a).")
@@ -761,6 +776,8 @@ def test_proved_lookup_agrees_with_a_scan_of_every_entry(steps, calls, back):
                 fr.key == goal.key and fr.mk == total and e._variant_args(args, fr.args)
                 for fr in e.frames
             )
+            k0 = e.cp.pred_info[pred].marker + total
+            assert e._even_loop(goal.key, args, gkey, k0) == _even_loop_by_scan(e, goal, k0)
             assert e.classify_loop(goal) == _classify_by_scan(e, goal)
 
 
@@ -1696,6 +1713,23 @@ def test_a_point_query_tries_a_handful_of_clauses(monkeypatch):
     monkeypatch.setattr("scasp.engine.rename_goal", counting)
     assert len(list(Engine(cp).run_query(parse_query("?- f(c500).")))) == 1
     assert len(calls) <= 5
+
+
+def test_a_propositional_chain_renames_no_goal(monkeypatch):
+    # `?- p0.` on `p_i :- p_(i+1).` and `p_n.`: no clause has a variable,
+    # so each is used as it is, as ground terms are; renaming every body
+    # tried would count n.
+    n = 200
+    cp = compiled("".join(f"p{i} :- p{i + 1}.\n" for i in range(n)) + f"p{n}.\n")
+    calls = []
+
+    def counting(g, mapping):
+        calls.append(1)
+        return rename_goal(g, mapping)
+
+    monkeypatch.setattr("scasp.engine.rename_goal", counting)
+    assert len(list(Engine(cp).run_query(parse_query("?- p0.")))) == 1
+    assert calls == []
 
 
 # -- queries and answers ---------------------------------------------------------

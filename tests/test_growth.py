@@ -172,3 +172,19 @@ def test_the_complement_test_of_a_ground_call_grows_linearly_in_unify_calls(monk
 
     small, large = family(200), family(400)
     assert large["unify"] <= 2.5 * small["unify"], (small, large)
+
+
+def test_the_even_loop_test_of_a_ground_call_grows_linearly_in_unify_calls(monkeypatch):
+    # `?- c(n).` on `c(N) :- N .>. 0, M .=. N - 1, not e(M).` and
+    # `e(M) :- not c(M).`: each level calls c one negation (two markers)
+    # above the last, so every open ground entry of c below is a candidate
+    # to close an even loop.  Two ground terms unify only when equal, so
+    # comparing ground keys decides each; a unify test per candidate makes
+    # the count quadratic and fails the bound.
+    text = "c(0).\nc(N) :- N .>. 0, M .=. N - 1, not e(M).\ne(M) :- not c(M).\n"
+
+    def family(n):
+        return _query_counts(monkeypatch, text, f"?- c({n}).", _count_unify)
+
+    small, large = family(200), family(400)
+    assert large["unify"] <= 2.5 * small["unify"], (small, large)
